@@ -1,12 +1,15 @@
 """Exact rational arithmetic backend.
 
-Everything numeric in this package is exact.  gmpy2.mpq is used when
-available (roughly an order of magnitude faster on the dense pivot
-updates that dominate large solves); fractions.Fraction is the drop-in
-fallback.  The two interoperate, so code elsewhere only needs `rat`.
+Everything numeric in this package is exact.  fractions.Fraction is
+the backend that the tests run against and the one a plain install
+uses.  gmpy2.mpq is picked up when the optional `gmpy2` extra is
+installed (roughly an order of magnitude faster on the dense pivot
+updates that dominate large solves).  The two interoperate, so code
+elsewhere only needs `rat`.
 """
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -44,3 +47,10 @@ def as_pair(value) -> tuple[int, int]:
 def rat_ceil(value) -> int:
     """Exact ceiling of a rational."""
     return -((-value.numerator) // value.denominator)
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(den, nums) with den the lcm of the denominators and
+    values[i] == nums[i] / den, as plain ints."""
+    den = lcm(*(int(v.denominator) for v in values))
+    return den, [int(v.numerator) * (den // int(v.denominator)) for v in values]

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -93,8 +92,9 @@ def build_parser() -> _Parser:
                    help="drop a column after this many consecutive slack rounds")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--init", choices=colgen.INIT_STRATEGIES, default="union")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for pricing (default: all cores)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for pricing; N > 1 starts a process "
+                        "pool on every pricing call (default: 1, serial)")
     p.add_argument("--checkpoint", help="checkpoint JSON path (resumes if present)")
     p.set_defaults(func=cmd_bpf)
 

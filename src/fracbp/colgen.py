@@ -28,17 +28,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import lcm
 
 import numpy as np
+from scipy.optimize import linprog as _linprog
 
-try:
-    from scipy.optimize import linprog as _linprog
-except ImportError:  # pragma: no cover - scipy is optional
-    _linprog = None
-
-from ._rational import ONE, ZERO, as_pair, rat
+from ._rational import ONE, ZERO, as_pair, clear_denominators, rat
 from .core import (
     BinaryMatrix,
     Biclique,
@@ -81,13 +75,14 @@ class ColGenConfig:
     enum_cap: int = 100_000
     # Vertex duals of a degenerate master oscillate wildly, and columns
     # priced on that noise flood the exact master without moving the
-    # primal.  When set (and scipy is present), candidates are instead
-    # collected in a cheap float mirror of the master: an inner loop of
-    # float solves and pricing rounds runs to a standstill, and only the
-    # columns carrying weight in its final solution are promoted to the
-    # exact master.  Pure admission heuristic: alpha, lower bounds,
-    # convergence, and certificates all keep coming from the true master
-    # duals, so the answer cannot depend on any float result.
+    # primal.  When set, candidates are instead collected in a cheap
+    # float mirror of the master: an inner loop of float solves and
+    # pricing rounds runs to a standstill, and only the columns carrying
+    # weight in its final solution are promoted to the exact master.
+    # Pure admission heuristic: alpha, lower bounds, convergence, and
+    # certificates all keep coming from the true master duals, so the
+    # answer cannot depend on any float result.  False switches the
+    # float mirror off; every true candidate then enters the master.
     stabilize: bool = True
 
     def __post_init__(self):
@@ -319,11 +314,11 @@ def run(
     converged = False
     t_master = 0.0
     t_pricing = 0.0
+    t_float = 0.0
     threshold = ONE + config.epsilon
     iteration = start_iteration
-    center = None
     buffer = None
-    use_float = config.stabilize and _linprog is not None
+    use_float = config.stabilize
 
     while True:
         iteration += 1
@@ -354,7 +349,7 @@ def run(
                 preferred.append(entry.cid)
             if preferred:
                 solver.set_preferred(preferred)
-            t_pricing += time.perf_counter() - t0
+            t_float += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         solver.reoptimize()
@@ -378,21 +373,6 @@ def run(
             best_lower = lower
         converged = alpha <= threshold
 
-        extra_candidates = ()
-        if config.stabilize and not use_float and not converged:
-            # Without a float mirror, a running average of the vertex
-            # duals drifts toward the same centre, one step behind.
-            t0 = time.perf_counter()
-            if center is None:
-                center = list(dual)
-            else:
-                center = [(c + y) / 2 for c, y in zip(center, dual)]
-                _, extra_candidates = price_all(
-                    maximals, EdgeWeights(a, center), threshold,
-                    per_cap=config.per_biclique_cap,
-                    global_cap=config.global_cap, workers=config.workers)
-            t_pricing += time.perf_counter() - t0
-
         if not converged:
             pruned = _prune(pool, solver, x_by_cid, dual, config)
             # With the float mirror taking care of volume, the exact
@@ -411,16 +391,6 @@ def run(
             if buffer is not None:
                 for pb in candidates:
                     buffer.add(pb.biclique)
-            for pb in extra_candidates:
-                # The averaged weights are not master duals, so their finds
-                # may legitimately already be pooled; skip those.
-                if pb.biclique in pool:
-                    continue
-                entry = PoolEntry(pb.biclique, incidence_column(a, pb.biclique),
-                                  born_iteration=iteration)
-                entry.cid = solver.add_column(entry.column)
-                pool.add(entry)
-                added += 1
         records.append(IterationRecord(
             iteration, objective, alpha, best_lower, len(pool), added, pruned))
         final_alpha = alpha
@@ -442,6 +412,7 @@ def run(
         "total": time.perf_counter() - t_start,
         "master": t_master,
         "pricing": t_pricing,
+        "float": t_float,
     }
     return ColGenReport(
         matrix=a, matrix_hash=mhash, converged=converged, value=prev_objective,
@@ -511,7 +482,7 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, config, threshold):
     found here still face the exact master and the true pricing pass —
     so a float failure just returns (None, ()).
     """
-    if _linprog is None or len(buffer) == 0:
+    if len(buffer) == 0:
         return None, ()
     res = None
     smoothed = None
@@ -562,8 +533,7 @@ def _prune(pool: ColumnPool, solver: SimplexSolver, x_by_cid, dual, config) -> i
     """Update slack counters against the current dual, drop stale columns."""
     removed = 0
     # Clear denominators once so the slack test is an integer compare.
-    D = reduce(lcm, (int(v.denominator) for v in dual), 1)
-    nums = [int(v * D) for v in dual]
+    D, nums = clear_denominators(dual)
     getter = nums.__getitem__
     for entry in pool.entries():
         rows = solver.columns[entry.cid][1]

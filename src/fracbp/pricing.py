@@ -7,6 +7,16 @@ the best column subset is the closure C(R) of columns with positive
 weight sum, so enumerating row subsets of maximal bicliques covers the
 entire search space exactly.
 
+The scan runs over integers.  Once per call the weights' denominators
+are cleared: with den the lcm of the denominators, every weight becomes
+the integer num = weight * den, and every biclique value is an integer
+multiple of 1/den.  Scaling by den > 0 preserves every sign and every
+comparison, so the closures, the maximizer and the candidate order are
+the same as in rational arithmetic.  The threshold test `value > t`
+becomes `num > cut` with cut = floor(t * den), which is exact because
+the left side is an integer.  Values are turned back into rationals
+only for what is returned.
+
 The enumeration runs over the smaller side of the biclique (transposing
 if needed) and refuses outright past `subset_limit` rows rather than
 sampling; a wrong pricing maximum would silently break the lower bound
@@ -17,12 +27,16 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import floor
+from operator import add
 
-from ._rational import ZERO
-from .core import Biclique, EdgeWeights, bit_indices, is_valid_biclique
+from ._rational import clear_denominators, rat
+from .core import Biclique, BinaryMatrix, EdgeWeights, bit_indices, is_valid_biclique
 from .errors import ContractViolation, SizeCapExceeded
 
 SUBSET_LIMIT = 1 << 20
+
+_positive = (0).__lt__
 
 
 @dataclass(frozen=True)
@@ -53,7 +67,19 @@ def price_maximal(
         nonpositive it degenerates to the best single edge.  Ties in
         value prefer fewer edges, then the canonical biclique order.
     """
-    if not is_valid_biclique(weights.matrix, b):
+    den, nums = clear_denominators(weights.values)
+    best, found = _scan_maximal(
+        b, weights.matrix, nums, floor(threshold * den), cap, subset_limit)
+    return (PricedBiclique(best[1], rat(best[0], den)),
+            [PricedBiclique(c, rat(v, den)) for v, c in found])
+
+
+def _scan_maximal(
+    b: Biclique, matrix: BinaryMatrix, nums, cut: int, cap: int, subset_limit: int,
+) -> tuple[tuple[int, Biclique], list[tuple[int, Biclique]]]:
+    """price_maximal on integer weights `nums` (edge-index order) and
+    the integer threshold `cut`; values come back as integers."""
+    if not is_valid_biclique(matrix, b):
         raise ContractViolation("priced biclique is not valid in the weight matrix")
     rows = bit_indices(b.row_set)
     cols = bit_indices(b.col_set)
@@ -66,54 +92,44 @@ def price_maximal(
             f"pricing rows={b.row_set:#x} cols={b.col_set:#x} needs 2^{k} subsets",
             1 << k, subset_limit)
 
+    index = matrix.edge_index
     if transposed:
-        grid = [[weights.at(cj, ri) for cj in cols] for ri in rows]
+        grid = [[nums[index[(cj, ri)]] for cj in cols] for ri in rows]
     else:
-        grid = [[weights.at(ri, cj) for cj in cols] for ri in rows]
+        grid = [[nums[index[(ri, cj)]] for cj in cols] for ri in rows]
 
     best = None  # (value, local row mask, local col mask)
     found: list[tuple] = []
-    colsum = [ZERO] * n
 
-    def consider(value, rmask, cmask):
+    def scan(i, rmask, colsum):
         nonlocal best
-        if best is None:
-            best = (value, rmask, cmask)
+        if i < k:
+            scan(i + 1, rmask, colsum)
+            scan(i + 1, rmask | (1 << i), list(map(add, colsum, grid[i])))
             return
-        if value != best[0]:
-            if value > best[0]:
+        # The closure is empty exactly when value is 0 (the empty row
+        # set included), and then there is no biclique to report.
+        value = sum(filter(_positive, colsum))
+        if not value:
+            return
+        above = value > cut
+        if not above and best is not None and value < best[0]:
+            return
+        cmask = 0
+        for j in range(n):
+            if colsum[j] > 0:
+                cmask |= 1 << j
+        if above:
+            found.append((value, rmask, cmask))
+        if best is None or value > best[0]:
+            best = (value, rmask, cmask)
+        elif value == best[0]:
+            edges = rmask.bit_count() * cmask.bit_count()
+            bedges = best[1].bit_count() * best[2].bit_count()
+            if (edges, rmask, cmask) < (bedges, best[1], best[2]):
                 best = (value, rmask, cmask)
-            return
-        edges = rmask.bit_count() * cmask.bit_count()
-        bedges = best[1].bit_count() * best[2].bit_count()
-        if (edges, rmask, cmask) < (bedges, best[1], best[2]):
-            best = (value, rmask, cmask)
 
-    def scan(i, rmask):
-        if i == k:
-            if not rmask:
-                return
-            value = ZERO
-            cmask = 0
-            for j in range(n):
-                s = colsum[j]
-                if s > 0:
-                    value += s
-                    cmask |= 1 << j
-            if cmask:
-                consider(value, rmask, cmask)
-                if value > threshold:
-                    found.append((value, rmask, cmask))
-            return
-        scan(i + 1, rmask)
-        w = grid[i]
-        for j in range(n):
-            colsum[j] += w[j]
-        scan(i + 1, rmask | (1 << i))
-        for j in range(n):
-            colsum[j] -= w[j]
-
-    scan(0, 0)
+    scan(0, 0, [0] * n)
 
     if best is None:
         # All weights nonpositive: the single heaviest edge is optimal.
@@ -124,7 +140,7 @@ def price_maximal(
                     bi, bj = i, j
         best = (grid[bi][bj], 1 << bi, 1 << bj)
 
-    def lift(value, rmask, cmask) -> PricedBiclique:
+    def lift(value, rmask, cmask) -> tuple[int, Biclique]:
         rset = 0
         for i in bit_indices(rmask):
             rset |= 1 << rows[i]
@@ -133,16 +149,14 @@ def price_maximal(
             cset |= 1 << cols[j]
         if transposed:
             rset, cset = cset, rset
-        return PricedBiclique(Biclique(rset, cset), value)
+        return value, Biclique(rset, cset)
 
     found.sort(key=lambda t: (-t[0], t[1].bit_count() * t[2].bit_count(), t[1], t[2]))
-    candidates = [lift(*t) for t in found[:cap]]
-    return lift(*best), candidates
+    return lift(*best), [lift(*t) for t in found[:cap]]
 
 
-def _price_task(args):
-    b, weights, threshold, cap, limit = args
-    return price_maximal(b, weights, threshold, cap, limit)
+def _scan_task(args):
+    return _scan_maximal(*args)
 
 
 def price_all(
@@ -166,24 +180,24 @@ def price_all(
     maximals = list(maximals)
     if not maximals:
         raise ContractViolation("pricing needs at least one maximal biclique")
-    tasks = [(b, weights, threshold, per_cap, subset_limit) for b in maximals]
+    den, nums = clear_denominators(weights.values)
+    cut = floor(threshold * den)
+    tasks = [(b, weights.matrix, nums, cut, per_cap, subset_limit) for b in maximals]
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_price_task, tasks, chunksize=chunk))
+            results = list(pool.map(_scan_task, tasks, chunksize=chunk))
     else:
-        results = [_price_task(t) for t in tasks]
+        results = [_scan_task(t) for t in tasks]
 
     alpha = None
-    merged: dict[tuple[int, int], PricedBiclique] = {}
-    for maximizer, cands in results:
-        if alpha is None or maximizer.value > alpha:
-            alpha = maximizer.value
-        for pb in cands:
-            key = (pb.biclique.row_set, pb.biclique.col_set)
-            if key not in merged:
-                merged[key] = pb
+    merged: dict[tuple[int, int], tuple[int, Biclique]] = {}
+    for (top, _), cands in results:
+        if alpha is None or top > alpha:
+            alpha = top
+        for value, c in cands:
+            merged.setdefault((c.row_set, c.col_set), (value, c))
     ordered = sorted(
-        merged.values(),
-        key=lambda pb: (-pb.value, pb.biclique.row_set, pb.biclique.col_set))
-    return alpha, ordered[:global_cap]
+        merged.values(), key=lambda t: (-t[0], t[1].row_set, t[1].col_set))
+    return rat(alpha, den), [
+        PricedBiclique(c, rat(v, den)) for v, c in ordered[:global_cap]]

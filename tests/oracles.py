@@ -70,6 +70,56 @@ def brute_price(a: BinaryMatrix, values) -> Fraction:
     return best
 
 
+def naive_price_all(a: BinaryMatrix, maximals, values, threshold,
+                    per_cap=64, global_cap=4096):
+    """price_all's documented output, by plain enumeration in Fractions.
+
+    For each biclique in `maximals`: every nonempty subset S of its
+    smaller side (rows on a tie), the closure T of the other side's
+    vertices whose weight sum over S is positive, and the weight of
+    S x T.  The candidates of one biclique are the closures with T
+    nonempty and weight above `threshold`, ordered by weight descending,
+    then fewer edges, then lower S mask, then lower T mask, and cut to
+    `per_cap`.  The merge keeps the first copy of each biclique, orders
+    by weight descending, then row mask, then column mask, and cuts to
+    `global_cap`.  alpha is the largest closure weight or single edge
+    weight.  Returns (alpha, [(Biclique, weight), ...]).
+    """
+    alpha = None
+    merged = {}
+    for b in maximals:
+        rows = [i for i in range(a.num_rows) if (b.row_set >> i) & 1]
+        cols = [j for j in range(a.num_cols) if (b.col_set >> j) & 1]
+        transposed = len(cols) < len(rows)
+        side, other = (cols, rows) if transposed else (rows, cols)
+
+        def weight(s, o):
+            i, j = (o, s) if transposed else (s, o)
+            return values[a.edge_index[(i, j)]]
+
+        for s in side:
+            for o in other:
+                if alpha is None or weight(s, o) > alpha:
+                    alpha = weight(s, o)
+        found = []
+        for subset in subsets(side):
+            closure = [o for o in other if sum(weight(s, o) for s in subset) > 0]
+            if not closure:
+                continue
+            total = sum(weight(s, o) for s in subset for o in closure)
+            alpha = max(alpha, total)
+            if total > threshold:
+                smask = sum(1 << s for s in subset)
+                omask = sum(1 << o for o in closure)
+                found.append((-total, len(subset) * len(closure), smask, omask))
+        found.sort()
+        for neg_total, _, smask, omask in found[:per_cap]:
+            key = (omask, smask) if transposed else (smask, omask)
+            merged.setdefault(key, -neg_total)
+    ordered = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    return alpha, [(Biclique(r, c), v) for (r, c), v in ordered[:global_cap]]
+
+
 def brute_fooling_sets(a: BinaryMatrix) -> int:
     """Largest set of ones, no two of which lie in a common all-ones
     2x2-closing pattern: (i,j), (i',j') clash when i==i', j==j', or both

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from fracbp._rational import rat
-from fracbp.cli import main
+from fracbp.cli import build_parser, main
 from fracbp.core import format_matrix, kronecker, parse_matrix, domino
 
 DOMINO_TEXT = "110\n111\n011\n"
@@ -118,6 +118,10 @@ def test_threads_flag_changes_nothing():
     a, b = json.loads(one), json.loads(two)
     a.pop("timings"), b.pop("timings")
     assert a == b
+
+
+def test_threads_default_to_serial():
+    assert build_parser().parse_args(["bpf", "domino"]).threads == 1
 
 
 def test_bpf_runs_are_deterministic():

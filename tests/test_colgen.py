@@ -232,6 +232,11 @@ def test_stabilize_off_reaches_same_value(d):
     off = run(dd, ColGenConfig(init_strategy="stars", stabilize=False))
     assert on.converged and off.converged
     assert on.value == off.value == SIX
+    # The float mirror is booked apart from exact pricing.
+    for report in (on, off):
+        assert {"master", "pricing", "float"} <= set(report.timings)
+    assert on.timings["float"] > 0
+    assert off.timings["float"] == 0
 
 
 def test_parallel_pricing_changes_nothing(d):

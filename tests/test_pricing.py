@@ -2,12 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from fracbp.core import Biclique, EdgeWeights, domino, kronecker
+from fracbp.core import Biclique, BinaryMatrix, EdgeWeights, domino, kronecker
 from fracbp.errors import ContractViolation, SizeCapExceeded
 from fracbp.maximal import enumerate_maximal
 from fracbp.pricing import price_all, price_maximal
 
-from oracles import brute_price, random_binary_matrix, random_rationals
+from oracles import (
+    brute_price,
+    naive_price_all,
+    random_binary_matrix,
+    random_rationals,
+)
 
 
 def weights_for(a, values):
@@ -37,6 +42,40 @@ def test_price_matches_brute_force_random_matrices(rng):
         w = weights_for(a, values)
         alpha, _ = price_all(enumerate_maximal(a), w, Fraction(10 ** 9))
         assert alpha == brute_price(a, values)
+
+
+def oracle_cases(rng):
+    # All-ones blocks, each way round, whose best candidates tie in value
+    # and must be told apart by edge count, then row mask, then column
+    # mask; then random matrices, where small denominators make ties
+    # common.
+    for grid in ([[1, 1, -5], [-5, -5, 2]], [[-5, 1, 1], [1, 1, -5]]):
+        for g in (grid, [list(col) for col in zip(*grid)]):
+            a = BinaryMatrix(len(g), len(g[0]), ((1 << len(g[0])) - 1,) * len(g))
+            yield a, [Fraction(v) for row in g for v in row]
+    for trial in range(60):
+        a = random_binary_matrix(rng, 5, 5)
+        den_range = ((1, 1), (1, 3), (1, 12))[trial % 3]
+        yield a, random_rationals(rng, a.num_edges, den_range, (-3, 4))
+
+
+def test_candidates_match_naive_oracle(rng):
+    # The whole price_all output, candidate lists included.
+    for a, values in oracle_cases(rng):
+        maximals = enumerate_maximal(a)
+        w = weights_for(a, values)
+        _, everything = naive_price_all(a, maximals, values, Fraction(-1))
+        thresholds = [Fraction(-1, 3), Fraction(1)]
+        if everything:  # a value some candidate attains, to exclude
+            thresholds.append(everything[len(everything) // 2][1])
+        for threshold in thresholds:
+            for per_cap, global_cap in ((64, 4096), (1, 4096), (2, 3)):
+                alpha, cands = price_all(maximals, w, threshold,
+                                         per_cap=per_cap, global_cap=global_cap)
+                expected = naive_price_all(a, maximals, values, threshold,
+                                           per_cap, global_cap)
+                assert (alpha, [(pb.biclique, pb.value) for pb in cands]) == expected
+                assert all(pb.value > threshold for pb in cands)
 
 
 def test_nonpositive_weights_fall_back_to_best_edge(d):
