@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 
-from .core import BinaryMatrix, Biclique, enumerate_all_bicliques
+from .core import BinaryMatrix, Biclique, bit_indices, enumerate_all_bicliques
 from .errors import ContractViolation, InvariantViolation, SizeCapExceeded
 from .lp import COVER, PARTITION, build_master, solve, solve_integer
 from .maximal import enumerate_maximal
@@ -56,7 +56,7 @@ def fooling_set(a: BinaryMatrix, cap: int = FOOLING_CAP) -> list[tuple[int, int]
             adj[p] |= 1 << q
             adj[q] |= 1 << p
     best_mask = _max_clique(adj)
-    return [ones[p] for p in _bits(best_mask)]
+    return [ones[p] for p in bit_indices(best_mask)]
 
 
 def fooling_set_number(a: BinaryMatrix, cap: int = FOOLING_CAP) -> int:
@@ -84,13 +84,6 @@ def _max_clique(adj: list[int]) -> int:
 
     expand((1 << n) - 1, 0, 0)
     return best["mask"]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------

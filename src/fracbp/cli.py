@@ -93,8 +93,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--init", choices=colgen.INIT_STRATEGIES, default="union")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for pricing; N > 1 starts a process "
-                        "pool on every pricing call (default: 1, serial)")
+                   help="accepted for compatibility and ignored; pricing "
+                        "runs serially")
     p.add_argument("--checkpoint", help="checkpoint JSON path (resumes if present)")
     p.set_defaults(func=cmd_bpf)
 
@@ -204,7 +204,6 @@ def cmd_bpf(args) -> int:
         max_iterations=args.max_iters,
         init_strategy=args.init,
         checkpoint_path=args.checkpoint,
-        workers=args.threads,
     )
     progress = None
     if args.format == "text":

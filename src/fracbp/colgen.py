@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,10 +37,12 @@ from .core import (
     BinaryMatrix,
     Biclique,
     EdgeWeights,
+    bit_indices,
     enumerate_all_bicliques,
     incidence_column,
     kronecker,
     kronecker_biclique,
+    kronecker_power,
     matrix_hash,
 )
 from .errors import (
@@ -56,7 +58,7 @@ from .pricing import price_all
 
 CHECKPOINT_VERSION = 1
 
-INIT_STRATEGIES = ("stars", "all", "kron", "union")
+INIT_STRATEGIES = ("stars", "all", "union")
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,9 @@ class ColGenConfig:
 
     epsilon: object = rat(1, 1_000_000)
     prune_after: int = 3
-    per_biclique_cap: int = 64
-    global_cap: int = 4096
     max_iterations: int = 1000
     init_strategy: str = "union"
     checkpoint_path: str | None = None
-    workers: int = 1
-    star_side: str = "rows"
     enum_cap: int = 100_000
     # Vertex duals of a degenerate master oscillate wildly, and columns
     # priced on that noise flood the exact master without moving the
@@ -88,8 +86,6 @@ class ColGenConfig:
     def __post_init__(self):
         if self.init_strategy not in INIT_STRATEGIES:
             raise ContractViolation(f"unknown init strategy {self.init_strategy!r}")
-        if self.star_side not in ("rows", "cols"):
-            raise ContractViolation("star_side must be 'rows' or 'cols'")
         if self.epsilon < 0:
             raise ContractViolation("epsilon must be nonnegative")
         if self.prune_after < 1 or self.max_iterations < 1:
@@ -102,7 +98,6 @@ class PoolEntry:
     column: int
     cid: int = -1
     slack_count: int = 0
-    born_iteration: int = 0
     protected: bool = False
 
 
@@ -272,7 +267,7 @@ def run(
     mhash = matrix_hash(a)
     if maximals is None:
         maximals = enumerate_maximal(a)
-    stars = initial_stars(a, config.star_side)
+    stars = initial_stars(a)
 
     pool = ColumnPool()
     start_iteration = 0
@@ -286,8 +281,7 @@ def run(
                 column = incidence_column(a, b)
             except ContractViolation as exc:
                 raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
-            pool.add(PoolEntry(b, column, slack_count=slack,
-                               born_iteration=start_iteration))
+            pool.add(PoolEntry(b, column, slack_count=slack))
         resumed = True
 
     if not resumed:
@@ -336,13 +330,12 @@ def run(
                 buffer = _FloatBuffer(a)
             for entry in pool.entries():
                 buffer.add(entry.biclique)
-            _, float_support = _float_phase(a, maximals, buffer, config, threshold)
+            float_support = _float_phase(a, maximals, buffer, threshold)
             preferred = []
             for b in float_support:
                 entry = pool.get(b)
                 if entry is None:
-                    entry = PoolEntry(b, incidence_column(a, b),
-                                      born_iteration=iteration)
+                    entry = PoolEntry(b, incidence_column(a, b))
                     entry.cid = solver.add_column(entry.column)
                     pool.add(entry)
                     added += 1
@@ -362,10 +355,7 @@ def run(
         dual = solver.duals()
 
         t0 = time.perf_counter()
-        alpha, candidates = price_all(
-            maximals, EdgeWeights(a, dual), threshold,
-            per_cap=config.per_biclique_cap, global_cap=config.global_cap,
-            workers=config.workers)
+        alpha, candidates = price_all(maximals, EdgeWeights(a, dual), threshold)
         t_pricing += time.perf_counter() - t0
 
         lower = objective / alpha if alpha > 1 else objective
@@ -383,8 +373,7 @@ def run(
                 if pb.biclique in pool:
                     raise InvariantViolation(
                         "pricing returned a column already in the pool")
-                entry = PoolEntry(pb.biclique, incidence_column(a, pb.biclique),
-                                  born_iteration=iteration)
+                entry = PoolEntry(pb.biclique, incidence_column(a, pb.biclique))
                 entry.cid = solver.add_column(entry.column)
                 pool.add(entry)
                 added += 1
@@ -445,11 +434,8 @@ class _FloatBuffer:
             return False
         self._keys.add(key)
         col = np.zeros(self._a.num_edges, dtype=np.float64)
-        bits = incidence_column(self._a, b)
-        while bits:
-            low = bits & -bits
-            col[low.bit_length() - 1] = 1.0
-            bits ^= low
+        for r in bit_indices(incidence_column(self._a, b)):
+            col[r] = 1.0
         self.bicliques.append(b)
         self._cols.append(col)
         return True
@@ -472,41 +458,35 @@ _BUFFER_CAP = 60_000
 _TRUE_ADMIT = 8
 
 
-def _float_phase(a, maximals, buffer: _FloatBuffer, config, threshold):
+def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
     """Run the float relaxation of the buffered master to a standstill.
 
     Alternates float solves with pricing rounds against the float dual
     (snapshotted as exact rationals) until pricing stops producing new
-    columns, then reports where the weight ended up.  Returns (dual,
-    support_bicliques); everything about it is advisory — candidates
+    columns, then reports where the weight ended up.  Returns the
+    support bicliques; everything about it is advisory — candidates
     found here still face the exact master and the true pricing pass —
-    so a float failure just returns (None, ()).
+    so a float failure just returns ().
     """
     if len(buffer) == 0:
-        return None, ()
+        return ()
     res = None
-    smoothed = None
     for _ in range(_INNER_ROUNDS):
         res = buffer.solve()
         if res is None:
-            return None, ()
+            return ()
         smoothed = []
         for v in res.eqlin.marginals:
             f = Fraction(float(v)).limit_denominator(10 ** 9)
             smoothed.append(rat(f.numerator, f.denominator))
-        _, found = price_all(
-            maximals, EdgeWeights(a, smoothed), threshold,
-            per_cap=config.per_biclique_cap, global_cap=config.global_cap,
-            workers=config.workers)
+        _, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
         fresh = 0
         for pb in found:
             if buffer.add(pb.biclique):
                 fresh += 1
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
-    support = [
-        b for b, x in zip(buffer.bicliques, res.x) if x > 1e-9]
-    return smoothed, support
+    return [b for b, x in zip(buffer.bicliques, res.x) if x > 1e-9]
 
 
 def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
@@ -515,14 +495,11 @@ def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
         return []
     if strategy == "all":
         return enumerate_all_bicliques(a, config.enum_cap)
-    # kron and union take whatever the caller lifted; a bare kron run
-    # with nothing to lift is a usage error, while union falls back to
-    # the densest pool that fits (all bicliques, else just the stars).
+    # union takes whatever the caller lifted, else falls back to the
+    # densest pool that fits (all bicliques, else just the stars).
     extra = list(extra_initial)
     if extra:
         return extra
-    if strategy == "kron":
-        raise ContractViolation("init strategy 'kron' needs lifted support columns")
     try:
         return enumerate_all_bicliques(a, config.enum_cap)
     except SizeCapExceeded:
@@ -553,16 +530,9 @@ def _prune(pool: ColumnPool, solver: SimplexSolver, x_by_cid, dual, config) -> i
 
 def _assert_rescaled_dual(pool: ColumnPool, dual, alpha) -> None:
     for entry in pool.entries():
-        s = sum((dual[r] for r in _mask_bits(entry.column)), ZERO)
+        s = sum((dual[r] for r in bit_indices(entry.column)), ZERO)
         if s / alpha > 1:
             raise InvariantViolation("rescaled dual violates a pool column")
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -574,63 +544,39 @@ def solve_power(
 ) -> ColGenReport:
     """Column generation on the k-th Kronecker power of `base`.
 
-    For the kron and union strategies the lower powers are solved first
-    and their optimal supports multiplied up level by level, which seeds
-    each master close to optimal.  Checkpointing applies only to the
-    top level.  For stars/all the power is attacked directly.
+    With the stars and all strategies, or when resuming from a
+    checkpoint, the power is built once and solved directly.  With
+    union the powers are walked level by level: level 1 starts from
+    the densest pool that fits, and each later level starts from the
+    products of the previous level's optimal support with level 1's,
+    which seeds its master close to optimal.  Every level's matrix and
+    lifted maximal bicliques are built exactly once, and only the top
+    level checkpoints and reports progress.
     """
     if k < 1:
         raise ContractViolation("power must be at least 1")
     base_shape = (base.num_rows, base.num_cols)
     base_maximals = enumerate_maximal(base)
-    power = base
-    for _ in range(k - 1):
-        power = kronecker(power, base)
-    maximals = (
-        base_maximals if k == 1
-        else lift_maximal_kronecker(base_maximals, k, base_shape))
 
     resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
-    direct = k == 1 or config.init_strategy in ("stars", "all") or resuming
-    if direct:
-        return run(power, _level_config(config, top=True, level=k),
+    if config.init_strategy != "union" or resuming:
+        maximals = (
+            base_maximals if k == 1
+            else lift_maximal_kronecker(base_maximals, k, base_shape))
+        return run(kronecker_power(base, k), config,
                    maximals=maximals, progress=progress)
 
-    # Ladder: solve level 1 with the richest affordable pool, then lift
-    # the optimal support one level at a time.
-    report = run(base, _level_config(config, top=False, level=1),
-                 maximals=base_maximals)
-    base_support = [b for b, _ in report.support]
-    support = base_support
-    level_matrix = base
-    for level in range(2, k + 1):
-        level_matrix = kronecker(level_matrix, base)
-        level_maximals = lift_maximal_kronecker(base_maximals, level, base_shape)
-        extra = initial_kronecker_support(support, base_support, base_shape)
-        cfg = _level_config(config, top=(level == k), level=level)
-        report = run(level_matrix, cfg, maximals=level_maximals,
-                     extra_initial=extra,
-                     progress=progress if level == k else None)
+    inner = replace(config, checkpoint_path=None)
+    matrix, maximals, extra = base, base_maximals, []
+    for level in range(1, k + 1):
+        if level > 1:
+            matrix = kronecker(matrix, base)
+            maximals = lift_maximal_kronecker(base_maximals, level, base_shape)
+            extra = initial_kronecker_support(support, base_support, base_shape)
+        top = level == k
+        report = run(matrix, config if top else inner, maximals=maximals,
+                     extra_initial=extra, progress=progress if top else None)
         support = [b for b, _ in report.support]
+        if level == 1:
+            base_support = support
     return report
-
-
-def _level_config(config: ColGenConfig, top: bool, level: int) -> ColGenConfig:
-    """Intermediate ladder levels never checkpoint; level one rewrites
-    kron to union since there is nothing to lift yet."""
-    strategy = config.init_strategy
-    if level == 1 and strategy == "kron":
-        strategy = "union"
-    return ColGenConfig(
-        epsilon=config.epsilon,
-        prune_after=config.prune_after,
-        per_biclique_cap=config.per_biclique_cap,
-        global_cap=config.global_cap,
-        max_iterations=config.max_iterations,
-        init_strategy=strategy,
-        checkpoint_path=config.checkpoint_path if top else None,
-        workers=config.workers,
-        star_side=config.star_side,
-        enum_cap=config.enum_cap,
-        stabilize=config.stabilize,
-    )

@@ -18,7 +18,12 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ContractViolation, MatrixFormatError, SizeCapExceeded
+from .errors import (
+    ContractViolation,
+    InvariantViolation,
+    MatrixFormatError,
+    SizeCapExceeded,
+)
 
 # Refuse to build matrices beyond this many cells; bitset arithmetic
 # still works there but nothing downstream would finish.
@@ -220,7 +225,8 @@ def kronecker(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
                 bits |= rb << (ja * b.num_cols)
             rows.append(bits)
     out = BinaryMatrix(m, n, tuple(rows))
-    assert out.num_edges == a.num_edges * b.num_edges
+    if out.num_edges != a.num_edges * b.num_edges:
+        raise InvariantViolation("kronecker product lost or gained edges")
     return out
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rational import ONE, ZERO, as_pair, rat, rat_ceil
-from .core import BinaryMatrix, Biclique, incidence_column
+from .core import BinaryMatrix, Biclique, bit_indices, incidence_column
 from .errors import ContractViolation, InvariantViolation, NodeCapExceeded
 
 PARTITION = "partition"
@@ -211,7 +211,7 @@ class SimplexSolver:
             raise ContractViolation("column bitset empty or out of range")
         cid = self._next_id
         self._next_id += 1
-        rows = tuple(_bits(bits))
+        rows = bit_indices(bits)
         self.columns[cid] = (bits, rows)
         slot = len(self._cids)
         if slot == self._pool.shape[1]:
@@ -824,15 +824,6 @@ class SimplexSolver:
             raise InvariantViolation("scaled basis lost strong duality")
 
 
-def _bits(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _invert(sparse_cols, m: int):
     """Exact inverse and determinant of a sparsely given matrix.
 
@@ -928,7 +919,7 @@ def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
         if xj < 0:
             raise InvariantViolation("negative primal value")
         if xj:
-            for r in _bits(bits):
+            for r in bit_indices(bits):
                 cover[r] = cover[r] + xj
     for r, c in enumerate(cover):
         ok = (c == 1) if lp.sense == PARTITION else (c >= 1)
@@ -939,7 +930,7 @@ def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
     if lp.sense == COVER and any(v < 0 for v in y):
         raise InvariantViolation("cover dual must be nonnegative")
     for k, bits in enumerate(lp.columns):
-        if sum((y[r] for r in _bits(bits)), ZERO) > 1:
+        if sum((y[r] for r in bit_indices(bits)), ZERO) > 1:
             raise InvariantViolation(f"dual infeasible at column {k}")
 
 
@@ -947,7 +938,7 @@ def _check_farkas(lp: LinearProgram, y) -> None:
     if sum(y, ZERO) <= 0:
         raise InvariantViolation("Farkas ray has nonpositive objective")
     for k, bits in enumerate(lp.columns):
-        if sum((y[r] for r in _bits(bits)), ZERO) > 0:
+        if sum((y[r] for r in bit_indices(bits)), ZERO) > 0:
             raise InvariantViolation(f"Farkas ray violated by column {k}")
     if lp.sense == COVER and any(v < 0 for v in y):
         raise InvariantViolation("cover Farkas ray must be nonnegative")
@@ -1054,12 +1045,12 @@ def _fix_one(sense: str, row_mask: int, cols, idx: int):
 
 def _remap(sense: str, row_mask: int, cols) -> LinearProgram:
     """Compress surviving rows to 0..m'-1 and rebuild column bitsets."""
-    order = _bits(row_mask)
+    order = bit_indices(row_mask)
     newpos = {r: i for i, r in enumerate(order)}
     packed = []
     for _, bits in cols:
         nb = 0
-        for r in _bits(bits & row_mask):
+        for r in bit_indices(bits & row_mask):
             nb |= 1 << newpos[r]
         packed.append(nb)
     return LinearProgram(len(order), tuple(packed), sense)

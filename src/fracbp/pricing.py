@@ -21,11 +21,13 @@ The enumeration runs over the smaller side of the biclique (transposing
 if needed) and refuses outright past `subset_limit` rows rather than
 sampling; a wrong pricing maximum would silently break the lower bound
 math downstream.
+
+Pricing runs serially in the caller's process: one call scans every
+maximal biclique in input order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import floor
 from operator import add
@@ -155,17 +157,12 @@ def _scan_maximal(
     return lift(*best), [lift(*t) for t in found[:cap]]
 
 
-def _scan_task(args):
-    return _scan_maximal(*args)
-
-
 def price_all(
     maximals,
     weights: EdgeWeights,
     threshold,
     per_cap: int = 64,
     global_cap: int = 4096,
-    workers: int = 1,
     subset_limit: int = SUBSET_LIMIT,
 ) -> tuple[object, list[PricedBiclique]]:
     """Price every maximal biclique and merge the results.
@@ -173,26 +170,19 @@ def price_all(
     Returns (alpha, candidates) where alpha is the true maximum biclique
     weight over the whole matrix.  Candidates are deduplicated, sorted
     by value descending (ties by canonical order), and truncated to
-    `global_cap`.  With workers > 1 the bicliques are priced in a
-    process pool; results are merged in input order, so the output is
-    identical to a serial run.
+    `global_cap`.  The bicliques are scanned serially and merged in
+    input order.
     """
     maximals = list(maximals)
     if not maximals:
         raise ContractViolation("pricing needs at least one maximal biclique")
     den, nums = clear_denominators(weights.values)
     cut = floor(threshold * den)
-    tasks = [(b, weights.matrix, nums, cut, per_cap, subset_limit) for b in maximals]
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_task, tasks, chunksize=chunk))
-    else:
-        results = [_scan_task(t) for t in tasks]
-
     alpha = None
     merged: dict[tuple[int, int], tuple[int, Biclique]] = {}
-    for (top, _), cands in results:
+    for b in maximals:
+        (top, _), cands = _scan_maximal(
+            b, weights.matrix, nums, cut, per_cap, subset_limit)
         if alpha is None or top > alpha:
             alpha = top
         for value, c in cands:

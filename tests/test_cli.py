@@ -98,6 +98,12 @@ def test_bpf_reports_nonconvergence_with_exit_two():
     assert as_rat(payload["lower_bound"]) <= rat(10, 3)
 
 
+def test_bpf_rejects_kron_init():
+    with pytest.raises(SystemExit) as info:
+        run_cli("bpf", "domino", "--init", "kron")
+    assert info.value.code == 64
+
+
 def test_bpf_rejects_malformed_epsilon():
     code, _, err = run_cli("bpf", "domino", "--epsilon", "fast")
     assert code == 64

@@ -63,13 +63,9 @@ def assert_is_fractional_partition(a, support):
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_unknown_strategy():
-    with pytest.raises(ContractViolation):
-        ColGenConfig(init_strategy="everything")
-
-
-def test_config_rejects_bad_star_side():
-    with pytest.raises(ContractViolation):
-        ColGenConfig(star_side="diagonal")
+    for strategy in ("everything", "kron"):
+        with pytest.raises(ContractViolation):
+            ColGenConfig(init_strategy=strategy)
 
 
 def test_config_rejects_negative_epsilon():
@@ -160,16 +156,11 @@ def test_all_init_surfaces_enumeration_refusal(d):
         run(d, ColGenConfig(init_strategy="all", enum_cap=5))
 
 
-def test_bare_kron_init_is_a_usage_error(d):
-    with pytest.raises(ContractViolation):
-        run(d, ColGenConfig(init_strategy="kron"))
-
-
-def test_kron_init_accepts_lifted_columns(d):
+def test_union_init_accepts_lifted_columns(d):
     base = [b for b, _ in run(d, ColGenConfig()).support]
     dd = kronecker(d, d)
     lifted = initial_kronecker_support(base, base, (3, 3))
-    report = run(dd, ColGenConfig(init_strategy="kron"), extra_initial=lifted)
+    report = run(dd, ColGenConfig(init_strategy="union"), extra_initial=lifted)
     assert report.converged and report.value == SIX
 
 
@@ -239,13 +230,6 @@ def test_stabilize_off_reaches_same_value(d):
     assert off.timings["float"] == 0
 
 
-def test_parallel_pricing_changes_nothing(d):
-    serial = run(d, ColGenConfig(init_strategy="stars"))
-    parallel = run(d, ColGenConfig(init_strategy="stars", workers=2))
-    assert serial.records == parallel.records
-    assert serial.support == parallel.support
-
-
 # ---------------------------------------------------------------------------
 # Kronecker ladder
 # ---------------------------------------------------------------------------
@@ -264,6 +248,29 @@ def test_power_two_by_ladder(d):
 def test_power_two_direct_strategies_agree(d):
     report = solve_power(d, 2, ColGenConfig(init_strategy="stars"))
     assert report.converged and report.value == SIX
+
+
+def test_ladder_builds_each_level_once(monkeypatch):
+    import fracbp.colgen as colgen
+
+    calls = {"kronecker": 0, "lift_maximal_kronecker": 0}
+
+    def counting(name):
+        original = getattr(colgen, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(colgen, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+    report = solve_power(triangle, 4, ColGenConfig())
+    assert report.converged and report.value == 2 ** 4
+    # Levels 2, 3 and 4 each build their matrix and lift once.
+    assert calls == {"kronecker": 3, "lift_maximal_kronecker": 3}
 
 
 def test_power_zero_is_rejected(d):

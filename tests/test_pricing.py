@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracbp.core import Biclique, BinaryMatrix, EdgeWeights, domino, kronecker
+from fracbp.core import Biclique, BinaryMatrix, EdgeWeights, domino
 from fracbp.errors import ContractViolation, SizeCapExceeded
 from fracbp.maximal import enumerate_maximal
 from fracbp.pricing import price_all, price_maximal
@@ -122,16 +122,6 @@ def test_per_cap_and_global_cap_keep_best(d):
     assert len(per) <= len(maximals)
     assert [pb.value for pb in per] == sorted(
         [pb.value for pb in per], reverse=True)
-
-
-def test_workers_match_serial(d):
-    p = kronecker(d, d)
-    maximals = enumerate_maximal(p)
-    values = [Fraction(k % 5, 3) for k in range(p.num_edges)]
-    w = weights_for(p, values)
-    serial = price_all(maximals, w, Fraction(1), workers=1)
-    parallel = price_all(maximals, w, Fraction(1), workers=2)
-    assert serial == parallel
 
 
 def test_price_maximal_validates_biclique(d):
