@@ -14,6 +14,11 @@ exact arithmetic the final master is certified against its own pool;
 global dual feasibility of the rescaled dual follows from the pricing
 maximum being exact.
 
+With `stabilize`, a float mirror of the master (HiGHS dual simplex)
+both screens the candidates and supplies each exact solve's starting
+basis: its optimal vertex is crashed into the exact basis, and the exact
+simplex only repairs and certifies it.
+
 Pool state (bicliques plus slack counters) can be checkpointed to JSON
 every iteration and resumed later; the basis itself is rebuilt from the
 star columns, which are always kept in the pool so a feasible start
@@ -75,12 +80,14 @@ class ColGenConfig:
     # priced on that noise flood the exact master without moving the
     # primal.  When set, candidates are instead collected in a cheap
     # float mirror of the master: an inner loop of float solves and
-    # pricing rounds runs to a standstill, and only the columns carrying
-    # weight in its final solution are promoted to the exact master.
-    # Pure admission heuristic: alpha, lower bounds, convergence, and
-    # certificates all keep coming from the true master duals, so the
-    # answer cannot depend on any float result.  False switches the
-    # float mirror off; every true candidate then enters the master.
+    # pricing rounds runs to a standstill, only the columns carrying
+    # weight in its final solution are promoted to the exact master, and
+    # its optimal basis is crashed in as the exact master's start.
+    # Pure heuristic: the crash is kept only if exactly feasible, and
+    # alpha, lower bounds, convergence, and certificates all keep coming
+    # from the true master duals, so the answer cannot depend on any
+    # float result.  False switches the float mirror off; every true
+    # candidate then enters the master, which starts from its last basis.
     stabilize: bool = True
 
     def __post_init__(self):
@@ -321,28 +328,35 @@ def run(
         # the optimal dual face, and columns priced on a single extreme point
         # often miss the ones the primal actually needs.  Candidates are
         # therefore collected in a float mirror first: its inner loop runs to
-        # a standstill, and only the columns its final solution actually uses
-        # are promoted to the exact master, which also prefers them when
-        # choosing entering columns.
+        # a standstill, the columns its final solution uses are promoted to
+        # the exact master, and its optimal basis is crashed into the exact
+        # one, so the exact simplex only certifies and repairs it.
         if use_float:
             t0 = time.perf_counter()
             if buffer is None:
                 buffer = _FloatBuffer(a)
             for entry in pool.entries():
                 buffer.add(entry.biclique)
-            float_support = _float_phase(a, maximals, buffer, threshold)
-            preferred = []
-            for b in float_support:
+            support, degenerate = _float_phase(a, maximals, buffer, threshold)
+            codes, fresh = [], []
+            for k, b in enumerate(support + degenerate):
                 entry = pool.get(b)
                 if entry is None:
                     entry = PoolEntry(b, incidence_column(a, b))
                     entry.cid = solver.add_column(entry.column)
+                    fresh.append((k < len(support), entry))
+                codes.append(entry.cid)
+            t_float += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            solver.crash(codes)
+            basic = set(solver.basis)
+            for in_support, entry in fresh:
+                if in_support or entry.cid in basic:
                     pool.add(entry)
                     added += 1
-                preferred.append(entry.cid)
-            if preferred:
-                solver.set_preferred(preferred)
-            t_float += time.perf_counter() - t0
+                else:
+                    solver.remove_column(entry.cid)
+            t_master += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         solver.reoptimize()
@@ -447,7 +461,7 @@ class _FloatBuffer:
             res = _linprog(
                 np.ones(len(self._cols)), A_eq=mat,
                 b_eq=np.ones(self._a.num_edges), bounds=(0, None),
-                method="highs-ipm")
+                method="highs-ds")
         except ValueError:  # pragma: no cover - solver-side rejection
             return None
         return res if res.success else None
@@ -463,18 +477,21 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
 
     Alternates float solves with pricing rounds against the float dual
     (snapshotted as exact rationals) until pricing stops producing new
-    columns, then reports where the weight ended up.  Returns the
-    support bicliques; everything about it is advisory — candidates
-    found here still face the exact master and the true pricing pass —
-    so a float failure just returns ().
+    columns.  Returns basis candidates from the final vertex, in buffer
+    order: the support bicliques, then the zero-valued ones with zero
+    reduced cost (where the rest of HiGHS's optimal basis lies).
+    Everything about them is advisory: the exact master crashes them in
+    only if the result is exactly feasible, and the true pricing pass
+    still decides convergence, so a float failure just returns no
+    candidates.
     """
     if len(buffer) == 0:
-        return ()
+        return [], []
     res = None
     for _ in range(_INNER_ROUNDS):
         res = buffer.solve()
         if res is None:
-            return ()
+            return [], []
         smoothed = []
         for v in res.eqlin.marginals:
             f = Fraction(float(v)).limit_denominator(10 ** 9)
@@ -486,7 +503,11 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
                 fresh += 1
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
-    return [b for b, x in zip(buffer.bicliques, res.x) if x > 1e-9]
+    zero = res.x <= 1e-9
+    support = np.nonzero(~zero)[0]
+    degenerate = np.nonzero(zero & (np.abs(res.lower.marginals) < 1e-9))[0]
+    return ([buffer.bicliques[i] for i in support],
+            [buffer.bicliques[i] for i in degenerate])
 
 
 def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:

@@ -51,6 +51,14 @@ Design notes that matter for correctness:
   entering column" conclusion is re-certified by a full exact scan, and
   phase ends recompute values and duals from scratch and compare, so
   the incremental state cannot drift silently.
+- Warm starts come from a float solver's optimal vertex: `crash` pivots
+  the suggested columns into the current basis without a ratio test,
+  then checks exactly that the result is primal feasible and keeps it
+  only if so.  A good suggestion leaves phase 2 a handful of pivots; a
+  bad one costs nothing but the crash.  `install_basis` is the same
+  crash from the all-artificial basis followed by a row permutation, so
+  every basis inverse, warm or explicit, comes from the same
+  fraction-free pivots; there is no separate rational inversion.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rational import ONE, ZERO, as_pair, rat, rat_ceil
-from .core import BinaryMatrix, Biclique, bit_indices, incidence_column
+from ._rational import ZERO, rat, rat_ceil
+from .core import BinaryMatrix, bit_indices, incidence_column
 from .errors import ContractViolation, InvariantViolation, NodeCapExceeded
 
 PARTITION = "partition"
@@ -192,8 +200,6 @@ class SimplexSolver:
         self._lexref: list | None = None
         self._objmode = False
         self._tmax = 0
-        # Optional entering hint (column ids); see set_preferred.
-        self._preferred: set[int] | None = None
         # Incrementally maintained x_B*delta and y*delta, used only in
         # the Python-int regime where recomputation is the hot cost.
         self._x: np.ndarray | None = None
@@ -241,22 +247,6 @@ class SimplexSolver:
 
     def is_basic(self, cid: int) -> bool:
         return self.basis is not None and cid in self.basis
-
-    def set_preferred(self, cids) -> None:
-        """Entering-rule hint: try these columns first while any of them
-        prices out eligible.
-
-        Useful when the caller knows which columns an optimal solution
-        is likely to use (say, from a float relaxation): steering the
-        walk toward them skips most of a long degenerate descent.  Only
-        the choice among eligible columns is affected — every score is
-        still verified exactly — so the hint can never change an answer.
-        The hint retires itself the first time no hinted column is
-        eligible, and is ignored entirely in Bland mode, whose
-        first-index discipline is part of the termination argument.
-        """
-        kept = {cid for cid in cids if cid in self.columns}
-        self._preferred = kept or None
 
     # -- basis installation --
 
@@ -308,29 +298,20 @@ class SimplexSolver:
         codes = list(codes)
         if len(codes) != m:
             raise ContractViolation("basis must have one variable per row")
-        cols = [self._var_column(code) for code in codes]
-        inverted = _invert(cols, m)
-        if inverted is None:
+        for code in codes:
+            if (code < -2 * m or (code >= 0 and code not in self.columns)
+                    or (self._is_surplus(code) and self.sense != COVER)):
+                raise ContractViolation(f"basis code {code} is no variable of this LP")
+        # Crash the codes into the all-artificial basis; each one that
+        # enters is independent of those before it, so all of them get
+        # in exactly when the basis matrix is nonsingular.
+        self.install_cold_start()
+        self._crash(codes)
+        if set(codes) != set(self.basis):
             raise ContractViolation("basis matrix is singular")
-        binv, det = inverted
-        num, den = as_pair(det)
-        if den != 1:
-            raise InvariantViolation("integer basis with fractional determinant")
-        scale = rat(abs(num))
-        t = np.empty((m, m), dtype=object)
-        tmax = 0
-        for i in range(m):
-            for j in range(m):
-                p, q = as_pair(binv[i][j] * scale)
-                if q != 1:
-                    raise InvariantViolation("scaled basis inverse is not integral")
-                t[i, j] = p
-                if abs(p) > tmax:
-                    tmax = abs(p)
-        if tmax <= _INT64_GUARD // (m * m):
-            t = t.astype(np.int64)
+        slot = {code: i for i, code in enumerate(self.basis)}
         self.basis = codes
-        self._set_matrix(t, abs(num))
+        self._set_matrix(self.T[[slot[code] for code in codes]], self.delta)
         x = self._basic_numerators()
         for i, code in enumerate(codes):
             if x[i] < 0:
@@ -338,6 +319,47 @@ class SimplexSolver:
             if self._is_art(code) and x[i] != 0:
                 raise ContractViolation("artificial basis slot with nonzero value")
         self._feasible = True
+
+    def crash(self, codes) -> bool:
+        """Pivot `codes` into the basis in order, without a ratio test.
+
+        Meant for an optimal basis suggested by a float solver, support
+        columns first.  Each code that is not basic takes the first free
+        row with a nonzero tableau entry, artificial rows first, and is
+        skipped when there is none; a row is free until the code holding
+        it has had its turn.  The new basis is kept only if it is exactly
+        primal feasible with every artificial at zero; otherwise the old
+        basis, inverse and regime are restored and False is returned.
+        """
+        saved = (list(self.basis), self.T, self.delta, self._objmode, self._tmax)
+        self._crash(codes)
+        x = self._basic_numerators()
+        art = self._art_mask()
+        if all(int(v) >= 0 for v in x) and not any(int(v) for v in x[art]):
+            self._feasible = True
+            return True
+        self.basis, self.T, self.delta, self._objmode, self._tmax = saved
+        self._xy_valid = False
+        return False
+
+    def _crash(self, codes) -> None:
+        fixed = np.zeros(self.m, dtype=bool)
+        art = self._art_mask()
+        where = {code: i for i, code in enumerate(self.basis)}
+        for code in codes:
+            pos = where.get(code)
+            if pos is None:
+                t_nums = self._ftran_scaled(code)
+                rows = np.nonzero((t_nums != 0) & ~fixed)[0]
+                if not rows.size:
+                    continue
+                arts = rows[art[rows]]
+                pos = int(arts[0] if arts.size else rows[0])
+                del where[self.basis[pos]]
+                where[code] = pos
+                art[pos] = self._is_art(code)
+                self._exchange(code, pos, t_nums)
+            fixed[pos] = True
 
     # -- solving --
 
@@ -397,17 +419,6 @@ class SimplexSolver:
             return (1, -1 - code)
         return (2, -1 - self.m - code)
 
-    def _var_column(self, code: int):
-        """Sparse column of a variable as a list of (row, coeff)."""
-        if code >= 0:
-            bits, rows = self.columns[code]
-            return [(r, ONE) for r in rows]
-        if self._is_surplus(code):
-            if self.sense != COVER:
-                raise ContractViolation("surplus variable in a partition LP")
-            return [(-1 - code, -ONE)]
-        return [(-1 - self.m - code, ONE)]
-
     def _set_matrix(self, t: np.ndarray, delta: int) -> None:
         # Entries above limit would let an m*m-term dot product overflow
         # int64, so such matrices live as Python-int arrays instead.
@@ -451,6 +462,10 @@ class SimplexSolver:
         # any fixed order keeps the termination argument, so use the
         # cheapest-to-evaluate columns first.
         self._lexorder = sorted(range(self.m), key=lambda l: (len(ref[l][0]), l))
+
+    def _art_mask(self) -> np.ndarray:
+        return np.fromiter((self._is_art(code) for code in self.basis),
+                           dtype=bool, count=self.m)
 
     def _basic_numerators(self) -> np.ndarray:
         # x_B*delta; the RHS is all ones so this is just row sums of T.
@@ -499,21 +514,6 @@ class SimplexSolver:
         """
         used = len(self._cids)
         thresh = self.delta if phase == 2 else 0
-        if not bland and phase == 2 and self._preferred:
-            best_cid = None
-            best_score = None
-            for cid in self._preferred:
-                if cid not in self.columns:
-                    continue
-                slot = self._slot[cid]
-                if not self._active[slot]:
-                    continue
-                score = self._exact_slot_score(slot, y_nums)
-                if score > thresh and (best_score is None or score > best_score):
-                    best_cid, best_score = cid, score
-            if best_cid is not None:
-                return best_cid
-            self._preferred = None
         best_code = None
         best_num = None
         if used:
@@ -684,25 +684,15 @@ class SimplexSolver:
 
     def _pivot_update(self, enter: int, pos: int, t_nums: np.ndarray,
                       phase: int, x_nums: np.ndarray, y_nums: np.ndarray) -> None:
-        t = self.T
-        den = self.delta
-        p = int(t_nums[pos])
-        if p == 0:
-            raise InvariantViolation("zero pivot element")
-        if not self._objmode:
-            spread = abs(p) + int(np.abs(t_nums).max())
-            if spread * max(1, self._tmax) >= _INT64_GUARD:
-                self._promote()
-                t = self.T
-                t_nums = t_nums.astype(object)
-                x_nums = x_nums.astype(object)
-                y_nums = y_nums.astype(object)
         leaving = self.basis[pos]
         newx = newy = None
         if self._objmode:
             # Values and duals follow the same exact recurrence as T,
             # which makes them O(m) per pivot instead of O(m^2) sums.
-            row = t[pos]
+            # (A pivot that promotes T leaves them to be recomputed.)
+            den = self.delta
+            p = int(t_nums[pos])
+            row = self.T[pos]
             xp = int(x_nums[pos])
             newx = p * x_nums - xp * t_nums
             if phase == 2:
@@ -725,12 +715,8 @@ class SimplexSolver:
             if p < 0:
                 newx = -newx
                 newy = -newy
-        numer = self._sylvester(t, t_nums, pos, p, den)
-        if p < 0:
-            numer = -numer
-        self.basis[pos] = enter
-        self._set_matrix(numer, abs(p))
-        if self._objmode and newx is not None:
+        self._exchange(enter, pos, t_nums)
+        if newx is not None:
             self._x = newx
             self._y = newy
             self._xy_valid = True
@@ -739,6 +725,23 @@ class SimplexSolver:
             # One artificial gone for good; restart the perturbation
             # reference from the new basis.
             self._lex_reset()
+
+    def _exchange(self, enter: int, pos: int, t_nums: np.ndarray) -> None:
+        """Put `enter` in slot `pos`: T and delta by Sylvester's identity,
+        promoting T to Python ints first if a product could overflow."""
+        p = int(t_nums[pos])
+        if p == 0:
+            raise InvariantViolation("zero pivot element")
+        if not self._objmode:
+            spread = abs(p) + int(np.abs(t_nums).max())
+            if spread * max(1, self._tmax) >= _INT64_GUARD:
+                self._promote()
+                t_nums = t_nums.astype(object)
+        numer = self._sylvester(self.T, t_nums, pos, p, self.delta)
+        if p < 0:
+            numer = -numer
+        self.basis[pos] = enter
+        self._set_matrix(numer, abs(p))
 
     def _sylvester(self, mat: np.ndarray, t_nums: np.ndarray, pos: int,
                    p: int, den: int) -> np.ndarray:
@@ -822,42 +825,6 @@ class SimplexSolver:
         obj = sum(int(x[i]) for i, flag in enumerate(costly) if flag)
         if int(y.sum()) != obj:
             raise InvariantViolation("scaled basis lost strong duality")
-
-
-def _invert(sparse_cols, m: int):
-    """Exact inverse and determinant of a sparsely given matrix.
-
-    Returns (inverse, det) or None when singular.  Only used for
-    explicit warm starts, so cubic rational cost is acceptable.
-    """
-    a = [[ZERO] * m for _ in range(m)]
-    for k, col in enumerate(sparse_cols):
-        for r, v in col:
-            a[r][k] = v
-    inv = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    det = ONE
-    for col in range(m):
-        pivot_row = None
-        for i in range(col, m):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            det = -det
-        det = det * a[col][col]
-        scale = ONE / a[col][col]
-        a[col] = [v * scale for v in a[col]]
-        inv[col] = [v * scale for v in inv[col]]
-        for i in range(m):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [vi - factor * vc for vi, vc in zip(a[i], a[col])]
-                inv[i] = [vi - factor * vc for vi, vc in zip(inv[i], inv[col])]
-    return inv, det
 
 
 # ---------------------------------------------------------------------------

@@ -308,15 +308,17 @@ def test_12_certificates_on_every_optimal_solve(d, crown5):
 
 
 def test_13_interrupted_resume_reproduces_the_value(tmp_path, d):
-    uninterrupted = solve_power(d, 2, ColGenConfig(init_strategy="stars"))
+    uninterrupted = solve_power(d, 2, ColGenConfig(
+        init_strategy="stars", stabilize=False))
     assert uninterrupted.converged
 
     path = str(tmp_path / "resume.json")
     partial = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", max_iterations=1, checkpoint_path=path))
+        init_strategy="stars", max_iterations=1, checkpoint_path=path,
+        stabilize=False))
     assert not partial.converged
 
     resumed = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", checkpoint_path=path))
+        init_strategy="stars", checkpoint_path=path, stabilize=False))
     assert resumed.converged
     assert resumed.value == uninterrupted.value == rat(6)

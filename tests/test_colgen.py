@@ -23,6 +23,7 @@ from fracbp.core import (
     BinaryMatrix,
     Biclique,
     EdgeWeights,
+    crown,
     domino,
     enumerate_all_bicliques,
     incidence_column,
@@ -230,6 +231,25 @@ def test_stabilize_off_reaches_same_value(d):
     assert off.timings["float"] == 0
 
 
+def test_float_vertex_leaves_the_exact_master_few_pivots(monkeypatch):
+    # The float mirror's optimal basis is crashed into the exact master,
+    # which then only certifies it; from its last basis alone the master
+    # walks 1292 pivots here.
+    pivots = 0
+    reoptimize = SimplexSolver.reoptimize
+
+    def counting(self):
+        nonlocal pivots
+        before = self.pivots
+        reoptimize(self)
+        pivots += self.pivots - before
+
+    monkeypatch.setattr(SimplexSolver, "reoptimize", counting)
+    report = run(kronecker(crown(3), crown(4)), ColGenConfig())
+    assert report.converged and report.value == 9
+    assert pivots <= 10
+
+
 # ---------------------------------------------------------------------------
 # Kronecker ladder
 # ---------------------------------------------------------------------------
@@ -426,15 +446,17 @@ def test_checkpoint_is_written_every_iteration(tmp_path, d):
 
 
 def test_interrupted_run_resumes_to_the_same_value(tmp_path, d):
-    uninterrupted = solve_power(d, 2, ColGenConfig(init_strategy="stars"))
+    uninterrupted = solve_power(d, 2, ColGenConfig(
+        init_strategy="stars", stabilize=False))
 
     path = str(tmp_path / "state.json")
     partial = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", max_iterations=1, checkpoint_path=path))
+        init_strategy="stars", max_iterations=1, checkpoint_path=path,
+        stabilize=False))
     assert not partial.converged
 
     resumed = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", checkpoint_path=path))
+        init_strategy="stars", checkpoint_path=path, stabilize=False))
     assert resumed.converged
     assert resumed.value == uninterrupted.value == SIX
     assert resumed.records[0].iteration == 2

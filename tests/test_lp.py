@@ -1,9 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fracbp.lp as lp
-from fracbp.core import enumerate_all_bicliques, incidence_column
+from fracbp.colgen import ColGenConfig, initial_stars, run
+from fracbp.core import (
+    Biclique,
+    enumerate_all_bicliques,
+    incidence_column,
+    kronecker,
+)
 from fracbp.errors import ContractViolation, NodeCapExceeded
 from fracbp.lp import (
     COVER,
@@ -236,6 +243,70 @@ def test_install_basis_rejects_junk(d):
         solver.install_basis(sol.basis[:-1])  # wrong length
     with pytest.raises(ContractViolation):
         solver.install_basis([sol.basis[0]] * prog.num_rows)  # singular
+
+
+def star_started_solver(a, bicliques):
+    """Solver over the row stars plus `bicliques`, on the stars' basis;
+    returns it with the ids of `bicliques`."""
+    solver = SimplexSolver(a.num_edges, PARTITION)
+    star_ids = [solver.add_column(incidence_column(a, b))
+                for b in initial_stars(a)]
+    ids = [solver.add_column(incidence_column(a, b)) for b in bicliques]
+    solver.install_disjoint_start(star_ids)
+    return solver, ids
+
+
+def test_crash_installs_an_optimal_basis(d):
+    bs = enumerate_all_bicliques(d)
+    optimum = solve(build_master(d, bs, PARTITION))
+    support = [bs[k] for k, v in enumerate(optimum.primal) if v]
+    solver, ids = star_started_solver(d, support)
+    assert solver.crash(ids)
+    assert all(solver.is_basic(cid) for cid in ids)
+    before = solver.pivots
+    solver.reoptimize()
+    assert solver.pivots - before == 1  # one pricing pass, no pivot
+    assert solver.objective() == rat(5, 2)
+
+
+def test_crash_rejects_an_infeasible_basis(d):
+    # Row 1's edges in columns 0 and 1, and the 2x2 block on rows 0, 1:
+    # with row 0's star already basic, the exact solution of the crashed
+    # basis needs a negative weight.
+    bad = [Biclique(0b10, 0b11), Biclique(0b11, 0b11)]
+    rest = [b for b in enumerate_all_bicliques(d) if b not in bad]
+    solver, ids = star_started_solver(d, bad + rest)
+    twin, _ = star_started_solver(d, bad + rest)
+    basis, t, delta = list(solver.basis), solver.T.copy(), solver.delta
+    assert not solver.crash(ids[:2])
+    assert solver.basis == basis
+    assert solver.T.dtype == t.dtype and np.array_equal(solver.T, t)
+    assert solver.delta == delta
+    solver.reoptimize()
+    twin.reoptimize()
+    assert solver.objective() == twin.objective() == rat(5, 2)
+    assert solver.primal_by_id() == twin.primal_by_id()
+    assert solver.duals() == twin.duals()
+
+
+def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
+    partition = build_master(d, enumerate_all_bicliques(d), PARTITION)
+    cover = build_master(crown5, enumerate_maximal(crown5), COVER)
+    expected = [solve(partition), solve(cover)]
+    promotions = 0
+    promote = SimplexSolver._promote
+
+    def counting(self):
+        nonlocal promotions
+        promotions += 1
+        promote(self)
+
+    monkeypatch.setattr(SimplexSolver, "_promote", counting)
+    monkeypatch.setattr(lp, "_INT64_GUARD", 1 << 4)
+    assert [solve(partition), solve(cover)] == expected
+    assert promotions >= 2
+    report = run(kronecker(d, d), ColGenConfig())
+    assert report.converged and report.value == rat(6)
 
 
 def test_primal_by_id_matches_solution(d):
