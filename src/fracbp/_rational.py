@@ -3,8 +3,9 @@
 Everything numeric in this package is exact.  fractions.Fraction is
 the backend that the tests run against and the one a plain install
 uses.  gmpy2.mpq is picked up when the optional `gmpy2` extra is
-installed (roughly an order of magnitude faster on the dense pivot
-updates that dominate large solves).  The two interoperate, so code
+installed; it serves only the rational interface (duals, pricing
+values, certificates), since simplex pivots run on int64 or Python-int
+numpy arrays and never touch `rat`.  The two interoperate, so code
 elsewhere only needs `rat`.
 """
 

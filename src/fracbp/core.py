@@ -25,9 +25,10 @@ from .errors import (
     SizeCapExceeded,
 )
 
-# Refuse to build matrices beyond this many cells; bitset arithmetic
-# still works there but nothing downstream would finish.
-MAX_CELLS = 1 << 31
+# Refuse to build matrices beyond this many cells (4096 x 4096).  Each
+# edge costs ~230 bytes in `edges` and `edge_index`, so a dense matrix at
+# the cap needs ~4 GB; D^7 (2187 x 2187) fits, D^8 (6561 x 6561) does not.
+MAX_CELLS = 1 << 24
 
 DEFAULT_ENUM_CAP = 100_000
 

@@ -24,16 +24,16 @@ Design notes that matter for correctness:
   pinned in the basis at value zero forever; the ratio test caps the
   step at zero whenever a pivot would move one, which is what makes the
   basis stay feasible without row deletion or Big-M terms.
-- Dantzig pricing throughout, with a lexicographic ratio test.  These
-  masters are brutally degenerate (hundreds of ties at step zero), and
-  plain tie-breaking makes the walk thrash for thousands of pivots.
-  The lexicographic rule is an exact perturbation of the right hand
-  side in the direction of the basis at phase start, so ties are broken
-  uniquely and no basis ever repeats.  Whenever an artificial leaves
-  the basis the perturbation reference is reset; each reset strictly
-  shrinks the artificial count, and between resets the perturbed
-  objective strictly decreases, so the solve terminates.  A switch to
-  Bland's rule after a long degenerate run is kept as a backstop.
+- Dantzig pricing with a lexicographic ratio test is the only pivot
+  rule.  These masters are brutally degenerate (hundreds of ties at
+  step zero), and plain tie-breaking makes the walk thrash for
+  thousands of pivots.  The lexicographic rule is an exact perturbation
+  of the right hand side in the direction of the basis at phase start,
+  so ties are broken uniquely and no basis ever repeats.  Whenever an
+  artificial leaves the basis the perturbation reference is reset; each
+  reset strictly shrinks the artificial count, and between resets the
+  perturbed objective strictly decreases, so the solve terminates.
+  `MAX_PIVOTS` only guards against a bug in that argument.
 - The pivot update on T is the classical two-multiplication step
   T'[i] = (t[pos]*T[i] - t[i]*T[pos]) / den, whose division is exact
   by Sylvester's identity because T stays a signed adjugate.  That
@@ -41,24 +41,23 @@ Design notes that matter for correctness:
   Python-int arrays on overflow risk) with rationals only at the
   interface.
 - Basis determinants on these incidence matrices routinely blow past
-  int64, so the Python-int regime must stay usable.  Everything except
-  the rank-one update of T is therefore O(m) per pivot there: basic
-  values and duals are updated incrementally by the same exact
-  recurrence as T, the lexicographic reference is never materialized
-  (its entries are read off T and a snapshot of the reset basis only
-  when a tie actually needs them), and entering columns are screened
-  with float scores before a single exact verification.  Any "no
-  entering column" conclusion is re-certified by a full exact scan, and
-  phase ends recompute values and duals from scratch and compare, so
-  the incremental state cannot drift silently.
+  int64, so the Python-int regime must stay usable.  The two regimes
+  differ only in `_exchange` and `_set_matrix`: every pivot recomputes
+  basic values and duals from T and picks the entering column by one
+  exact integer scan of the pool, so no state is carried between pivots
+  and none can drift.  The lexicographic reference is never
+  materialized; its entries are read off T and a snapshot of the reset
+  basis only when a tie actually needs them.
 - Warm starts come from a float solver's optimal vertex: `crash` pivots
   the suggested columns into the current basis without a ratio test,
   then checks exactly that the result is primal feasible and keeps it
-  only if so.  A good suggestion leaves phase 2 a handful of pivots; a
-  bad one costs nothing but the crash.  `install_basis` is the same
-  crash from the all-artificial basis followed by a row permutation, so
-  every basis inverse, warm or explicit, comes from the same
-  fraction-free pivots; there is no separate rational inversion.
+  only if so.  The float solver finds the basis and exact arithmetic
+  only certifies it: after a good crash, a warm-started master is one
+  certifying pricing scan with no basis exchange, and a bad suggestion
+  costs nothing but the crash.  `install_basis` is the same crash from
+  the all-artificial basis followed by a row permutation, so every
+  basis inverse, warm or explicit, comes from the same fraction-free
+  pivots; there is no separate rational inversion.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ from .errors import ContractViolation, InvariantViolation, NodeCapExceeded
 
 PARTITION = "partition"
 COVER = "cover"
-
-# Switch from Dantzig to Bland pricing after this many consecutive
-# degenerate pivots; switch back on the first real step.  Termination
-# is already guaranteed by the lexicographic ratio test, but Bland's
-# first-index discipline empirically exits the long degenerate
-# plateaus of flooded masters in far fewer pivots than Dantzig, so the
-# switch stays as a performance device, not just insurance.
-DEGENERATE_STALL = 60
 
 # Hard circuit breaker; hitting it means a termination bug.
 MAX_PIVOTS = 2_000_000
@@ -169,10 +160,9 @@ class SimplexSolver:
     The basis inverse lives in `self.T` (dense integer numpy array) and
     `self.delta` (positive int) with B^-1 = T/delta.  Basic values x_B
     and duals y are row and column sums of T over delta (the right hand
-    side is all ones and every cost is 0 or 1); they are recomputed per
-    pivot while entries are int64 and carried incrementally once the
-    matrix has been promoted to Python-int (object dtype) arrays, which
-    a magnitude guard triggers before any product could overflow.
+    side is all ones and every cost is 0 or 1), recomputed on every
+    pivot.  T holds int64 entries until a magnitude guard promotes it to
+    Python-int (object dtype) arrays before any product could overflow.
     Results are exact in both regimes.
     """
 
@@ -183,11 +173,9 @@ class SimplexSolver:
         self.sense = sense
         self.columns: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._next_id = 0
-        # Column pool as a dense 0/1 matrix for vectorized pricing,
-        # plus a float shadow for the entering screen.  Slots are
-        # append-only; removal just clears the active flag.
+        # Column pool as a dense 0/1 matrix for vectorized pricing.
+        # Slots are append-only; removal just clears the active flag.
         self._pool = np.zeros((num_rows, 64), dtype=np.int8)
-        self._poolf = np.zeros((num_rows, 64), dtype=np.float64)
         self._active = np.zeros(64, dtype=bool)
         self._cids: list[int] = []
         self._slot: dict[int, int] = {}
@@ -200,12 +188,6 @@ class SimplexSolver:
         self._lexref: list | None = None
         self._objmode = False
         self._tmax = 0
-        # Incrementally maintained x_B*delta and y*delta, used only in
-        # the Python-int regime where recomputation is the hot cost.
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._xy_valid = False
-        self._xyphase = 0
         self.pivots = 0
         self._feasible = False
         self._farkas: tuple | None = None
@@ -224,14 +206,10 @@ class SimplexSolver:
             grown = np.zeros((self.m, 2 * slot), dtype=np.int8)
             grown[:, :slot] = self._pool
             self._pool = grown
-            grownf = np.zeros((self.m, 2 * slot), dtype=np.float64)
-            grownf[:, :slot] = self._poolf
-            self._poolf = grownf
             flags = np.zeros(2 * slot, dtype=bool)
             flags[:slot] = self._active
             self._active = flags
         self._pool[list(rows), slot] = 1
-        self._poolf[list(rows), slot] = 1.0
         self._active[slot] = True
         self._cids.append(cid)
         self._slot[cid] = slot
@@ -339,7 +317,6 @@ class SimplexSolver:
             self._feasible = True
             return True
         self.basis, self.T, self.delta, self._objmode, self._tmax = saved
-        self._xy_valid = False
         return False
 
     def _crash(self, codes) -> None:
@@ -381,7 +358,7 @@ class SimplexSolver:
         self._optimize(phase=2)
 
     def objective(self):
-        x = self._value_numerators()
+        x = self._basic_numerators()
         total = sum(int(x[i]) for i in range(self.m) if self.basis[i] >= 0)
         return rat(total, self.delta)
 
@@ -390,7 +367,7 @@ class SimplexSolver:
 
     def primal_by_id(self) -> dict[int, object]:
         """Structural values, zero entries omitted."""
-        x = self._value_numerators()
+        x = self._basic_numerators()
         out = {}
         for i, code in enumerate(self.basis):
             if code >= 0 and x[i]:
@@ -411,14 +388,6 @@ class SimplexSolver:
     def _is_surplus(self, code: int) -> bool:
         return -1 - self.m < code < 0
 
-    def _order_key(self, code: int) -> tuple[int, int]:
-        # Fixed total variable order for Bland's rule.
-        if code >= 0:
-            return (0, code)
-        if self._is_surplus(code):
-            return (1, -1 - code)
-        return (2, -1 - self.m - code)
-
     def _set_matrix(self, t: np.ndarray, delta: int) -> None:
         # Entries above limit would let an m*m-term dot product overflow
         # int64, so such matrices live as Python-int arrays instead.
@@ -426,7 +395,6 @@ class SimplexSolver:
         # it only runs when the determinant already fits and then only
         # every few pivots.
         self.delta = delta
-        self._xy_valid = False
         limit = _INT64_GUARD // max(1, self.m * self.m)
         if t.dtype == object and delta <= limit and self.pivots % 8 == 0:
             if all(abs(int(v)) <= limit for v in t.flat):
@@ -442,7 +410,6 @@ class SimplexSolver:
         # Python-int arrays: slower, but no magnitude limits.
         self.T = self.T.astype(object)
         self._objmode = True
-        self._xy_valid = False
 
     def _lex_reset(self) -> None:
         # Snapshot the basis columns: G = T @ B0 equals delta * I right
@@ -471,13 +438,6 @@ class SimplexSolver:
         # x_B*delta; the RHS is all ones so this is just row sums of T.
         return self.T.sum(axis=1)
 
-    def _value_numerators(self) -> np.ndarray:
-        # Like _basic_numerators but allowed to reuse the incremental
-        # copy, which spares an O(m^2) sum in the Python-int regime.
-        if self._objmode and self._xy_valid:
-            return self._x
-        return self._basic_numerators()
-
     def _dual_numerators(self, phase: int) -> np.ndarray:
         mask = np.fromiter(
             ((code >= 0) if phase == 2 else self._is_art(code) for code in self.basis),
@@ -488,112 +448,40 @@ class SimplexSolver:
 
     def _duals(self, phase: int) -> list:
         # y = c_B' B^-1 with phase-dependent basic costs (all 0/1).
-        if self._objmode and self._xy_valid and self._xyphase == phase:
-            nums = self._y
-        else:
-            nums = self._dual_numerators(phase)
-        return [rat(int(v), self.delta) for v in nums]
+        return [rat(int(v), self.delta) for v in self._dual_numerators(phase)]
 
     def _phase1_objective(self):
-        x = self._value_numerators()
+        x = self._basic_numerators()
         total = sum(int(x[i]) for i in range(self.m) if self._is_art(self.basis[i]))
         return rat(total, self.delta)
 
-    def _choose_entering(self, y_nums: np.ndarray, phase: int, bland: bool):
+    def _choose_entering(self, y_nums: np.ndarray, phase: int):
         """Entering variable code, or None at optimality.
 
         `y_nums` holds the duals scaled by delta, so reduced costs
         compare as plain integers: column j is eligible exactly when
-        sum(y_nums over its rows) > cost_j*delta.  Dantzig mode screens
-        with float scores and verifies candidates exactly, most
-        promising first; whenever the screen comes up empty the full
-        exact scan reruns before optimality is declared, so the float
-        path can never change an answer, only the route taken.  Bland
-        mode stays fully exact and takes the lowest id, structural
-        columns before surplus rows.
+        sum(y_nums over its rows) > cost_j*delta.  One exact scan over
+        the pool picks Dantzig's most negative reduced cost, ties to the
+        lowest slot; in a cover master a surplus row with a negative
+        dual enters instead when its reduced cost is strictly better.
         """
         used = len(self._cids)
         thresh = self.delta if phase == 2 else 0
         best_code = None
         best_num = None
         if used:
-            got = self._screen_entering(y_nums, thresh, used, bland)
-            if got is None:
-                scores = y_nums @ self._pool[:, :used]
-                eligible = np.nonzero(self._active[:used] & (scores > thresh))[0]
-                if eligible.size:
-                    if bland:
-                        return self._cids[int(eligible[0])]
-                    sub = scores[eligible]
-                    slot = int(eligible[int(np.argmax(sub))])
-                    best_code = self._cids[slot]
-                    best_num = thresh - int(scores[slot])
-            else:
-                slot, score = got
-                if bland:
-                    return self._cids[slot]
+            scores = y_nums @ self._pool[:, :used]
+            eligible = np.nonzero(self._active[:used] & (scores > thresh))[0]
+            if eligible.size:
+                slot = int(eligible[int(np.argmax(scores[eligible]))])
                 best_code = self._cids[slot]
-                best_num = thresh - score
+                best_num = thresh - int(scores[slot])
         if self.sense == COVER:
-            if bland:
-                if best_code is None:
-                    negative = np.nonzero(y_nums < 0)[0]
-                    if negative.size:
-                        return -1 - int(negative[0])
-                return best_code
             r = int(np.argmin(y_nums))
             rcn = int(y_nums[r])
             if rcn < 0 and (best_num is None or rcn < best_num):
                 best_code = -1 - r
         return best_code
-
-    # Exactly verify at most this many screen hits before falling back
-    # to the certified full scan; only masses of boundary columns with
-    # reduced cost within float noise of zero ever exhaust it.
-    _SCREEN_TRIES = 48
-
-    def _screen_entering(self, y_nums: np.ndarray, thresh: int, used: int,
-                         bland: bool = False):
-        """Float-guided candidate hunt: (slot, exact score) or None.
-
-        Only a verified strict winner is ever returned; None means "the
-        screen found nothing", which the caller must treat as a hint,
-        not a certificate.  Bland mode verifies lowest slot first,
-        Dantzig mode best float score first.
-        """
-        den = self.delta
-        if den.bit_length() > 900:
-            return None
-        try:
-            if self._objmode:
-                yf = np.fromiter((v / den for v in y_nums),
-                                 dtype=np.float64, count=self.m)
-            else:
-                yf = y_nums.astype(np.float64) / float(den)
-        except OverflowError:
-            return None
-        if not np.isfinite(yf).all():
-            return None
-        scores = yf @ self._poolf[:, :used]
-        target = 1.0 if thresh else 0.0
-        cand = np.nonzero(self._active[:used] & (scores > target - 1e-7))[0]
-        if not cand.size:
-            return None
-        if bland:
-            order = cand
-        else:
-            order = cand[np.argsort(-scores[cand], kind="stable")]
-        for slot in order[:self._SCREEN_TRIES].tolist():
-            score = self._exact_slot_score(slot, y_nums)
-            if score > thresh:
-                return slot, score
-        return None
-
-    def _exact_slot_score(self, slot: int, y_nums: np.ndarray) -> int:
-        rows = self.columns[self._cids[slot]][1]
-        if self._objmode:
-            return sum(int(y_nums[r]) for r in rows)
-        return int(y_nums[list(rows)].sum())
 
     def _ftran_scaled(self, code: int) -> np.ndarray:
         """t*delta for the entering column, as integers."""
@@ -605,13 +493,14 @@ class SimplexSolver:
         return self.T[:, -1 - self.m - code].copy()
 
     def _choose_leaving(self, t_nums: np.ndarray, phase: int, x_nums: np.ndarray):
-        """Leaving row and whether the step is degenerate.
+        """Leaving row, or None when no row limits the step.
 
         An artificial row moved in the negative direction cannot join
         the ratio test, yet letting the step through would lift the
         artificial off zero; such rows force an immediate zero-step
-        repair pivot.  Artificial rows moved positively sit at ratio
-        zero and block oversized steps on their own.
+        repair pivot, the artificial of the lowest constraint row first.
+        Artificial rows moved positively sit at ratio zero and block
+        oversized steps on their own.
 
         Otherwise the row is the lexicographic minimum of the vector
         ratios (x_i, G_i)/t_i over rows with t_i > 0, compared by exact
@@ -622,14 +511,10 @@ class SimplexSolver:
         """
         basis = self.basis
         if phase == 2:
-            forced = None
-            for i in np.nonzero(t_nums < 0)[0].tolist():
-                if self._is_art(basis[i]):
-                    cand = (self._order_key(basis[i]), i)
-                    if forced is None or cand < forced:
-                        forced = cand
-            if forced is not None:
-                return forced[1], True
+            forced = [i for i in np.nonzero(t_nums < 0)[0].tolist()
+                      if self._is_art(basis[i])]
+            if forced:
+                return min(forced, key=lambda i: -1 - self.m - basis[i])
         rows = np.nonzero(t_nums > 0)[0].tolist()
         if not rows:
             return None
@@ -649,7 +534,6 @@ class SimplexSolver:
                 best_x, best_t = xi, ti
             elif lhs == rhs:
                 cands.append(i)
-        degenerate = best_x == 0
         if len(cands) > 1:
             tc = self.T[cands]
             tv = [int(t_nums[i]) for i in cands]
@@ -680,51 +564,7 @@ class SimplexSolver:
                         keep.append(k)
                 idx = keep
             cands = [cands[idx[0]]]
-        return cands[0], degenerate
-
-    def _pivot_update(self, enter: int, pos: int, t_nums: np.ndarray,
-                      phase: int, x_nums: np.ndarray, y_nums: np.ndarray) -> None:
-        leaving = self.basis[pos]
-        newx = newy = None
-        if self._objmode:
-            # Values and duals follow the same exact recurrence as T,
-            # which makes them O(m) per pivot instead of O(m^2) sums.
-            # (A pivot that promotes T leaves them to be recomputed.)
-            den = self.delta
-            p = int(t_nums[pos])
-            row = self.T[pos]
-            xp = int(x_nums[pos])
-            newx = p * x_nums - xp * t_nums
-            if phase == 2:
-                s = sum(int(t_nums[i]) for i, c in enumerate(self.basis) if c >= 0)
-                cpos = 1 if enter >= 0 else 0
-            else:
-                s = sum(int(t_nums[i]) for i, c in enumerate(self.basis)
-                        if self._is_art(c))
-                cpos = 0
-            newy = p * y_nums - s * row
-            if VERIFY_PIVOTS and den != 1:
-                if np.any(newx % den) or np.any(newy % den):
-                    raise InvariantViolation("inexact division in pivot update")
-            if den != 1:
-                newx //= den
-                newy //= den
-            newx[pos] = xp
-            if cpos:
-                newy = newy + row
-            if p < 0:
-                newx = -newx
-                newy = -newy
-        self._exchange(enter, pos, t_nums)
-        if newx is not None:
-            self._x = newx
-            self._y = newy
-            self._xy_valid = True
-            self._xyphase = phase
-        if self._is_art(leaving):
-            # One artificial gone for good; restart the perturbation
-            # reference from the new basis.
-            self._lex_reset()
+        return cands[0]
 
     def _exchange(self, enter: int, pos: int, t_nums: np.ndarray) -> None:
         """Put `enter` in slot `pos`: T and delta by Sylvester's identity,
@@ -771,59 +611,37 @@ class SimplexSolver:
         return numer
 
     def _optimize(self, phase: int) -> None:
-        stall = 0
-        bland = False
         self._lex_reset()
-        self._xy_valid = False
         while True:
             self.pivots += 1
             if self.pivots > MAX_PIVOTS:
                 raise InvariantViolation("pivot limit hit; simplex is not terminating")
-            if self._objmode and self._xy_valid and self._xyphase == phase:
-                x_nums = self._x
-                y_nums = self._y
-            else:
-                x_nums = self._basic_numerators()
-                y_nums = self._dual_numerators(phase)
-                if self._objmode:
-                    self._x = x_nums
-                    self._y = y_nums
-                    self._xy_valid = True
-                    self._xyphase = phase
-            enter = self._choose_entering(y_nums, phase, bland)
+            x_nums = self._basic_numerators()
+            y_nums = self._dual_numerators(phase)
+            enter = self._choose_entering(y_nums, phase)
             if enter is None:
-                self._check_basis_consistency(phase, y_nums, x_nums)
+                self._check_basis_consistency(phase, x_nums, y_nums)
                 return
             t_nums = self._ftran_scaled(enter)
-            picked = self._choose_leaving(t_nums, phase, x_nums)
-            if picked is None:
+            pos = self._choose_leaving(t_nums, phase, x_nums)
+            if pos is None:
                 # Impossible for these LPs: objectives are bounded below by 0.
                 raise InvariantViolation("unbounded direction in a bounded LP")
-            pos, degenerate = picked
-            self._pivot_update(enter, pos, t_nums, phase, x_nums, y_nums)
-            if degenerate:
-                stall += 1
-                if stall > DEGENERATE_STALL:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            leaving = self.basis[pos]
+            self._exchange(enter, pos, t_nums)
+            if self._is_art(leaving):
+                # One artificial gone for good; restart the perturbation
+                # reference from the new basis.
+                self._lex_reset()
 
-    def _check_basis_consistency(self, phase: int, y_nums, x_nums) -> None:
-        # End-of-phase self audit: recompute values and duals from T,
-        # compare against the working copies (catches any incremental
-        # drift), then check feasibility and scaled strong duality.
-        x = self._basic_numerators()
-        y = self._dual_numerators(phase)
-        if any(int(a) != int(b) for a, b in zip(x, x_nums)):
-            raise InvariantViolation("incremental basic values drifted")
-        if any(int(a) != int(b) for a, b in zip(y, y_nums)):
-            raise InvariantViolation("incremental duals drifted")
-        if any(int(v) < 0 for v in x):
+    def _check_basis_consistency(self, phase: int, x_nums, y_nums) -> None:
+        # End-of-phase self audit: primal feasibility and scaled strong
+        # duality of the final basis.
+        if any(int(v) < 0 for v in x_nums):
             raise InvariantViolation("scaled basis lost primal feasibility")
         costly = ((c >= 0) if phase == 2 else self._is_art(c) for c in self.basis)
-        obj = sum(int(x[i]) for i, flag in enumerate(costly) if flag)
-        if int(y.sum()) != obj:
+        obj = sum(int(x_nums[i]) for i, flag in enumerate(costly) if flag)
+        if int(y_nums.sum()) != obj:
             raise InvariantViolation("scaled basis lost strong duality")
 
 
@@ -840,7 +658,8 @@ def solve(lp: LinearProgram, start_basis=None) -> LpSolution:
     LpSolution.basis for the same LP shape.
     """
     s = SimplexSolver(lp.num_rows, lp.sense)
-    ids = [s.add_column(bits) for bits in lp.columns]
+    for bits in lp.columns:
+        s.add_column(bits)
     n, m = lp.num_cols, lp.num_rows
     if start_basis is not None:
         s.install_basis([_decode(code, n, m) for code in start_basis])

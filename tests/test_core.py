@@ -91,6 +91,10 @@ def test_dimension_validation():
         BinaryMatrix(2, 2, (0b01,))  # wrong rows length
     with pytest.raises(SizeCapExceeded):
         BinaryMatrix(1 << 16, 1 << 16, tuple([0] * (1 << 16)))
+    with pytest.raises(SizeCapExceeded):
+        BinaryMatrix(1 << 12, (1 << 12) + 1, (0,) * (1 << 12))
+    with pytest.raises(SizeCapExceeded):
+        kronecker(BinaryMatrix(65, 65, (0,) * 65), BinaryMatrix(64, 64, (0,) * 64))
 
 
 # ---------------------------------------------------------------------------
