@@ -17,7 +17,9 @@ maximum being exact.
 With `stabilize`, a float mirror of the master (HiGHS dual simplex)
 both screens the candidates and supplies each exact solve's starting
 basis: its optimal vertex is crashed into the exact basis, and the exact
-simplex only repairs and certifies it.
+simplex only repairs and certifies it.  When the exact dual then equals
+the rounded float dual the mirror priced last, that pricing result is
+the exact one, and it is reused instead of priced again.
 
 Pool state (bicliques plus slack counters) can be checkpointed to JSON
 every iteration and resumed later; the basis itself is rebuilt from the
@@ -43,6 +45,7 @@ from .core import (
     Biclique,
     EdgeWeights,
     bit_indices,
+    check_power_size,
     enumerate_all_bicliques,
     incidence_column,
     kronecker,
@@ -155,7 +158,13 @@ class IterationRecord:
 class ColGenReport:
     """Outcome of a run; `value` is exact and an upper bound until
     `converged`, at which point it is the optimum over the full LP
-    whenever the final alpha is at most one."""
+    whenever the final alpha is at most one.
+
+    `timings` holds seconds by phase: "total", "master", "float" (the
+    float mirror, its pricing rounds included) and "pricing", which
+    counts only the exact pricing calls made, not the iterations that
+    reused the float mirror's last pricing.
+    """
 
     matrix: BinaryMatrix
     matrix_hash: str
@@ -331,18 +340,19 @@ def run(
         # a standstill, the columns its final solution uses are promoted to
         # the exact master, and its optimal basis is crashed into the exact
         # one, so the exact simplex only certifies and repairs it.
+        priced = None
         if use_float:
             t0 = time.perf_counter()
             if buffer is None:
                 buffer = _FloatBuffer(a)
             for entry in pool.entries():
-                buffer.add(entry.biclique)
-            support, degenerate = _float_phase(a, maximals, buffer, threshold)
+                buffer.add(entry.biclique, entry.column)
+            support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
             codes, fresh = [], []
             for k, b in enumerate(support + degenerate):
                 entry = pool.get(b)
                 if entry is None:
-                    entry = PoolEntry(b, incidence_column(a, b))
+                    entry = PoolEntry(b, buffer.incidence(b))
                     entry.cid = solver.add_column(entry.column)
                     fresh.append((k < len(support), entry))
                 codes.append(entry.cid)
@@ -368,9 +378,15 @@ def run(
         x_by_cid = solver.primal_by_id()
         dual = solver.duals()
 
-        t0 = time.perf_counter()
-        alpha, candidates = price_all(maximals, EdgeWeights(a, dual), threshold)
-        t_pricing += time.perf_counter() - t0
+        # price_all depends only on maximals, dual and threshold, so when
+        # the crash reproduced the float mirror's last priced dual exactly,
+        # its result there is this dual's result.
+        if priced is not None and priced[0] == dual:
+            alpha, candidates = priced[1]
+        else:
+            t0 = time.perf_counter()
+            alpha, candidates = price_all(maximals, EdgeWeights(a, dual), threshold)
+            t_pricing += time.perf_counter() - t0
 
         lower = objective / alpha if alpha > 1 else objective
         if lower > best_lower:
@@ -392,8 +408,11 @@ def run(
                 pool.add(entry)
                 added += 1
             if buffer is not None:
+                # Candidates were not in the pool before, so the ones
+                # there now were just admitted and have their incidence.
                 for pb in candidates:
-                    buffer.add(pb.biclique)
+                    entry = pool.get(pb.biclique)
+                    buffer.add(pb.biclique, entry.column if entry else None)
         records.append(IterationRecord(
             iteration, objective, alpha, best_lower, len(pool), added, pruned))
         final_alpha = alpha
@@ -427,39 +446,55 @@ def run(
 class _FloatBuffer:
     """Float mirror of every column ever seen, exact pool included.
 
-    Columns here cost a numpy vector each, so the buffer can afford the
-    floods of near-duplicate candidates that would drown the exact
+    Columns here cost one float column each, so the buffer can afford
+    the floods of near-duplicate candidates that would drown the exact
     master.  Insertion order is fixed and deduplication is by canonical
-    biclique key, keeping the float solves deterministic.
+    biclique key, keeping the float solves deterministic.  Each
+    biclique's incidence bitset is kept, so the exact master can take a
+    column over without building it again.  The columns live in one
+    column-major array whose capacity doubles as it fills; a solve
+    passes the filled part as a view, without copying it.
     """
 
     def __init__(self, a: BinaryMatrix):
         self._a = a
-        self._keys: set[tuple[int, int]] = set()
+        self._incidence: dict[tuple[int, int], int] = {}
         self.bicliques: list[Biclique] = []
-        self._cols: list[np.ndarray] = []
+        self._mat = np.zeros((a.num_edges, 64), dtype=np.float64, order="F")
 
     def __len__(self) -> int:
         return len(self.bicliques)
 
-    def add(self, b: Biclique) -> bool:
+    def incidence(self, b: Biclique) -> int:
+        """Incidence bitset of a buffered biclique."""
+        return self._incidence[(b.row_set, b.col_set)]
+
+    def add(self, b: Biclique, bits: int | None = None) -> bool:
+        """Buffer b unless already there; `bits` is its incidence bitset
+        when the caller has it, else it is built here."""
         key = (b.row_set, b.col_set)
-        if key in self._keys:
+        if key in self._incidence:
             return False
-        self._keys.add(key)
-        col = np.zeros(self._a.num_edges, dtype=np.float64)
-        for r in bit_indices(incidence_column(self._a, b)):
-            col[r] = 1.0
+        if bits is None:
+            bits = incidence_column(self._a, b)
+        self._incidence[key] = bits
+        n = len(self.bicliques)
+        m, capacity = self._mat.shape
+        if n == capacity:
+            grown = np.zeros((m, 2 * capacity), dtype=np.float64, order="F")
+            grown[:, :n] = self._mat
+            self._mat = grown
+        raw = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+        self._mat[:, n] = np.unpackbits(raw, count=m, bitorder="little")
         self.bicliques.append(b)
-        self._cols.append(col)
         return True
 
     def solve(self):
         """One float solve of the buffered master; None on failure."""
-        mat = np.stack(self._cols, axis=1)
+        n = len(self.bicliques)
         try:
             res = _linprog(
-                np.ones(len(self._cols)), A_eq=mat,
+                np.ones(n), A_eq=self._mat[:, :n],
                 b_eq=np.ones(self._a.num_edges), bounds=(0, None),
                 method="highs-ds")
         except ValueError:  # pragma: no cover - solver-side rejection
@@ -479,24 +514,28 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
     (snapshotted as exact rationals) until pricing stops producing new
     columns.  Returns basis candidates from the final vertex, in buffer
     order: the support bicliques, then the zero-valued ones with zero
-    reduced cost (where the rest of HiGHS's optimal basis lies).
-    Everything about them is advisory: the exact master crashes them in
-    only if the result is exactly feasible, and the true pricing pass
-    still decides convergence, so a float failure just returns no
-    candidates.
+    reduced cost (where the rest of HiGHS's optimal basis lies).  The
+    third item is the last priced dual with its `price_all` result, as
+    (dual tuple, (alpha, candidates)), or None: when the crash makes the
+    exact dual equal that dual, the exact pass reuses the result instead
+    of pricing again.  Everything else is advisory: the exact master
+    crashes the candidates in only if the result is exactly feasible,
+    and the true pricing pass still decides convergence, so a float
+    failure just returns no candidates.
     """
     if len(buffer) == 0:
-        return [], []
-    res = None
+        return [], [], None
+    res = priced = None
     for _ in range(_INNER_ROUNDS):
         res = buffer.solve()
         if res is None:
-            return [], []
+            return [], [], None
         smoothed = []
         for v in res.eqlin.marginals:
             f = Fraction(float(v)).limit_denominator(10 ** 9)
             smoothed.append(rat(f.numerator, f.denominator))
-        _, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
+        alpha, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
+        priced = (tuple(smoothed), (alpha, found))
         fresh = 0
         for pb in found:
             if buffer.add(pb.biclique):
@@ -507,7 +546,7 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
     support = np.nonzero(~zero)[0]
     degenerate = np.nonzero(zero & (np.abs(res.lower.marginals) < 1e-9))[0]
     return ([buffer.bicliques[i] for i in support],
-            [buffer.bicliques[i] for i in degenerate])
+            [buffer.bicliques[i] for i in degenerate], priced)
 
 
 def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
@@ -572,10 +611,12 @@ def solve_power(
     products of the previous level's optimal support with level 1's,
     which seeds its master close to optimal.  Every level's matrix and
     lifted maximal bicliques are built exactly once, and only the top
-    level checkpoints and reports progress.
+    level checkpoints and reports progress.  A power over the size cap
+    is refused before any level is built or solved.
     """
     if k < 1:
         raise ContractViolation("power must be at least 1")
+    check_power_size(base, k)
     base_shape = (base.num_rows, base.num_cols)
     base_maximals = enumerate_maximal(base)
 

@@ -61,6 +61,8 @@ class BinaryMatrix:
         rows: per-row column bitsets; bit j of rows[i] is entry (i, j).
         edges: tuple of (row, col) pairs for every one, row-major.
         edge_index: inverse map (row, col) -> position in `edges`.
+        row_offsets: position in `edges` of the first one of each row, so
+            (i, j) is edge row_offsets[i] + popcount(rows[i] below bit j).
     """
 
     num_rows: int
@@ -78,14 +80,17 @@ class BinaryMatrix:
             raise ContractViolation("rows tuple length does not match num_rows")
         full = (1 << self.num_cols) - 1
         edges = []
+        offsets = []
         for i, bits in enumerate(self.rows):
             if bits < 0 or bits & ~full:
                 raise ContractViolation(f"row {i} has bits outside the column range")
+            offsets.append(len(edges))
             for j in bit_indices(bits):
                 edges.append((i, j))
         # Frozen dataclass: derived attributes go in through the back door.
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "edge_index", {e: k for k, e in enumerate(edges)})
+        object.__setattr__(self, "row_offsets", tuple(offsets))
 
     @property
     def num_edges(self) -> int:
@@ -191,14 +196,29 @@ def is_valid_biclique(a: BinaryMatrix, b: Biclique) -> bool:
 
 
 def incidence_column(a: BinaryMatrix, b: Biclique) -> int:
-    """Edge-index bitset of the edges covered by b (b must be valid in a)."""
+    """Edge-index bitset of the edges covered by b (b must be valid in a).
+
+    Row i's ones are the consecutive edges from a.row_offsets[i] on, so
+    a row that b covers whole is one run of ones, and otherwise column j
+    sits popcount(rows[i] below bit j) edges into the row.
+    """
     if not is_valid_biclique(a, b):
         raise ContractViolation("biclique is not an all-ones submatrix of the matrix")
+    cols = b.col_set
+    rows, offsets = a.rows, a.row_offsets
+    lows = None
     bits = 0
-    index = a.edge_index
     for i in bit_indices(b.row_set):
-        for j in bit_indices(b.col_set):
-            bits |= 1 << index[(i, j)]
+        r = rows[i]
+        if r == cols:
+            bits |= ((1 << r.bit_count()) - 1) << offsets[i]
+            continue
+        if lows is None:
+            lows = [(1 << j) - 1 for j in bit_indices(cols)]
+        local = 0
+        for low in lows:
+            local |= 1 << (r & low).bit_count()
+        bits |= local << offsets[i]
     return bits
 
 
@@ -231,10 +251,23 @@ def kronecker(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     return out
 
 
+def check_power_size(a: BinaryMatrix, k: int) -> None:
+    """Raise SizeCapExceeded if the k-th Kronecker power of `a` would
+    exceed MAX_CELLS, without building any level of it."""
+    m, n = a.num_rows ** k, a.num_cols ** k
+    if m * n > MAX_CELLS:
+        raise SizeCapExceeded(
+            f"kronecker power would have {m}x{n} cells", m * n, MAX_CELLS)
+
+
 def kronecker_power(a: BinaryMatrix, k: int) -> BinaryMatrix:
-    """k-fold Kronecker power, left associated: P_k = P_{k-1} (x) a."""
+    """k-fold Kronecker power, left associated: P_k = P_{k-1} (x) a.
+
+    A power over the size cap is refused before any level is built.
+    """
     if k < 1:
         raise ContractViolation("kronecker power needs k >= 1")
+    check_power_size(a, k)
     out = a
     for _ in range(k - 1):
         out = kronecker(out, a)

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rational import ZERO, rat, rat_ceil
+from ._rational import ZERO, clear_denominators, rat, rat_ceil
 from .core import BinaryMatrix, bit_indices, incidence_column
 from .errors import ContractViolation, InvariantViolation, NodeCapExceeded
 
@@ -700,33 +700,41 @@ def _decode(code: int, n: int, m: int) -> int:
 
 
 def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
-    cover = [ZERO] * lp.num_rows
-    for bits, xj in zip(lp.columns, x):
-        if xj < 0:
+    # Denominators are cleared once, so every per-row and per-column
+    # sum is over integers: x = xn / dx and y = yn / dy.
+    dx, xn = clear_denominators(x)
+    cover = [0] * lp.num_rows
+    for bits, v in zip(lp.columns, xn):
+        if v < 0:
             raise InvariantViolation("negative primal value")
-        if xj:
+        if v:
             for r in bit_indices(bits):
-                cover[r] = cover[r] + xj
+                cover[r] += v
     for r, c in enumerate(cover):
-        ok = (c == 1) if lp.sense == PARTITION else (c >= 1)
+        ok = (c == dx) if lp.sense == PARTITION else (c >= dx)
         if not ok:
             raise InvariantViolation(f"primal infeasible at row {r}")
-    if sum(y, ZERO) != obj:
+    dy, yn = clear_denominators(y)
+    if rat(sum(yn), dy) != obj:
         raise InvariantViolation("strong duality does not hold exactly")
-    if lp.sense == COVER and any(v < 0 for v in y):
+    if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover dual must be nonnegative")
+    getter = yn.__getitem__
     for k, bits in enumerate(lp.columns):
-        if sum((y[r] for r in bit_indices(bits)), ZERO) > 1:
+        if sum(map(getter, bit_indices(bits))) > dy:
             raise InvariantViolation(f"dual infeasible at column {k}")
 
 
 def _check_farkas(lp: LinearProgram, y) -> None:
-    if sum(y, ZERO) <= 0:
+    # y = yn / dy with dy > 0, so every sign test holds on yn alone.
+    _, yn = clear_denominators(y)
+    if sum(yn) <= 0:
         raise InvariantViolation("Farkas ray has nonpositive objective")
+    getter = yn.__getitem__
     for k, bits in enumerate(lp.columns):
-        if sum((y[r] for r in bit_indices(bits)), ZERO) > 0:
+        if sum(map(getter, bit_indices(bits))) > 0:
             raise InvariantViolation(f"Farkas ray violated by column {k}")
-    if lp.sense == COVER and any(v < 0 for v in y):
+    if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover Farkas ray must be nonnegative")
 
 

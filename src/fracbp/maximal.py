@@ -41,8 +41,8 @@ def lift_maximal_kronecker(
         base_shape: (num_rows, num_cols) of the base matrix.
 
     Returns:
-        Canonically sorted list of 4^?-style product bicliques; for a
-        base with t maximal bicliques this has t^k entries.
+        Canonically sorted list of the t^k product bicliques, for a base
+        with t maximal bicliques.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -34,6 +34,7 @@ from fracbp.errors import (
     CheckpointError,
     ContractViolation,
     EmptyGraphError,
+    SizeCapExceeded,
 )
 from fracbp.lp import PARTITION, SimplexSolver, build_master, solve
 from fracbp.maximal import enumerate_maximal
@@ -296,6 +297,56 @@ def test_ladder_builds_each_level_once(monkeypatch):
 def test_power_zero_is_rejected(d):
     with pytest.raises(ContractViolation):
         solve_power(d, 0, ColGenConfig())
+
+
+def test_oversized_power_is_refused_before_any_level_is_solved(d, monkeypatch):
+    import fracbp.colgen as colgen
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("a level was solved before the size check")
+
+    monkeypatch.setattr(colgen, "run", refusing)
+    with pytest.raises(SizeCapExceeded):
+        solve_power(d, 8, ColGenConfig())
+
+
+def counted_pricing(monkeypatch):
+    """Count the calls that reach colgen's price_all."""
+    import fracbp.colgen as colgen
+
+    calls = [0]
+    original = colgen.price_all
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(colgen, "price_all", counting)
+    return calls
+
+
+def test_exact_pass_reuses_the_float_pricing(monkeypatch):
+    calls = counted_pricing(monkeypatch)
+    triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+    report = solve_power(triangle, 3, ColGenConfig())
+    assert report.converged and report.value == 8
+    # One iteration per level: the float mirror prices once, and the
+    # crashed exact dual equals its dual, so the exact pass reuses it.
+    assert len(report.records) == 1
+    assert calls[0] == 3
+
+
+def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
+    calls = counted_pricing(monkeypatch)
+    report = run(crown5, ColGenConfig())
+    assert report.value == rat(10, 3) and calls[0] == 1
+    # From its own basis the exact master reaches another optimal dual
+    # than the float mirror's, which must then be priced by itself.
+    monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
+    calls[0] = 0
+    report = run(crown5, ColGenConfig())
+    assert report.converged and report.value == rat(10, 3)
+    assert calls[0] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,26 @@ def test_biclique_validity(d):
         is_valid_biclique(d, Biclique(0b1000, 0b1))
 
 
-def test_incidence_column_bits(d):
+def test_incidence_column_bits(d, rng):
     col = incidence_column(d, Biclique(0b011, 0b011))
     assert col == 0b1111  # edge indices 0,1,2,3 in row-major order
     assert col == sum(
         1 << d.edge_index[(i, j)] for i in (0, 1) for j in (0, 1))
+    assert d.row_offsets == (0, 2, 5)
+    square = kronecker_power(d, 2)
+    # Rows that a biclique covers whole take the single-run path.
+    assert any(square.rows[i] == b.col_set
+               for b in enumerate_all_bicliques(square) for i in b.row_indices())
+    matrices = [d, square] + [random_binary_matrix(rng, 6, 6) for _ in range(30)]
+    for a in matrices:
+        for b in enumerate_all_bicliques(a):
+            assert incidence_column(a, b) == sum(
+                1 << a.edge_index[(i, j)]
+                for i in b.row_indices() for j in b.col_indices())
     with pytest.raises(ContractViolation):
         incidence_column(d, Biclique(0b111, 0b111))
+    with pytest.raises(ContractViolation):
+        incidence_column(d, Biclique(0b1000, 0b001))
 
 
 def test_enumerate_all_bicliques_domino(d):
@@ -224,6 +237,24 @@ def test_kronecker_power(d):
     assert kronecker_power(d, 3).num_edges == 343
     with pytest.raises(ContractViolation):
         kronecker_power(d, 0)
+
+
+def test_kronecker_power_refuses_before_building_a_level(d, monkeypatch):
+    import fracbp.core as core
+
+    calls = 0
+
+    def refusing(*args):
+        nonlocal calls
+        calls += 1
+        raise AssertionError("a level was built before the size check")
+
+    monkeypatch.setattr(core, "kronecker", refusing)
+    # D^8 is 6561 x 6561, over MAX_CELLS; D^7 alone would fit.
+    with pytest.raises(SizeCapExceeded):
+        kronecker_power(d, 8)
+    assert calls == 0
+    assert kronecker_power(d, 1) == d
 
 
 def test_kronecker_biclique_is_valid_in_product(rng, d):

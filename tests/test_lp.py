@@ -11,7 +11,7 @@ from fracbp.core import (
     incidence_column,
     kronecker,
 )
-from fracbp.errors import ContractViolation, NodeCapExceeded
+from fracbp.errors import ContractViolation, InvariantViolation, NodeCapExceeded
 from fracbp.lp import (
     COVER,
     PARTITION,
@@ -119,6 +119,52 @@ def test_partition_infeasible_farkas(d):
 def test_maximals_only_partition_is_infeasible(d):
     sol = solve(build_master(d, enumerate_maximal(d), PARTITION))
     assert sol.status == "infeasible"
+
+
+def test_certificate_checks_refuse_bad_certificates(d):
+    prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
+    sol = solve(prog)
+    x, y, obj = list(sol.primal), list(sol.dual), sol.objective
+    lp._check_optimal(prog, x, y, obj)
+    # A step of 1/den, den beyond every denominator in the certificate.
+    step = Fraction(1, 7 * max(v.denominator for v in x + y))
+
+    bad = list(x)
+    bad[x.index(0)] = -step
+    with pytest.raises(InvariantViolation, match="negative primal"):
+        lp._check_optimal(prog, bad, y, obj)
+
+    bad = list(x)
+    bad[x.index(0)] = step
+    with pytest.raises(InvariantViolation, match="primal infeasible"):
+        lp._check_optimal(prog, bad, y, obj)
+
+    with pytest.raises(InvariantViolation, match="strong duality"):
+        lp._check_optimal(prog, x, y, obj + step)
+
+    # Raise one dual on a tight column, and the objective with it, so
+    # only dual feasibility breaks.
+    tight = next(k for k, v in enumerate(x) if v > 0)
+    row = (prog.columns[tight] & -prog.columns[tight]).bit_length() - 1
+    bad = list(y)
+    bad[row] += step
+    with pytest.raises(InvariantViolation, match=f"dual infeasible at column {tight}"):
+        lp._check_optimal(prog, x, bad, obj + step)
+
+
+def test_farkas_check_refuses_a_violated_ray(d):
+    cols = [b for b in enumerate_all_bicliques(d) if b.num_edges >= 4]
+    prog = build_master(d, cols, PARTITION)
+    ray = list(solve(prog).dual)
+    lp._check_farkas(prog, ray)
+    # Lift one row of column 0 until that column sums to 1/den > 0.
+    bits = prog.columns[0]
+    row = (bits & -bits).bit_length() - 1
+    total = sum((ray[r] for r in range(prog.num_rows) if (bits >> r) & 1), rat(0))
+    step = Fraction(1, 7 * max(v.denominator for v in ray))
+    ray[row] += step - total
+    with pytest.raises(InvariantViolation, match="Farkas ray violated by column 0"):
+        lp._check_farkas(prog, ray)
 
 
 # ---------------------------------------------------------------------------
