@@ -17,9 +17,13 @@ maximum being exact.
 With `stabilize`, a float mirror of the master (HiGHS dual simplex)
 both screens the candidates and supplies each exact solve's starting
 basis: its optimal vertex is crashed into the exact basis, and the exact
-simplex only repairs and certifies it.  When the exact dual then equals
-the rounded float dual the mirror priced last, that pricing result is
-the exact one, and it is reused instead of priced again.
+simplex only repairs and certifies it.  The init strategy's columns
+then seed only the float mirror; the exact master holds the stars, any
+checkpointed columns, the columns the float vertex names and the
+admitted candidates, and it takes every strategy column only if the
+crash is rejected.  When the exact dual equals the rounded float dual
+the mirror priced last, that pricing result is the exact one, and it is
+reused instead of priced again.
 
 Pool state (bicliques plus slack counters) can be checkpointed to JSON
 every iteration and resumed later; the basis itself is rebuilt from the
@@ -85,12 +89,15 @@ class ColGenConfig:
     # float mirror of the master: an inner loop of float solves and
     # pricing rounds runs to a standstill, only the columns carrying
     # weight in its final solution are promoted to the exact master, and
-    # its optimal basis is crashed in as the exact master's start.
+    # its optimal basis is crashed in as the exact master's start.  The
+    # init strategy's columns seed only the float mirror and reach the
+    # exact master the same way, or all at once if the crash is rejected.
     # Pure heuristic: the crash is kept only if exactly feasible, and
     # alpha, lower bounds, convergence, and certificates all keep coming
     # from the true master duals, so the answer cannot depend on any
-    # float result.  False switches the float mirror off; every true
-    # candidate then enters the master, which starts from its last basis.
+    # float result.  False switches the float mirror off; the strategy
+    # columns and every true candidate then enter the master, which
+    # starts from its last basis.
     stabilize: bool = True
 
     def __post_init__(self):
@@ -145,6 +152,10 @@ class ColumnPool:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration's bounds and column counts.  `pool_size` and `added`
+    count the exact master's columns; with `stabilize`, `added` includes
+    the strategy columns the float vertex promotes."""
+
     iteration: int
     objective: object
     alpha: object
@@ -163,7 +174,9 @@ class ColGenReport:
     `timings` holds seconds by phase: "total", "master", "float" (the
     float mirror, its pricing rounds included) and "pricing", which
     counts only the exact pricing calls made, not the iterations that
-    reused the float mirror's last pricing.
+    reused the float mirror's last pricing.  The records' `pool_size`
+    and `added` count the exact master's columns only, not the float
+    mirror's.
     """
 
     matrix: BinaryMatrix
@@ -270,9 +283,11 @@ def run(
     """Run column generation on `a` until convergence or iteration cap.
 
     `maximals` may be supplied when already known (Kronecker lifting);
-    otherwise they are enumerated.  `extra_initial` seeds the pool on
-    top of the strategy columns; the stars are always included so the
-    master stays feasible under any amount of pruning.
+    otherwise they are enumerated.  `extra_initial` gives the union
+    init its strategy columns in place of enumeration.  With `stabilize`
+    the strategy columns seed only the float mirror, otherwise the exact
+    master too; the stars are always in the exact master so it stays
+    feasible under any amount of pruning.
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -300,8 +315,19 @@ def run(
             pool.add(PoolEntry(b, column, slack_count=slack))
         resumed = True
 
-    if not resumed:
-        for b in _initial_bicliques(a, config, extra_initial):
+    initial = [] if resumed else _initial_bicliques(a, config, extra_initial)
+    use_float = config.stabilize
+    buffer = None
+    deferred = []
+    if use_float:
+        # The float mirror takes the columns in the order the pool would
+        # have, so HiGHS ends at the same vertex; the exact master takes
+        # only the strategy columns that vertex names.
+        buffer = _FloatBuffer(a)
+        buffer.extend([e.biclique for e in pool.entries()] + initial + stars)
+        deferred = initial
+    else:
+        for b in initial:
             if b not in pool:
                 pool.add(PoolEntry(b, incidence_column(a, b)))
     for b in stars:
@@ -327,8 +353,6 @@ def run(
     t_float = 0.0
     threshold = ONE + config.epsilon
     iteration = start_iteration
-    buffer = None
-    use_float = config.stabilize
 
     while True:
         iteration += 1
@@ -343,29 +367,36 @@ def run(
         priced = None
         if use_float:
             t0 = time.perf_counter()
-            if buffer is None:
-                buffer = _FloatBuffer(a)
-            for entry in pool.entries():
-                buffer.add(entry.biclique, entry.column)
             support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
             codes, fresh = [], []
             for k, b in enumerate(support + degenerate):
                 entry = pool.get(b)
                 if entry is None:
-                    entry = PoolEntry(b, buffer.incidence(b))
+                    entry = PoolEntry(b, incidence_column(a, b))
                     entry.cid = solver.add_column(entry.column)
                     fresh.append((k < len(support), entry))
                 codes.append(entry.cid)
             t_float += time.perf_counter() - t0
             t0 = time.perf_counter()
-            solver.crash(codes)
+            # Without the float vertex the exact master must find its own
+            # way, so it then takes every strategy column, once, as it
+            # would with the float mirror off.
+            keep_all = not solver.crash(codes) and bool(deferred)
             basic = set(solver.basis)
             for in_support, entry in fresh:
-                if in_support or entry.cid in basic:
+                if keep_all or in_support or entry.cid in basic:
                     pool.add(entry)
                     added += 1
                 else:
                     solver.remove_column(entry.cid)
+            if keep_all:
+                for b in deferred:
+                    if b not in pool:
+                        entry = PoolEntry(b, incidence_column(a, b))
+                        entry.cid = solver.add_column(entry.column)
+                        pool.add(entry)
+                        added += 1
+                deferred = []
             t_master += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -408,11 +439,7 @@ def run(
                 pool.add(entry)
                 added += 1
             if buffer is not None:
-                # Candidates were not in the pool before, so the ones
-                # there now were just admitted and have their incidence.
-                for pb in candidates:
-                    entry = pool.get(pb.biclique)
-                    buffer.add(pb.biclique, entry.column if entry else None)
+                buffer.extend([pb.biclique for pb in candidates])
         records.append(IterationRecord(
             iteration, objective, alpha, best_lower, len(pool), added, pruned))
         final_alpha = alpha
@@ -444,50 +471,71 @@ def run(
 
 
 class _FloatBuffer:
-    """Float mirror of every column ever seen, exact pool included.
+    """Float mirror of the master over every column the run has seen.
 
     Columns here cost one float column each, so the buffer can afford
-    the floods of near-duplicate candidates that would drown the exact
-    master.  Insertion order is fixed and deduplication is by canonical
-    biclique key, keeping the float solves deterministic.  Each
-    biclique's incidence bitset is kept, so the exact master can take a
-    column over without building it again.  The columns live in one
-    column-major array whose capacity doubles as it fills; a solve
-    passes the filled part as a view, without copying it.
+    every strategy column and the floods of near-duplicate candidates
+    that would drown the exact master, which holds only the columns the
+    float vertex names.  Insertion order is fixed and deduplication is by
+    canonical biclique key, keeping the float solves deterministic.
+
+    `extend` builds its new columns as one block: the row and column
+    masks are unpacked to bits, and the entry of edge (i, j) is row bit
+    i AND column bit j.  The check is exact and the one
+    `is_valid_biclique` makes: a mask past the matrix dimensions is
+    refused, and so is a biclique whose column counts fewer than |R|·|C|
+    edges, since then some (i, j) of R x C is a zero.  The columns live
+    in one column-major array whose capacity doubles as it fills; a
+    solve passes the filled part as a view, without copying it.
     """
 
     def __init__(self, a: BinaryMatrix):
         self._a = a
-        self._incidence: dict[tuple[int, int], int] = {}
+        self._keys: set[tuple[int, int]] = set()
         self.bicliques: list[Biclique] = []
+        edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
+        self._edge_rows, self._edge_cols = edges[:, 0], edges[:, 1]
         self._mat = np.zeros((a.num_edges, 64), dtype=np.float64, order="F")
 
     def __len__(self) -> int:
         return len(self.bicliques)
 
-    def incidence(self, b: Biclique) -> int:
-        """Incidence bitset of a buffered biclique."""
-        return self._incidence[(b.row_set, b.col_set)]
-
-    def add(self, b: Biclique, bits: int | None = None) -> bool:
-        """Buffer b unless already there; `bits` is its incidence bitset
-        when the caller has it, else it is built here."""
-        key = (b.row_set, b.col_set)
-        if key in self._incidence:
-            return False
-        if bits is None:
-            bits = incidence_column(self._a, b)
-        self._incidence[key] = bits
-        n = len(self.bicliques)
+    def extend(self, bicliques) -> int:
+        """Buffer, in order, the bicliques not buffered yet; returns how
+        many.  Raises ContractViolation, buffering none of them, when one
+        does not fit the matrix or is not an all-ones submatrix of it."""
+        new: dict[tuple[int, int], Biclique] = {}
+        for b in bicliques:
+            key = (b.row_set, b.col_set)
+            if key not in self._keys:
+                new[key] = b
+        if not new:
+            return 0
+        a = self._a
+        row_masks = [r for r, _ in new]
+        col_masks = [c for _, c in new]
+        if max(row_masks) >> a.num_rows or max(col_masks) >> a.num_cols:
+            raise ContractViolation("biclique index ranges exceed matrix dimensions")
+        row_bits = _unpack(row_masks, a.num_rows)
+        col_bits = _unpack(col_masks, a.num_cols)
+        block = row_bits[:, self._edge_rows] & col_bits[:, self._edge_cols]
+        sizes = (row_bits.sum(axis=1, dtype=np.int64)
+                 * col_bits.sum(axis=1, dtype=np.int64))
+        if (block.sum(axis=1, dtype=np.int64) != sizes).any():
+            raise ContractViolation(
+                "biclique is not an all-ones submatrix of the matrix")
+        n, k = len(self.bicliques), len(new)
         m, capacity = self._mat.shape
-        if n == capacity:
-            grown = np.zeros((m, 2 * capacity), dtype=np.float64, order="F")
-            grown[:, :n] = self._mat
+        if n + k > capacity:
+            while capacity < n + k:
+                capacity *= 2
+            grown = np.zeros((m, capacity), dtype=np.float64, order="F")
+            grown[:, :n] = self._mat[:, :n]
             self._mat = grown
-        raw = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-        self._mat[:, n] = np.unpackbits(raw, count=m, bitorder="little")
-        self.bicliques.append(b)
-        return True
+        self._mat[:, n:n + k] = block.T
+        self._keys.update(new)
+        self.bicliques.extend(new.values())
+        return k
 
     def solve(self):
         """One float solve of the buffered master; None on failure."""
@@ -500,6 +548,15 @@ class _FloatBuffer:
         except ValueError:  # pragma: no cover - solver-side rejection
             return None
         return res if res.success else None
+
+
+def _unpack(masks, width: int) -> np.ndarray:
+    """Bits 0..width-1 of each mask, one uint8 row per mask."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(x.to_bytes(nbytes, "little") for x in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
+                         count=width, bitorder="little")
 
 
 _INNER_ROUNDS = 40
@@ -530,16 +587,19 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
         res = buffer.solve()
         if res is None:
             return [], [], None
+        # A degenerate vertex repeats few dual values, so each distinct
+        # float is rounded once per solve.
+        rounded = {}
         smoothed = []
-        for v in res.eqlin.marginals:
-            f = Fraction(float(v)).limit_denominator(10 ** 9)
-            smoothed.append(rat(f.numerator, f.denominator))
+        for v in res.eqlin.marginals.tolist():
+            q = rounded.get(v)
+            if q is None:
+                f = Fraction(v).limit_denominator(10 ** 9)
+                q = rounded[v] = rat(f.numerator, f.denominator)
+            smoothed.append(q)
         alpha, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
         priced = (tuple(smoothed), (alpha, found))
-        fresh = 0
-        for pb in found:
-            if buffer.add(pb.biclique):
-                fresh += 1
+        fresh = buffer.extend([pb.biclique for pb in found])
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
     zero = res.x <= 1e-9

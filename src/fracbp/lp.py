@@ -337,6 +337,9 @@ class SimplexSolver:
                 art[pos] = self._is_art(code)
                 self._exchange(code, pos, t_nums)
             fixed[pos] = True
+            if fixed.all():
+                # No later code can find a free row.
+                break
 
     # -- solving --
 

@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+import numpy as np
+
 from fracbp._rational import rat
 from fracbp.colgen import (
     CHECKPOINT_VERSION,
     ColGenConfig,
     ColumnPool,
     PoolEntry,
+    _FloatBuffer,
     _prune,
     initial_kronecker_support,
     initial_stars,
@@ -23,11 +26,13 @@ from fracbp.core import (
     BinaryMatrix,
     Biclique,
     EdgeWeights,
+    bit_indices,
     crown,
     domino,
     enumerate_all_bicliques,
     incidence_column,
     kronecker,
+    kronecker_power,
     matrix_hash,
 )
 from fracbp.errors import (
@@ -39,6 +44,8 @@ from fracbp.errors import (
 from fracbp.lp import PARTITION, SimplexSolver, build_master, solve
 from fracbp.maximal import enumerate_maximal
 from fracbp.pricing import price_all
+
+from oracles import random_binary_matrix
 
 FIVE_HALVES = rat(5, 2)
 SIX = rat(6)
@@ -347,6 +354,78 @@ def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
     report = run(crown5, ColGenConfig())
     assert report.converged and report.value == rat(10, 3)
     assert calls[0] == 2
+
+
+def test_exact_master_holds_only_the_columns_the_float_vertex_names():
+    # The union init offers all 1824 bicliques; they seed the float
+    # mirror, and the exact master takes the few its vertex uses.
+    a = kronecker(crown(3), crown(4))
+    report = run(a, ColGenConfig())
+    assert report.converged and report.value == 9
+    assert_is_fractional_partition(a, report.support)
+    assert report.records[-1].pool_size <= 2 * a.num_edges
+
+
+def test_rejected_crash_gives_the_exact_master_every_strategy_column(
+        monkeypatch, crown5):
+    monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
+    report = run(crown5, ColGenConfig())
+    assert report.converged and report.value == rat(10, 3)
+    assert report.records[0].pool_size == len(enumerate_all_bicliques(crown5)) == 180
+
+
+# ---------------------------------------------------------------------------
+# Float mirror
+# ---------------------------------------------------------------------------
+
+def buffered_columns(buffer):
+    return buffer._mat[:, :len(buffer)]
+
+
+def test_float_buffer_columns_are_the_incidence_columns(d, rng):
+    d4 = kronecker_power(d, 4)
+    cases = [(a, enumerate_all_bicliques(a)) for a in (
+        d, kronecker(d, d), kronecker(crown(3), crown(4)))]
+    for _ in range(20):
+        a = random_binary_matrix(rng, 6, 6)
+        cases.append((a, enumerate_all_bicliques(a)))
+    # D^4 is 81 x 81, so its masks are wider than 64 bits.
+    cases.append((d4, enumerate_maximal(d4)))
+    assert len(cases[-1][1]) == 256
+    for a, bicliques in cases:
+        buffer = _FloatBuffer(a)
+        # Uneven chunks make the array grow inside and across calls.
+        cut = len(bicliques) // 3
+        assert buffer.extend(bicliques[:cut]) == cut
+        assert buffer.extend(bicliques[cut:]) == len(bicliques) - cut
+        assert buffer.bicliques == bicliques
+        expected = np.zeros((a.num_edges, len(bicliques)))
+        for k, b in enumerate(bicliques):
+            expected[list(bit_indices(incidence_column(a, b))), k] = 1
+        assert np.array_equal(buffered_columns(buffer), expected)
+
+
+def test_float_buffer_skips_buffered_bicliques(d):
+    bicliques = enumerate_all_bicliques(d)
+    buffer = _FloatBuffer(d)
+    assert buffer.extend(bicliques + bicliques[:3]) == len(bicliques)
+    before = buffered_columns(buffer).copy()
+    assert buffer.extend(bicliques) == 0
+    assert buffer.extend([]) == 0
+    assert buffer.bicliques == bicliques
+    assert np.array_equal(buffered_columns(buffer), before)
+
+
+def test_float_buffer_refuses_what_is_no_biclique(d):
+    buffer = _FloatBuffer(d)
+    star = Biclique(0b001, d.rows[0])
+    for bad in (Biclique(0b1000, 0b001), Biclique(0b001, 0b1000),
+                Biclique(0b111, 0b111)):
+        with pytest.raises(ContractViolation):
+            buffer.extend([star, bad])
+        # A refused call buffers none of its bicliques.
+        assert len(buffer) == 0
+    assert buffer.extend([star]) == 1
 
 
 # ---------------------------------------------------------------------------
