@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fracbp.core import crown, domino
+from fracbp.core import BinaryMatrix, crown, domino
 
 SEED = 20260823
 
@@ -20,3 +20,10 @@ def d():
 @pytest.fixture
 def crown5():
     return crown(5)
+
+
+@pytest.fixture
+def m5():
+    """5x5; from the stars, column generation takes three iterations to
+    reach bp_f = 4 here, so it exercises the multi-iteration path."""
+    return BinaryMatrix(5, 5, (28, 26, 26, 8, 2))

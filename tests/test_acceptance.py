@@ -307,18 +307,15 @@ def test_12_certificates_on_every_optimal_solve(d, crown5):
         enumerate_maximal(dd))
 
 
-def test_13_interrupted_resume_reproduces_the_value(tmp_path, d):
-    uninterrupted = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", stabilize=False))
+def test_13_interrupted_resume_reproduces_the_value(tmp_path, m5):
+    uninterrupted = run(m5, ColGenConfig(init_strategy="stars"))
     assert uninterrupted.converged
 
     path = str(tmp_path / "resume.json")
-    partial = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", max_iterations=1, checkpoint_path=path,
-        stabilize=False))
+    partial = run(m5, ColGenConfig(
+        init_strategy="stars", max_iterations=1, checkpoint_path=path))
     assert not partial.converged
 
-    resumed = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", checkpoint_path=path, stabilize=False))
+    resumed = run(m5, ColGenConfig(init_strategy="stars", checkpoint_path=path))
     assert resumed.converged
-    assert resumed.value == uninterrupted.value == rat(6)
+    assert resumed.value == uninterrupted.value == rat(4)

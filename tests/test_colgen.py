@@ -187,15 +187,17 @@ def test_foreign_initial_column_is_rejected(d):
 # Report invariants
 # ---------------------------------------------------------------------------
 
-def test_records_are_monotone_and_bounded(d):
-    report = run(d, ColGenConfig(init_strategy="stars"))
-    objectives = [r.objective for r in report.records]
-    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
-    assert report.value == objectives[-1]
-    for rec in report.records:
-        assert rec.lower_bound <= rec.objective
-        assert rec.pool_size > 0
-    assert report.best_lower_bound <= report.value
+def test_records_are_monotone_and_bounded(d, m5):
+    for matrix in (d, m5):
+        report = run(matrix, ColGenConfig(init_strategy="stars"))
+        objectives = [r.objective for r in report.records]
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+        assert report.value == objectives[-1]
+        for rec in report.records:
+            assert rec.lower_bound <= rec.objective
+            assert rec.pool_size > 0
+        assert report.best_lower_bound <= report.value
+    assert len(report.records) >= 2
 
 
 def test_dual_certificate_prices_below_one_everywhere(d):
@@ -207,23 +209,23 @@ def test_dual_certificate_prices_below_one_everywhere(d):
     assert sum(report.dual, rat(0)) == report.value
 
 
-def test_iteration_cap_reports_honest_upper_bound(d):
-    dd = kronecker(d, d)
-    report = run(dd, ColGenConfig(init_strategy="stars", max_iterations=1,
-                                  stabilize=False))
+def test_iteration_cap_reports_honest_upper_bound(m5):
+    report = run(m5, ColGenConfig(init_strategy="stars", max_iterations=1))
     assert not report.converged
-    assert report.value >= SIX
-    assert report.best_lower_bound <= SIX
-    assert_is_fractional_partition(dd, report.support)
+    assert report.value >= 4
+    assert report.best_lower_bound <= 4
+    assert_is_fractional_partition(m5, report.support)
 
 
-def test_reports_are_deterministic(d):
-    first = run(d, ColGenConfig(init_strategy="stars"))
-    second = run(d, ColGenConfig(init_strategy="stars"))
-    assert first.records == second.records
-    assert first.support == second.support
-    assert first.dual == second.dual
-    assert first.value == second.value
+def test_reports_are_deterministic(d, m5):
+    for a in (d, m5):
+        first = run(a, ColGenConfig(init_strategy="stars"))
+        second = run(a, ColGenConfig(init_strategy="stars"))
+        assert first.records == second.records
+        assert first.support == second.support
+        assert first.dual == second.dual
+        assert first.value == second.value
+    assert len(first.records) >= 2
 
 
 def test_stabilize_off_reaches_same_value(d):
@@ -575,18 +577,15 @@ def test_checkpoint_is_written_every_iteration(tmp_path, d):
     assert len(raw) == report.records[-1].pool_size
 
 
-def test_interrupted_run_resumes_to_the_same_value(tmp_path, d):
-    uninterrupted = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", stabilize=False))
+def test_interrupted_run_resumes_to_the_same_value(tmp_path, m5):
+    uninterrupted = run(m5, ColGenConfig(init_strategy="stars"))
 
     path = str(tmp_path / "state.json")
-    partial = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", max_iterations=1, checkpoint_path=path,
-        stabilize=False))
+    partial = run(m5, ColGenConfig(
+        init_strategy="stars", max_iterations=1, checkpoint_path=path))
     assert not partial.converged
 
-    resumed = solve_power(d, 2, ColGenConfig(
-        init_strategy="stars", checkpoint_path=path, stabilize=False))
+    resumed = run(m5, ColGenConfig(init_strategy="stars", checkpoint_path=path))
     assert resumed.converged
-    assert resumed.value == uninterrupted.value == SIX
+    assert resumed.value == uninterrupted.value == 4
     assert resumed.records[0].iteration == 2

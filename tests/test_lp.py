@@ -335,7 +335,7 @@ def test_crash_rejects_an_infeasible_basis(d):
     assert solver.duals() == twin.duals()
 
 
-def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
+def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch):
     partition = build_master(d, enumerate_all_bicliques(d), PARTITION)
     cover = build_master(crown5, enumerate_maximal(crown5), COVER)
     expected = [solve(partition), solve(cover)]
@@ -351,13 +351,14 @@ def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
     monkeypatch.setattr(lp, "_INT64_GUARD", 1 << 4)
     assert [solve(partition), solve(cover)] == expected
     assert promotions >= 2
-    # The default init only crashes in this regime; the flooded star
-    # start also pivots through `reoptimize`, with columns added between
-    # master solves.
-    for config in (ColGenConfig(),
-                   ColGenConfig(init_strategy="stars", stabilize=False)):
-        report = run(kronecker(d, d), config)
-        assert report.converged and report.value == rat(6)
+    # The default init only crashes in this regime; M5 from the stars
+    # runs three iterations, each with its own exact master.
+    report = run(kronecker(d, d), ColGenConfig())
+    assert report.converged and report.value == rat(6)
+    promotions = 0
+    report = run(m5, ColGenConfig(init_strategy="stars"))
+    assert report.converged and report.value == rat(4)
+    assert report.iterations == 3 and promotions >= 1
 
 
 def test_primal_by_id_matches_solution(d):
