@@ -88,8 +88,6 @@ def build_parser() -> _Parser:
                    help="solve the k-th Kronecker power of the matrix")
     p.add_argument("--epsilon", default="1/1000000",
                    help="pricing convergence tolerance (exact rational)")
-    p.add_argument("--prune-after", type=int, default=3,
-                   help="drop a column after this many consecutive slack rounds")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--init", choices=colgen.INIT_STRATEGIES, default="union")
     p.add_argument("--threads", type=int, default=1,
@@ -200,7 +198,6 @@ def cmd_bpf(args) -> int:
                                 f"{args.epsilon!r}") from exc
     config = colgen.ColGenConfig(
         epsilon=epsilon,
-        prune_after=args.prune_after,
         max_iterations=args.max_iters,
         init_strategy=args.init,
         checkpoint_path=args.checkpoint,

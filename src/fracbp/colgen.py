@@ -3,32 +3,35 @@
 The master LP asks for nonnegative biclique weights whose edge sums are
 exactly one; its optimum over all bicliques is the fractional partition
 number.  Since the full column set is astronomically large for Kronecker
-powers, the master is solved over a growing pool: solve, price the dual
-against every maximal biclique, add violated columns, prune columns that
-stay slack, repeat.
+powers, the master is solved over a growing column set: solve, price the
+dual against every maximal biclique, add violated columns, repeat.
 
-Everything is exact.  The restricted master objective is an upper bound
-on the true optimum, objective/alpha a lower bound (alpha is the true
-pricing maximum), and the loop stops once alpha <= 1 + epsilon.  In
-exact arithmetic the final master is certified against its own pool;
-global dual feasibility of the rescaled dual follows from the pricing
-maximum being exact.
+Everything reported is exact.  The restricted master objective is an
+upper bound on the true optimum, objective/alpha a lower bound (alpha is
+the true pricing maximum), and the loop stops once alpha <= 1 + epsilon.
+In exact arithmetic the final master is certified against its own
+columns; global dual feasibility of the rescaled dual follows from the
+pricing maximum being exact.
 
-With `stabilize`, a float mirror of the master (HiGHS dual simplex)
-both screens the candidates and supplies each exact solve's starting
-basis: its optimal vertex is crashed into the exact basis, and the exact
-simplex only repairs and certifies it.  The init strategy's columns
-then seed only the float mirror; the exact master holds the stars, any
-checkpointed columns, the columns the float vertex names and the
-admitted candidates, and it takes every strategy column only if the
-crash is rejected.  When the exact dual equals the rounded float dual
-the mirror priced last, that pricing result is the exact one, and it is
-reused instead of priced again.
+The run keeps one column store: a float mirror of the master (HiGHS
+dual simplex) over every column met so far, namely the checkpointed
+ones, the init strategy's, the stars and every priced candidate.  Each
+iteration runs the mirror to a standstill and then builds the exact
+master afresh from the stars, the structural columns of the previous
+exact basis, a few exact candidates, and the columns the float vertex
+names.  That vertex is crashed in as the starting basis, so the exact
+simplex only repairs and certifies it; if the crash is rejected, the
+exact master takes every strategy column as well.  The floats only
+steer: the crash is kept only if exactly feasible, and alpha, the
+bounds, convergence and the certificate all come from the exact
+master's dual.  The previous exact optimum stays feasible in the next
+exact master, so the objective never rises.  When the exact dual equals
+the rounded float dual the mirror priced last, that pricing result is
+the exact one, and it is reused instead of priced again.
 
-Pool state (bicliques plus slack counters) can be checkpointed to JSON
-every iteration and resumed later; the basis itself is rebuilt from the
-star columns, which are always kept in the pool so a feasible start
-exists no matter what was pruned.
+The exact master's columns can be checkpointed to JSON every iteration
+and resumed later: a resumed run seeds the float mirror with them and
+carries them all into its first exact master.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog as _linprog
 
-from ._rational import ONE, ZERO, as_pair, clear_denominators, rat
+from ._rational import ONE, ZERO, rat
 from .core import (
     BinaryMatrix,
     Biclique,
     EdgeWeights,
-    bit_indices,
     check_power_size,
     enumerate_all_bicliques,
     incidence_column,
@@ -75,86 +77,43 @@ INIT_STRATEGIES = ("stars", "all", "union")
 
 @dataclass(frozen=True)
 class ColGenConfig:
-    """Knobs for a column generation run; defaults match normal use."""
+    """Knobs for a column generation run; defaults match normal use.
+
+    The run converges once the pricing maximum is at most 1 + `epsilon`
+    and stops after `max_iterations` otherwise.  `init_strategy` picks
+    the columns that seed the float mirror besides the stars, and
+    `enum_cap` bounds the enumeration behind "all" and "union".
+    `checkpoint_path` names a JSON file written every iteration and
+    resumed from when it exists.
+    """
 
     epsilon: object = rat(1, 1_000_000)
-    prune_after: int = 3
     max_iterations: int = 1000
     init_strategy: str = "union"
     checkpoint_path: str | None = None
     enum_cap: int = 100_000
-    # Vertex duals of a degenerate master oscillate wildly, and columns
-    # priced on that noise flood the exact master without moving the
-    # primal.  When set, candidates are instead collected in a cheap
-    # float mirror of the master: an inner loop of float solves and
-    # pricing rounds runs to a standstill, only the columns carrying
-    # weight in its final solution are promoted to the exact master, and
-    # its optimal basis is crashed in as the exact master's start.  The
-    # init strategy's columns seed only the float mirror and reach the
-    # exact master the same way, or all at once if the crash is rejected.
-    # Pure heuristic: the crash is kept only if exactly feasible, and
-    # alpha, lower bounds, convergence, and certificates all keep coming
-    # from the true master duals, so the answer cannot depend on any
-    # float result.  False switches the float mirror off; the strategy
-    # columns and every true candidate then enter the master, which
-    # starts from its last basis.
-    stabilize: bool = True
 
     def __post_init__(self):
         if self.init_strategy not in INIT_STRATEGIES:
             raise ContractViolation(f"unknown init strategy {self.init_strategy!r}")
         if self.epsilon < 0:
             raise ContractViolation("epsilon must be nonnegative")
-        if self.prune_after < 1 or self.max_iterations < 1:
-            raise ContractViolation("prune_after and max_iterations must be positive")
-
-
-@dataclass
-class PoolEntry:
-    biclique: Biclique
-    column: int
-    cid: int = -1
-    slack_count: int = 0
-    protected: bool = False
-
-
-class ColumnPool:
-    """Insertion-ordered pool keyed by the canonical biclique masks."""
-
-    def __init__(self):
-        self._entries: dict[tuple[int, int], PoolEntry] = {}
-
-    @staticmethod
-    def key(b: Biclique) -> tuple[int, int]:
-        return (b.row_set, b.col_set)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, b: Biclique) -> bool:
-        return self.key(b) in self._entries
-
-    def get(self, b: Biclique) -> PoolEntry | None:
-        return self._entries.get(self.key(b))
-
-    def add(self, entry: PoolEntry) -> None:
-        k = self.key(entry.biclique)
-        if k in self._entries:
-            raise ContractViolation("duplicate biclique in pool")
-        self._entries[k] = entry
-
-    def remove(self, b: Biclique) -> None:
-        del self._entries[self.key(b)]
-
-    def entries(self) -> list[PoolEntry]:
-        return list(self._entries.values())
+        if self.max_iterations < 1:
+            raise ContractViolation("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration's bounds and column counts.  `pool_size` and `added`
-    count the exact master's columns; with `stabilize`, `added` includes
-    the strategy columns the float vertex promotes."""
+    """One iteration's bounds and the exact master's column counts.
+
+    `pool_size` counts the columns the exact master holds at the end of
+    the iteration: those it was solved over plus the candidates admitted
+    for the next one.  `added` and `pruned` count the columns it holds
+    that it did not hold at the end of the previous iteration, and the
+    reverse; the stars, and a resumed checkpoint's columns, count as
+    held before the first iteration.  Columns of the float mirror are
+    not counted.
+    """
 
     iteration: int
     objective: object
@@ -174,9 +133,10 @@ class ColGenReport:
     `timings` holds seconds by phase: "total", "master", "float" (the
     float mirror, its pricing rounds included) and "pricing", which
     counts only the exact pricing calls made, not the iterations that
-    reused the float mirror's last pricing.  The records' `pool_size`
-    and `added` count the exact master's columns only, not the float
-    mirror's.
+    reused the float mirror's last pricing.  "master" covers building
+    each exact master, the crash and the exact solve.  The records'
+    `pool_size`, `added` and `pruned` count the exact master's columns
+    against the previous iteration's, not the float mirror's.
     """
 
     matrix: BinaryMatrix
@@ -220,19 +180,15 @@ def initial_kronecker_support(prev_support, base_support, base_shape) -> list[Bi
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def write_checkpoint(path: str, mhash: str, iteration: int, pool: ColumnPool) -> None:
-    """Atomically write pool state; temp file then rename."""
+def write_checkpoint(path: str, mhash: str, iteration: int, bicliques) -> None:
+    """Atomically write the exact master's columns; temp file then rename."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "matrix_hash": mhash,
         "iteration": iteration,
         "entries": [
-            {
-                "rows": format(e.biclique.row_set, "x"),
-                "cols": format(e.biclique.col_set, "x"),
-                "slack_counter": e.slack_count,
-            }
-            for e in pool.entries()
+            {"rows": format(b.row_set, "x"), "cols": format(b.col_set, "x")}
+            for b in bicliques
         ],
     }
     directory = os.path.dirname(os.path.abspath(path))
@@ -245,8 +201,13 @@ def write_checkpoint(path: str, mhash: str, iteration: int, pool: ColumnPool) ->
         raise CheckpointError(f"cannot write checkpoint {path!r}: {exc}") from exc
 
 
-def load_checkpoint(path: str, expected_hash: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """Read and validate a checkpoint; returns (iteration, raw entries)."""
+def load_checkpoint(path: str, expected_hash: str) -> tuple[int, list[Biclique]]:
+    """Read and validate a checkpoint; returns (iteration, bicliques).
+
+    Keys of an entry other than "rows" and "cols" are ignored, so files
+    that also store a slack counter per entry still load.  Whether the
+    bicliques fit the matrix is left to the caller.
+    """
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
@@ -260,13 +221,13 @@ def load_checkpoint(path: str, expected_hash: str) -> tuple[int, list[tuple[int,
             raise CheckpointError(
                 "checkpoint is for a different matrix (hash mismatch)")
         iteration = int(payload["iteration"])
-        entries = [
-            (int(e["rows"], 16), int(e["cols"], 16), int(e["slack_counter"]))
+        bicliques = [
+            Biclique(int(e["rows"], 16), int(e["cols"], 16))
             for e in payload["entries"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ContractViolation) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {exc}") from exc
-    return iteration, entries
+    return iteration, bicliques
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +245,9 @@ def run(
 
     `maximals` may be supplied when already known (Kronecker lifting);
     otherwise they are enumerated.  `extra_initial` gives the union
-    init its strategy columns in place of enumeration.  With `stabilize`
-    the strategy columns seed only the float mirror, otherwise the exact
-    master too; the stars are always in the exact master so it stays
-    feasible under any amount of pruning.
+    init its strategy columns in place of enumeration.  The strategy
+    columns seed the float mirror; the exact master of every iteration
+    starts from the stars, so it is feasible whatever else it holds.
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -300,48 +260,23 @@ def run(
         maximals = enumerate_maximal(a)
     stars = initial_stars(a)
 
-    pool = ColumnPool()
-    start_iteration = 0
-    resumed = False
+    # The float mirror takes the checkpointed columns first, so HiGHS
+    # sees every column in a fixed order.
+    buffer = _FloatBuffer(a)
+    carried: list[Biclique] = []
+    iteration = 0
     path = config.checkpoint_path
     if path and os.path.exists(path):
-        start_iteration, raw = load_checkpoint(path, mhash)
-        for rmask, cmask, slack in raw:
-            b = Biclique(rmask, cmask)
-            try:
-                column = incidence_column(a, b)
-            except ContractViolation as exc:
-                raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
-            pool.add(PoolEntry(b, column, slack_count=slack))
-        resumed = True
-
-    initial = [] if resumed else _initial_bicliques(a, config, extra_initial)
-    use_float = config.stabilize
-    buffer = None
-    deferred = []
-    if use_float:
-        # The float mirror takes the columns in the order the pool would
-        # have, so HiGHS ends at the same vertex; the exact master takes
-        # only the strategy columns that vertex names.
-        buffer = _FloatBuffer(a)
-        buffer.extend([e.biclique for e in pool.entries()] + initial + stars)
-        deferred = initial
+        iteration, carried = load_checkpoint(path, mhash)
+        try:
+            buffer.extend(carried)
+        except ContractViolation as exc:
+            raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
+        initial = []
     else:
-        for b in initial:
-            if b not in pool:
-                pool.add(PoolEntry(b, incidence_column(a, b)))
-    for b in stars:
-        entry = pool.get(b)
-        if entry is None:
-            pool.add(PoolEntry(b, incidence_column(a, b), protected=True))
-        else:
-            entry.protected = True
-
-    solver = SimplexSolver(a.num_edges, PARTITION)
-    for entry in pool.entries():
-        entry.cid = solver.add_column(entry.column)
-    star_ids = [pool.get(b).cid for b in stars]
-    solver.install_disjoint_start(star_ids)
+        initial = _initial_bicliques(a, config, extra_initial)
+    buffer.extend(initial + stars)
+    held = {*stars, *carried}
 
     records: list[IterationRecord] = []
     best_lower = ZERO
@@ -352,56 +287,22 @@ def run(
     t_pricing = 0.0
     t_float = 0.0
     threshold = ONE + config.epsilon
-    iteration = start_iteration
 
     while True:
         iteration += 1
-        pruned = added = 0
         # Vertex duals of a degenerate master jump between extreme points of
         # the optimal dual face, and columns priced on a single extreme point
         # often miss the ones the primal actually needs.  Candidates are
-        # therefore collected in a float mirror first: its inner loop runs to
-        # a standstill, the columns its final solution uses are promoted to
-        # the exact master, and its optimal basis is crashed into the exact
-        # one, so the exact simplex only certifies and repairs it.
-        priced = None
-        if use_float:
-            t0 = time.perf_counter()
-            support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
-            codes, fresh = [], []
-            for k, b in enumerate(support + degenerate):
-                entry = pool.get(b)
-                if entry is None:
-                    entry = PoolEntry(b, incidence_column(a, b))
-                    entry.cid = solver.add_column(entry.column)
-                    fresh.append((k < len(support), entry))
-                codes.append(entry.cid)
-            t_float += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            # Without the float vertex the exact master must find its own
-            # way, so it then takes every strategy column, once, as it
-            # would with the float mirror off.
-            keep_all = not solver.crash(codes) and bool(deferred)
-            basic = set(solver.basis)
-            for in_support, entry in fresh:
-                if keep_all or in_support or entry.cid in basic:
-                    pool.add(entry)
-                    added += 1
-                else:
-                    solver.remove_column(entry.cid)
-            if keep_all:
-                for b in deferred:
-                    if b not in pool:
-                        entry = PoolEntry(b, incidence_column(a, b))
-                        entry.cid = solver.add_column(entry.column)
-                        pool.add(entry)
-                        added += 1
-                deferred = []
-            t_master += time.perf_counter() - t0
-
+        # therefore collected in the float mirror first: its inner loop runs
+        # to a standstill, and the exact master takes the columns of its
+        # final vertex, with that vertex crashed in as its basis.
         t0 = time.perf_counter()
+        support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
+        t1 = time.perf_counter()
+        solver, columns = _exact_master(a, stars, carried, support, degenerate, initial)
         solver.reoptimize()
-        t_master += time.perf_counter() - t0
+        t_float += t1 - t0
+        t_master += time.perf_counter() - t1
         objective = solver.objective()
         if prev_objective is not None and objective > prev_objective:
             raise InvariantViolation("master objective increased")
@@ -424,39 +325,39 @@ def run(
             best_lower = lower
         converged = alpha <= threshold
 
+        # The next exact master carries this one's basis, which keeps
+        # this optimum feasible, and enough of the true candidates to
+        # guarantee progress; all of them join the float mirror.
+        now = set(columns.values())
+        admit = []
         if not converged:
-            pruned = _prune(pool, solver, x_by_cid, dual, config)
-            # With the float mirror taking care of volume, the exact
-            # master only needs enough of the true candidates to
-            # guarantee progress; the rest wait in the buffer.
-            admit = candidates[:_TRUE_ADMIT] if use_float else candidates
-            for pb in admit:
-                if pb.biclique in pool:
-                    raise InvariantViolation(
-                        "pricing returned a column already in the pool")
-                entry = PoolEntry(pb.biclique, incidence_column(a, pb.biclique))
-                entry.cid = solver.add_column(entry.column)
-                pool.add(entry)
-                added += 1
-            if buffer is not None:
-                buffer.extend([pb.biclique for pb in candidates])
+            admit = [pb.biclique for pb in candidates[:_TRUE_ADMIT]]
+            if not now.isdisjoint(admit):
+                raise InvariantViolation(
+                    "pricing returned a column already in the master")
+            buffer.extend([pb.biclique for pb in candidates])
+            now.update(admit)
+        master = [*columns.values(), *admit]
         records.append(IterationRecord(
-            iteration, objective, alpha, best_lower, len(pool), added, pruned))
+            iteration, objective, alpha, best_lower, len(master),
+            len(now - held), len(held - now)))
+        held = now
+        carried = [columns[cid] for cid in solver.basis if cid >= 0] + admit
         final_alpha = alpha
         if progress is not None:
             progress(records[-1])
         if path:
-            write_checkpoint(path, mhash, iteration, pool)
+            write_checkpoint(path, mhash, iteration, master)
         if converged or iteration >= config.max_iterations:
             break
 
     support = sorted(
-        ((e.biclique, x_by_cid[e.cid]) for e in pool.entries() if e.cid in x_by_cid),
+        ((columns[cid], x) for cid, x in x_by_cid.items()),
         key=lambda t: (t[0].row_set, t[0].col_set))
     if converged and final_alpha > 1:
-        # Certified only relative to the pool; the rescaled dual is the
-        # global certificate.
-        _assert_rescaled_dual(pool, dual, final_alpha)
+        # Certified only relative to the master's columns; the rescaled
+        # dual is the global certificate.
+        _assert_rescaled_dual(solver, dual, final_alpha)
     timings = {
         "total": time.perf_counter() - t_start,
         "master": t_master,
@@ -470,14 +371,56 @@ def run(
         timings=timings)
 
 
+def _exact_master(a, stars, carried, support, degenerate, initial):
+    """One iteration's exact master, with the float vertex crashed in.
+
+    The master holds the stars, installed as the disjoint start, then
+    `carried`, then the float vertex's `support` and `degenerate`
+    candidates, which are crashed in in that order.  When the crash is
+    accepted, the vertex's new columns that are neither in its support
+    nor basic are dropped again; when it is rejected, the master keeps
+    them and takes the strategy columns `initial` too, since it must
+    then find its own way.  Returns the solver and its columns as
+    {column id: biclique}, in the order they were added.
+    """
+    solver = SimplexSolver(a.num_edges, PARTITION)
+    columns: dict[int, Biclique] = {}
+    ids: dict[Biclique, int] = {}
+
+    def column(b: Biclique) -> int:
+        cid = ids.get(b)
+        if cid is None:
+            cid = ids[b] = solver.add_column(incidence_column(a, b))
+            columns[cid] = b
+        return cid
+
+    solver.install_disjoint_start([column(b) for b in stars])
+    for b in carried:
+        column(b)
+    first_new = len(columns)
+    codes = [column(b) for b in support + degenerate]
+    if solver.crash(codes):
+        keep = {*codes[:len(support)], *solver.basis}
+        for cid in list(columns)[first_new:]:
+            if cid not in keep:
+                solver.remove_column(cid)
+                del columns[cid]
+    else:
+        for b in initial:
+            column(b)
+    return solver, columns
+
+
 class _FloatBuffer:
-    """Float mirror of the master over every column the run has seen.
+    """Float mirror of the master over every column the run has seen;
+    the run's only column store that lasts across iterations.
 
     Columns here cost one float column each, so the buffer can afford
     every strategy column and the floods of near-duplicate candidates
-    that would drown the exact master, which holds only the columns the
-    float vertex names.  Insertion order is fixed and deduplication is by
-    canonical biclique key, keeping the float solves deterministic.
+    that would drown the exact master, which each iteration rebuilds
+    from the stars, its last basis, a few candidates and the columns the
+    float vertex names.  Insertion order is fixed and deduplication is
+    by canonical biclique key, keeping the float solves deterministic.
 
     `extend` builds its new columns as one block: the row and column
     masks are unpacked to bits, and the entry of edge (i, j) is row bit
@@ -626,33 +569,10 @@ def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
         return []
 
 
-def _prune(pool: ColumnPool, solver: SimplexSolver, x_by_cid, dual, config) -> int:
-    """Update slack counters against the current dual, drop stale columns."""
-    removed = 0
-    # Clear denominators once so the slack test is an integer compare.
-    D, nums = clear_denominators(dual)
-    getter = nums.__getitem__
-    for entry in pool.entries():
-        rows = solver.columns[entry.cid][1]
-        slack = sum(map(getter, rows)) < D
-        if slack and entry.cid not in x_by_cid:
-            entry.slack_count += 1
-        else:
-            entry.slack_count = 0
-        if (entry.slack_count > config.prune_after
-                and not entry.protected
-                and not solver.is_basic(entry.cid)):
-            solver.remove_column(entry.cid)
-            pool.remove(entry.biclique)
-            removed += 1
-    return removed
-
-
-def _assert_rescaled_dual(pool: ColumnPool, dual, alpha) -> None:
-    for entry in pool.entries():
-        s = sum((dual[r] for r in bit_indices(entry.column)), ZERO)
-        if s / alpha > 1:
-            raise InvariantViolation("rescaled dual violates a pool column")
+def _assert_rescaled_dual(solver: SimplexSolver, dual, alpha) -> None:
+    for _, rows in solver.columns.values():
+        if sum((dual[r] for r in rows), ZERO) / alpha > 1:
+            raise InvariantViolation("rescaled dual violates a master column")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ number, not an approximation.
 
 Two entry points: `solve` is stateless and certifies its answer
 (strong duality, feasibility, or a Farkas ray).  `SimplexSolver` is the
-stateful engine that column generation drives directly, so the basis
-survives column additions and removals between master solves.
+stateful engine that column generation drives directly: each iteration
+builds one, adds its columns, crashes a float vertex into its basis,
+drops the columns the crash left out and reoptimizes.
 
 Design notes that matter for correctness:
 
@@ -154,8 +155,10 @@ def build_master(a: BinaryMatrix, bicliques, sense: str) -> LinearProgram:
 class SimplexSolver:
     """Revised simplex over an incrementally edited column set.
 
-    Columns get stable integer ids from `add_column`; removing a column
-    requires it to be nonbasic.
+    Columns get stable integer ids from `add_column` and may be added
+    or removed between solves; removing a column requires it to be
+    nonbasic.  Column generation builds a fresh solver for each
+    iteration's master.
 
     The basis inverse lives in `self.T` (dense integer numpy array) and
     `self.delta` (positive int) with B^-1 = T/delta.  Basic values x_B
@@ -222,9 +225,6 @@ class SimplexSolver:
             raise ContractViolation("cannot remove a basic column")
         del self.columns[cid]
         self._active[self._slot.pop(cid)] = False
-
-    def is_basic(self, cid: int) -> bool:
-        return self.basis is not None and cid in self.basis
 
     # -- basis installation --
 

@@ -1,5 +1,5 @@
 """Column generation driver: init strategies, convergence, certificates,
-pruning, checkpoint/resume, and determinism."""
+the float mirror, checkpoint/resume, and determinism."""
 
 import json
 
@@ -11,10 +11,7 @@ from fracbp._rational import rat
 from fracbp.colgen import (
     CHECKPOINT_VERSION,
     ColGenConfig,
-    ColumnPool,
-    PoolEntry,
     _FloatBuffer,
-    _prune,
     initial_kronecker_support,
     initial_stars,
     load_checkpoint,
@@ -83,8 +80,6 @@ def test_config_rejects_negative_epsilon():
 
 
 def test_config_rejects_nonpositive_counters():
-    with pytest.raises(ContractViolation):
-        ColGenConfig(prune_after=0)
     with pytest.raises(ContractViolation):
         ColGenConfig(max_iterations=0)
 
@@ -228,17 +223,12 @@ def test_reports_are_deterministic(d, m5):
     assert len(first.records) >= 2
 
 
-def test_stabilize_off_reaches_same_value(d):
-    dd = kronecker(d, d)
-    on = solve_power(d, 2, ColGenConfig())
-    off = run(dd, ColGenConfig(init_strategy="stars", stabilize=False))
-    assert on.converged and off.converged
-    assert on.value == off.value == SIX
+def test_timings_book_the_float_mirror_apart(d):
+    report = solve_power(d, 2, ColGenConfig())
+    assert report.converged and report.value == SIX
     # The float mirror is booked apart from exact pricing.
-    for report in (on, off):
-        assert {"master", "pricing", "float"} <= set(report.timings)
-    assert on.timings["float"] > 0
-    assert off.timings["float"] == 0
+    assert {"master", "pricing", "float"} <= set(report.timings)
+    assert report.timings["float"] > 0
 
 
 def test_float_vertex_leaves_the_exact_master_few_pivots(monkeypatch):
@@ -431,83 +421,16 @@ def test_float_buffer_refuses_what_is_no_biclique(d):
 
 
 # ---------------------------------------------------------------------------
-# Pruning
-# ---------------------------------------------------------------------------
-
-def test_prune_counts_removes_and_protects(d):
-    bicliques = enumerate_all_bicliques(d, 1000)
-    solver = SimplexSolver(d.num_edges, PARTITION)
-    pool = ColumnPool()
-    for b in bicliques:
-        entry = PoolEntry(b, incidence_column(d, b))
-        entry.cid = solver.add_column(entry.column)
-        pool.add(entry)
-    stars = initial_stars(d, "rows")
-    for b in stars:
-        pool.get(b).protected = True
-    solver.install_disjoint_start([pool.get(b).cid for b in stars])
-    solver.reoptimize()
-    x_by_cid = solver.primal_by_id()
-    dual = solver.duals()
-    config = ColGenConfig(prune_after=1)
-
-    def dual_sum(entry):
-        return sum(
-            (dual[i] for i in range(d.num_edges) if (entry.column >> i) & 1),
-            rat(0))
-
-    slack_unprotected = [
-        e for e in pool.entries()
-        if dual_sum(e) < 1 and not e.protected
-        and not solver.is_basic(e.cid) and e.cid not in x_by_cid
-    ]
-    slack_star = [e for e in pool.entries()
-                  if e.protected and dual_sum(e) < 1]
-    tight = [e for e in pool.entries()
-             if dual_sum(e) == 1 and e.cid in x_by_cid]
-    assert slack_unprotected and slack_star and tight
-
-    removed_first = _prune(pool, solver, x_by_cid, dual, config)
-    assert removed_first == 0
-    assert all(e.slack_count == 1 for e in slack_unprotected)
-    assert all(e.slack_count == 0 for e in tight)
-
-    removed_second = _prune(pool, solver, x_by_cid, dual, config)
-    assert removed_second >= len(slack_unprotected)
-    for e in slack_unprotected:
-        assert e.biclique not in pool
-    for e in slack_star:
-        assert e.biclique in pool
-        assert e.slack_count == 2
-
-    readded = PoolEntry(slack_unprotected[0].biclique,
-                        slack_unprotected[0].column)
-    readded.cid = solver.add_column(readded.column)
-    pool.add(readded)
-    assert readded.slack_count == 0
-
-
-def test_objective_survives_pruning(d):
-    report = run(d, ColGenConfig(init_strategy="stars", prune_after=1))
-    assert report.converged and report.value == FIVE_HALVES
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path, d):
-    pool = ColumnPool()
-    for b in initial_stars(d, "rows"):
-        entry = PoolEntry(b, incidence_column(d, b))
-        entry.slack_count = 2
-        pool.add(entry)
+    stars = initial_stars(d, "rows")
     path = str(tmp_path / "state.json")
-    write_checkpoint(path, matrix_hash(d), 7, pool)
-    iteration, raw = load_checkpoint(path, matrix_hash(d))
+    write_checkpoint(path, matrix_hash(d), 7, stars)
+    iteration, bicliques = load_checkpoint(path, matrix_hash(d))
     assert iteration == 7
-    assert sorted(raw) == sorted(
-        (e.biclique.row_set, e.biclique.col_set, 2) for e in pool.entries())
+    assert bicliques == stars
 
 
 def test_checkpoint_rejects_bad_json(tmp_path, d):
@@ -535,11 +458,8 @@ def test_checkpoint_rejects_other_version(tmp_path, d):
 
 
 def test_checkpoint_rejects_foreign_matrix(tmp_path, d, crown5):
-    pool = ColumnPool()
-    for b in initial_stars(d, "rows"):
-        pool.add(PoolEntry(b, incidence_column(d, b)))
     path = str(tmp_path / "state.json")
-    write_checkpoint(path, matrix_hash(d), 1, pool)
+    write_checkpoint(path, matrix_hash(d), 1, initial_stars(d, "rows"))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, matrix_hash(crown5))
 
@@ -567,6 +487,30 @@ def test_resume_rejects_entry_that_is_no_biclique(tmp_path, d):
         }, fh)
     with pytest.raises(CheckpointError):
         run(d, ColGenConfig(checkpoint_path=path))
+
+
+def test_resume_reads_a_checkpoint_with_slack_counters(tmp_path, m5):
+    # Checkpoints used to store a slack counter with every entry; this
+    # is M5's after its first iteration from the stars, in that format.
+    entries = [("1", "1c", 0), ("2", "1a", 1), ("4", "1a", 0), ("8", "8", 0),
+               ("10", "2", 0), ("16", "2", 0), ("6", "18", 0), ("e", "8", 0),
+               ("14", "2", 0)]
+    path = str(tmp_path / "state.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({
+            "version": CHECKPOINT_VERSION,
+            "matrix_hash": matrix_hash(m5),
+            "iteration": 1,
+            "entries": [{"rows": r, "cols": c, "slack_counter": k}
+                        for r, c, k in entries],
+        }, fh)
+    iteration, bicliques = load_checkpoint(path, matrix_hash(m5))
+    assert iteration == 1
+    assert bicliques == [Biclique(int(r, 16), int(c, 16)) for r, c, _ in entries]
+    resumed = run(m5, ColGenConfig(init_strategy="stars", checkpoint_path=path))
+    assert resumed.converged and resumed.value == 4
+    assert resumed.records[0].iteration == 2
+    assert_is_fractional_partition(m5, resumed.support)
 
 
 def test_checkpoint_is_written_every_iteration(tmp_path, d):
