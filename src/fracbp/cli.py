@@ -7,7 +7,7 @@ bounds (fooling set, cover value, and per-power root bounds), kron
 
 Exit codes: 0 success, 2 finished without converging, 3 a size or node
 cap refused the computation, 64 usage error, 65 unreadable input
-matrix, 74 checkpoint trouble.
+matrix, 74 a checkpoint or the --out file could not be read or written.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     FracbpError,
     MatrixFormatError,
     NodeCapExceeded,
+    OutputError,
     SizeCapExceeded,
 )
 from .lp import COVER, build_master, solve
@@ -40,7 +41,7 @@ EXIT_NONCONVERGED = 2
 EXIT_CAP = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-EXIT_CHECKPOINT = 74
+EXIT_IO = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,8 +133,11 @@ def build_parser() -> _Parser:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -281,7 +285,7 @@ def cmd_bounds(args) -> int:
         try:
             with open(args.upper_values, encoding="ascii") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MatrixFormatError(f"cannot read {args.upper_values}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise MatrixFormatError(
@@ -380,9 +384,9 @@ def main(argv=None) -> int:
     except (SizeCapExceeded, NodeCapExceeded) as exc:
         print(f"fracbp: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except CheckpointError as exc:
+    except (CheckpointError, OutputError) as exc:
         print(f"fracbp: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+        return EXIT_IO
     except ContractViolation as exc:
         print(f"fracbp: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,11 +17,12 @@ The run keeps one column store: a float mirror of the master (HiGHS
 dual simplex) over every column met so far, namely the checkpointed
 ones, the init strategy's, the stars and every priced candidate.  Each
 iteration runs the mirror to a standstill and then builds the exact
-master afresh from the stars, the structural columns of the previous
-exact basis, a few exact candidates, and the columns the float vertex
-names.  That vertex is crashed in as the starting basis, so the exact
-simplex only repairs and certifies it; if the crash is rejected, the
-exact master takes every strategy column as well.  The floats only
+master afresh, listing each of its columns once: the stars, `carried`
+(the structural columns of the previous exact basis plus a few exact
+candidates), and the columns the float vertex names.  That vertex is
+crashed in as the starting basis, so the exact simplex only repairs
+and certifies it; if the crash is rejected, the exact master is built
+again with every strategy column as well.  The floats only
 steer: the crash is kept only if exactly feasible, and alpha, the
 bounds, convergence and the certificate all come from the exact
 master's dual.  The previous exact optimum stays feasible in the next
@@ -29,9 +30,9 @@ exact master, so the objective never rises.  When the exact dual equals
 the rounded float dual the mirror priced last, that pricing result is
 the exact one, and it is reused instead of priced again.
 
-The exact master's columns can be checkpointed to JSON every iteration
-and resumed later: a resumed run seeds the float mirror with them and
-carries them all into its first exact master.
+`carried` can be checkpointed to JSON every iteration and resumed
+later: a resumed run seeds the float mirror with it and carries it all
+into its first exact master.
 """
 
 from __future__ import annotations
@@ -104,15 +105,16 @@ class ColGenConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration's bounds and the exact master's column counts.
+    """One iteration's bounds and the counts of the columns it carries.
 
-    `pool_size` counts the columns the exact master holds at the end of
-    the iteration: those it was solved over plus the candidates admitted
-    for the next one.  `added` and `pruned` count the columns it holds
-    that it did not hold at the end of the previous iteration, and the
-    reverse; the stars, and a resumed checkpoint's columns, count as
-    held before the first iteration.  Columns of the float mirror are
-    not counted.
+    `pool_size` counts `carried`, the columns this iteration hands to
+    the next exact master besides the stars and the float vertex: the
+    structural columns of its optimal basis plus the candidates admitted
+    for the next one.  It is also what the checkpoint holds.  `added`
+    and `pruned` count the carried columns that the previous iteration
+    did not carry, and the reverse; a resumed checkpoint's columns count
+    as carried before the first iteration.  Columns of the float mirror
+    are not counted.
     """
 
     iteration: int
@@ -135,8 +137,8 @@ class ColGenReport:
     counts only the exact pricing calls made, not the iterations that
     reused the float mirror's last pricing.  "master" covers building
     each exact master, the crash and the exact solve.  The records'
-    `pool_size`, `added` and `pruned` count the exact master's columns
-    against the previous iteration's, not the float mirror's.
+    `pool_size`, `added` and `pruned` count each iteration's carried
+    columns against the previous iteration's, not the float mirror's.
     """
 
     matrix: BinaryMatrix
@@ -181,7 +183,7 @@ def initial_kronecker_support(prev_support, base_support, base_shape) -> list[Bi
 # ---------------------------------------------------------------------------
 
 def write_checkpoint(path: str, mhash: str, iteration: int, bicliques) -> None:
-    """Atomically write the exact master's columns; temp file then rename."""
+    """Atomically write the carried columns; temp file then rename."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "matrix_hash": mhash,
@@ -211,7 +213,7 @@ def load_checkpoint(path: str, expected_hash: str) -> tuple[int, list[Biclique]]
     try:
         with open(path, encoding="ascii") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     try:
         if payload["version"] != CHECKPOINT_VERSION:
@@ -276,7 +278,7 @@ def run(
     else:
         initial = _initial_bicliques(a, config, extra_initial)
     buffer.extend(initial + stars)
-    held = {*stars, *carried}
+    held = set(carried)
 
     records: list[IterationRecord] = []
     best_lower = ZERO
@@ -328,26 +330,24 @@ def run(
         # The next exact master carries this one's basis, which keeps
         # this optimum feasible, and enough of the true candidates to
         # guarantee progress; all of them join the float mirror.
-        now = set(columns.values())
         admit = []
         if not converged:
             admit = [pb.biclique for pb in candidates[:_TRUE_ADMIT]]
-            if not now.isdisjoint(admit):
+            if not set(columns).isdisjoint(admit):
                 raise InvariantViolation(
                     "pricing returned a column already in the master")
             buffer.extend([pb.biclique for pb in candidates])
-            now.update(admit)
-        master = [*columns.values(), *admit]
+        carried = [columns[cid] for cid in solver.basis if cid >= 0] + admit
+        now = set(carried)
         records.append(IterationRecord(
-            iteration, objective, alpha, best_lower, len(master),
+            iteration, objective, alpha, best_lower, len(carried),
             len(now - held), len(held - now)))
         held = now
-        carried = [columns[cid] for cid in solver.basis if cid >= 0] + admit
         final_alpha = alpha
         if progress is not None:
             progress(records[-1])
         if path:
-            write_checkpoint(path, mhash, iteration, master)
+            write_checkpoint(path, mhash, iteration, carried)
         if converged or iteration >= config.max_iterations:
             break
 
@@ -374,40 +374,27 @@ def run(
 def _exact_master(a, stars, carried, support, degenerate, initial):
     """One iteration's exact master, with the float vertex crashed in.
 
-    The master holds the stars, installed as the disjoint start, then
-    `carried`, then the float vertex's `support` and `degenerate`
-    candidates, which are crashed in in that order.  When the crash is
-    accepted, the vertex's new columns that are neither in its support
-    nor basic are dropped again; when it is rejected, the master keeps
-    them and takes the strategy columns `initial` too, since it must
-    then find its own way.  Returns the solver and its columns as
-    {column id: biclique}, in the order they were added.
+    The master's columns are the stars, installed as the disjoint start,
+    then `carried`, then the float vertex's `support` and `degenerate`
+    candidates, each listed once in that order.  The candidates are
+    crashed in in the same order, and those the crash leaves out stay
+    as nonbasic columns.  When the crash is rejected, the master is
+    built again over the same columns plus the strategy columns
+    `initial`, since it must then find its own way.  Returns the solver
+    and its columns as a list of bicliques indexed by column id.
     """
-    solver = SimplexSolver(a.num_edges, PARTITION)
-    columns: dict[int, Biclique] = {}
-    ids: dict[Biclique, int] = {}
+    def build(bicliques):
+        solver = SimplexSolver(a.num_edges, PARTITION,
+                               [incidence_column(a, b) for b in bicliques])
+        solver.install_disjoint_start(range(len(stars)))
+        return solver
 
-    def column(b: Biclique) -> int:
-        cid = ids.get(b)
-        if cid is None:
-            cid = ids[b] = solver.add_column(incidence_column(a, b))
-            columns[cid] = b
-        return cid
-
-    solver.install_disjoint_start([column(b) for b in stars])
-    for b in carried:
-        column(b)
-    first_new = len(columns)
-    codes = [column(b) for b in support + degenerate]
-    if solver.crash(codes):
-        keep = {*codes[:len(support)], *solver.basis}
-        for cid in list(columns)[first_new:]:
-            if cid not in keep:
-                solver.remove_column(cid)
-                del columns[cid]
-    else:
-        for b in initial:
-            column(b)
+    columns = list(dict.fromkeys([*stars, *carried, *support, *degenerate]))
+    solver = build(columns)
+    ids = {b: cid for cid, b in enumerate(columns)}
+    if not solver.crash([ids[b] for b in support + degenerate]):
+        columns = list(dict.fromkeys([*columns, *initial]))
+        solver = build(columns)
     return solver, columns
 
 
@@ -570,7 +557,7 @@ def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
 
 
 def _assert_rescaled_dual(solver: SimplexSolver, dual, alpha) -> None:
-    for _, rows in solver.columns.values():
+    for _, rows in solver.columns:
         if sum((dual[r] for r in rows), ZERO) / alpha > 1:
             raise InvariantViolation("rescaled dual violates a master column")
 

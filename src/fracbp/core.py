@@ -441,6 +441,6 @@ def load_matrix(source: str) -> BinaryMatrix:
         return maker()
     try:
         text = Path(source).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixFormatError(f"cannot read matrix from {source!r}: {exc}") from exc
     return parse_matrix(text)

@@ -50,3 +50,7 @@ class NodeCapExceeded(FracbpError):
 
 class CheckpointError(FracbpError):
     """A checkpoint file is unreadable, malformed, or for a different matrix."""
+
+
+class OutputError(FracbpError):
+    """A result file could not be written."""

@@ -14,9 +14,9 @@ number, not an approximation.
 
 Two entry points: `solve` is stateless and certifies its answer
 (strong duality, feasibility, or a Farkas ray).  `SimplexSolver` is the
-stateful engine that column generation drives directly: each iteration
-builds one, adds its columns, crashes a float vertex into its basis,
-drops the columns the crash left out and reoptimizes.
+engine underneath, which column generation also drives directly: it
+takes every column when it is built, and each iteration builds one,
+crashes a float vertex into its basis and reoptimizes.
 
 Design notes that matter for correctness:
 
@@ -55,10 +55,8 @@ Design notes that matter for correctness:
   only if so.  The float solver finds the basis and exact arithmetic
   only certifies it: after a good crash, a warm-started master is one
   certifying pricing scan with no basis exchange, and a bad suggestion
-  costs nothing but the crash.  `install_basis` is the same crash from
-  the all-artificial basis followed by a row permutation, so every
-  basis inverse, warm or explicit, comes from the same fraction-free
-  pivots; there is no separate rational inversion.
+  costs nothing but the crash.  Every basis inverse comes from the
+  same fraction-free pivots; there is no separate rational inversion.
 """
 
 from __future__ import annotations
@@ -113,10 +111,8 @@ class LinearProgram:
 class LpSolution:
     """Certified outcome of a stateless solve.
 
-    For status "optimal": exact objective, primal (per column), dual
-    (per row), and a basis encoding.  Basis codes: k < num_cols is
-    structural column k, num_cols + r is the surplus of row r, and
-    num_cols + num_rows + r is the artificial of row r.
+    For status "optimal": exact objective, primal (per column) and
+    dual (per row).
 
     For status "infeasible": objective and primal are None and `dual`
     holds a Farkas ray y with 1'y > 0 and M'y <= 0 (y >= 0 for cover).
@@ -126,7 +122,6 @@ class LpSolution:
     objective: object
     primal: tuple | None
     dual: tuple
-    basis: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -153,12 +148,11 @@ def build_master(a: BinaryMatrix, bicliques, sense: str) -> LinearProgram:
 # -1 - num_rows - r.  Negative codes never collide with column ids.
 
 class SimplexSolver:
-    """Revised simplex over an incrementally edited column set.
+    """Revised simplex over a column set fixed when it is built.
 
-    Columns get stable integer ids from `add_column` and may be added
-    or removed between solves; removing a column requires it to be
-    nonbasic.  Column generation builds a fresh solver for each
-    iteration's master.
+    `columns` are row bitsets, and a column's id is its position among
+    them.  Column generation builds a fresh solver for each iteration's
+    master.
 
     The basis inverse lives in `self.T` (dense integer numpy array) and
     `self.delta` (positive int) with B^-1 = T/delta.  Basic values x_B
@@ -169,19 +163,22 @@ class SimplexSolver:
     Results are exact in both regimes.
     """
 
-    def __init__(self, num_rows: int, sense: str):
+    def __init__(self, num_rows: int, sense: str, columns):
         if sense not in (PARTITION, COVER):
             raise ContractViolation(f"unknown sense {sense!r}")
         self.m = num_rows
         self.sense = sense
-        self.columns: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._next_id = 0
-        # Column pool as a dense 0/1 matrix for vectorized pricing.
-        # Slots are append-only; removal just clears the active flag.
-        self._pool = np.zeros((num_rows, 64), dtype=np.int8)
-        self._active = np.zeros(64, dtype=bool)
-        self._cids: list[int] = []
-        self._slot: dict[int, int] = {}
+        # (bits, rows) per column id.
+        self.columns: list[tuple[int, tuple[int, ...]]] = []
+        for bits in columns:
+            if bits <= 0 or bits >> num_rows:
+                raise ContractViolation(
+                    f"column {len(self.columns)} empty or out of row range")
+            self.columns.append((bits, bit_indices(bits)))
+        # The columns as a dense 0/1 matrix for vectorized pricing.
+        self._pool = np.zeros((num_rows, len(self.columns)), dtype=np.int8)
+        for cid, (_, rows) in enumerate(self.columns):
+            self._pool[list(rows), cid] = 1
         self.basis: list[int] | None = None
         self.T: np.ndarray | None = None
         self.delta: int = 1
@@ -195,45 +192,7 @@ class SimplexSolver:
         self._feasible = False
         self._farkas: tuple | None = None
 
-    # -- column bookkeeping --
-
-    def add_column(self, bits: int) -> int:
-        if bits <= 0 or bits >> self.m:
-            raise ContractViolation("column bitset empty or out of range")
-        cid = self._next_id
-        self._next_id += 1
-        rows = bit_indices(bits)
-        self.columns[cid] = (bits, rows)
-        slot = len(self._cids)
-        if slot == self._pool.shape[1]:
-            grown = np.zeros((self.m, 2 * slot), dtype=np.int8)
-            grown[:, :slot] = self._pool
-            self._pool = grown
-            flags = np.zeros(2 * slot, dtype=bool)
-            flags[:slot] = self._active
-            self._active = flags
-        self._pool[list(rows), slot] = 1
-        self._active[slot] = True
-        self._cids.append(cid)
-        self._slot[cid] = slot
-        return cid
-
-    def remove_column(self, cid: int) -> None:
-        if cid not in self.columns:
-            raise ContractViolation(f"no column with id {cid}")
-        if self.basis is not None and cid in self.basis:
-            raise ContractViolation("cannot remove a basic column")
-        del self.columns[cid]
-        self._active[self._slot.pop(cid)] = False
-
     # -- basis installation --
-
-    def install_cold_start(self) -> None:
-        """All-artificial basis; caller must run phase 1 next."""
-        m = self.m
-        self.basis = [self._art(r) for r in range(m)]
-        self._set_matrix(np.eye(m, dtype=np.int64), 1)
-        self._feasible = False
 
     def install_disjoint_start(self, col_ids) -> None:
         """Feasible start from pairwise disjoint columns covering all rows.
@@ -265,39 +224,6 @@ class SimplexSolver:
         self._set_matrix(t, 1)
         self._feasible = True
 
-    def install_basis(self, codes) -> None:
-        """Install an explicit basis (codes as in LpSolution.basis order).
-
-        The basis must be nonsingular and primal feasible, with any
-        artificial slots sitting at value zero; otherwise this raises
-        ContractViolation.
-        """
-        m = self.m
-        codes = list(codes)
-        if len(codes) != m:
-            raise ContractViolation("basis must have one variable per row")
-        for code in codes:
-            if (code < -2 * m or (code >= 0 and code not in self.columns)
-                    or (self._is_surplus(code) and self.sense != COVER)):
-                raise ContractViolation(f"basis code {code} is no variable of this LP")
-        # Crash the codes into the all-artificial basis; each one that
-        # enters is independent of those before it, so all of them get
-        # in exactly when the basis matrix is nonsingular.
-        self.install_cold_start()
-        self._crash(codes)
-        if set(codes) != set(self.basis):
-            raise ContractViolation("basis matrix is singular")
-        slot = {code: i for i, code in enumerate(self.basis)}
-        self.basis = codes
-        self._set_matrix(self.T[[slot[code] for code in codes]], self.delta)
-        x = self._basic_numerators()
-        for i, code in enumerate(codes):
-            if x[i] < 0:
-                raise ContractViolation("basis is not primal feasible")
-            if self._is_art(code) and x[i] != 0:
-                raise ContractViolation("artificial basis slot with nonzero value")
-        self._feasible = True
-
     def crash(self, codes) -> bool:
         """Pivot `codes` into the basis in order, without a ratio test.
 
@@ -310,16 +236,6 @@ class SimplexSolver:
         basis, inverse and regime are restored and False is returned.
         """
         saved = (list(self.basis), self.T, self.delta, self._objmode, self._tmax)
-        self._crash(codes)
-        x = self._basic_numerators()
-        art = self._art_mask()
-        if all(int(v) >= 0 for v in x) and not any(int(v) for v in x[art]):
-            self._feasible = True
-            return True
-        self.basis, self.T, self.delta, self._objmode, self._tmax = saved
-        return False
-
-    def _crash(self, codes) -> None:
         fixed = np.zeros(self.m, dtype=bool)
         art = self._art_mask()
         where = {code: i for i, code in enumerate(self.basis)}
@@ -340,12 +256,21 @@ class SimplexSolver:
             if fixed.all():
                 # No later code can find a free row.
                 break
+        x = self._basic_numerators()
+        if all(int(v) >= 0 for v in x) and not any(int(v) for v in x[art]):
+            self._feasible = True
+            return True
+        self.basis, self.T, self.delta, self._objmode, self._tmax = saved
+        return False
 
     # -- solving --
 
     def solve_from_cold(self) -> str:
-        """Phase 1 then phase 2; returns "optimal" or "infeasible"."""
-        self.install_cold_start()
+        """Phase 1 from the all-artificial basis, then phase 2; returns
+        "optimal" or "infeasible"."""
+        self.basis = [self._art(r) for r in range(self.m)]
+        self._set_matrix(np.eye(self.m, dtype=np.int64), 1)
+        self._feasible = False
         self._optimize(phase=1)
         if self._phase1_objective() > 0:
             self._farkas = tuple(self._duals(phase=1))
@@ -464,21 +389,19 @@ class SimplexSolver:
         `y_nums` holds the duals scaled by delta, so reduced costs
         compare as plain integers: column j is eligible exactly when
         sum(y_nums over its rows) > cost_j*delta.  One exact scan over
-        the pool picks Dantzig's most negative reduced cost, ties to the
-        lowest slot; in a cover master a surplus row with a negative
+        the columns picks Dantzig's most negative reduced cost, ties to
+        the lowest id; in a cover master a surplus row with a negative
         dual enters instead when its reduced cost is strictly better.
         """
-        used = len(self._cids)
         thresh = self.delta if phase == 2 else 0
         best_code = None
         best_num = None
-        if used:
-            scores = y_nums @ self._pool[:, :used]
-            eligible = np.nonzero(self._active[:used] & (scores > thresh))[0]
-            if eligible.size:
-                slot = int(eligible[int(np.argmax(scores[eligible]))])
-                best_code = self._cids[slot]
-                best_num = thresh - int(scores[slot])
+        if self.columns:
+            scores = y_nums @ self._pool
+            cid = int(np.argmax(scores))
+            if scores[cid] > thresh:
+                best_code = cid
+                best_num = thresh - int(scores[cid])
         if self.sense == COVER:
             r = int(np.argmin(y_nums))
             rcn = int(y_nums[r])
@@ -652,54 +575,26 @@ class SimplexSolver:
 # Stateless interface
 # ---------------------------------------------------------------------------
 
-def solve(lp: LinearProgram, start_basis=None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality or infeasibility, with exact certificates.
 
+    Each call builds a fresh `SimplexSolver` and starts it cold.
     Optimal solutions are checked for primal feasibility and exact
     strong duality before being returned; infeasible outcomes carry a
-    verified Farkas ray.  `start_basis` takes codes from a previous
-    LpSolution.basis for the same LP shape.
+    verified Farkas ray.
     """
-    s = SimplexSolver(lp.num_rows, lp.sense)
-    for bits in lp.columns:
-        s.add_column(bits)
-    n, m = lp.num_cols, lp.num_rows
-    if start_basis is not None:
-        s.install_basis([_decode(code, n, m) for code in start_basis])
-        s.reoptimize()
-        status = "optimal"
-    else:
-        status = s.solve_from_cold()
-    if status == "infeasible":
+    s = SimplexSolver(lp.num_rows, lp.sense, lp.columns)
+    if s.solve_from_cold() == "infeasible":
         ray = s.farkas_ray()
         _check_farkas(lp, ray)
-        return LpSolution("infeasible", None, None, ray, None)
-    x = [ZERO] * n
+        return LpSolution("infeasible", None, None, ray)
+    x = [ZERO] * lp.num_cols
     for cid, v in s.primal_by_id().items():
         x[cid] = v
     y = s.duals()
     obj = s.objective()
     _check_optimal(lp, x, y, obj)
-    basis = tuple(_encode(code, n, m) for code in s.basis)
-    return LpSolution("optimal", obj, tuple(x), y, basis)
-
-
-def _encode(code: int, n: int, m: int) -> int:
-    if code >= 0:
-        return code
-    if code >= -m:
-        return n + (-1 - code)
-    return n + m + (-1 - m - code)
-
-
-def _decode(code: int, n: int, m: int) -> int:
-    if code < 0 or code >= n + 2 * m:
-        raise ContractViolation(f"basis code {code} out of range")
-    if code < n:
-        return code
-    if code < n + m:
-        return -1 - (code - n)
-    return -1 - m - (code - n - m)
+    return LpSolution("optimal", obj, tuple(x), y)
 
 
 def _check_optimal(lp: LinearProgram, x, y, obj) -> None:

@@ -256,6 +256,10 @@ def test_bounds_rejects_bad_upper_file(tmp_path):
     path.write_text("[1, 2]", encoding="ascii")
     code, _, _ = run_cli("bounds", "domino", "--upper-values", str(path))
     assert code == 65
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"2": "6\xe9"}')
+    code, _, err = run_cli("bounds", "domino", "--upper-values", str(path))
+    assert code == 65 and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +297,9 @@ def test_malformed_matrix_file_exits_sixty_five(tmp_path):
     path.write_text("10\n2\n", encoding="ascii")
     code, _, _ = run_cli("bpf", str(path))
     assert code == 65
+    path.write_bytes(b"1\xe9\n11\n")
+    code, _, err = run_cli("bcf", str(path))
+    assert code == 65 and err.count("\n") == 1
 
 
 def test_corrupt_checkpoint_exits_seventy_four(tmp_path):
@@ -300,6 +307,17 @@ def test_corrupt_checkpoint_exits_seventy_four(tmp_path):
     path.write_text("{broken", encoding="ascii")
     code, _, _ = run_cli("bpf", "domino", "--checkpoint", str(path))
     assert code == 74
+    path.write_bytes(b'{"version": 1, "matrix_hash": "\xe9"}')
+    code, _, err = run_cli("bpf", "domino", "--checkpoint", str(path))
+    assert code == 74 and err.count("\n") == 1
+
+
+def test_unwritable_out_file_exits_seventy_four(tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run_cli("bcf", "domino", "--out", str(target))
+    assert code == 74 and out == ""
+    assert err.startswith("fracbp: cannot write ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_usage_errors_exit_sixty_four():

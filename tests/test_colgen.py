@@ -348,22 +348,56 @@ def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
     assert calls[0] == 2
 
 
-def test_exact_master_holds_only_the_columns_the_float_vertex_names():
+def recorded_exact_masters(monkeypatch):
+    """Record each iteration's float vertex as (support, degenerate) and
+    each exact master as (carried, solver, columns)."""
+    import fracbp.colgen as colgen
+
+    vertices, masters = [], []
+    float_phase, exact_master = colgen._float_phase, colgen._exact_master
+
+    def recording_float_phase(*args):
+        result = float_phase(*args)
+        vertices.append(result[:2])
+        return result
+
+    def recording_exact_master(a, stars, carried, *rest):
+        solver, columns = exact_master(a, stars, carried, *rest)
+        masters.append((list(carried), solver, columns))
+        return solver, columns
+
+    monkeypatch.setattr(colgen, "_float_phase", recording_float_phase)
+    monkeypatch.setattr(colgen, "_exact_master", recording_exact_master)
+    return vertices, masters
+
+
+def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch):
     # The union init offers all 1824 bicliques; they seed the float
-    # mirror, and the exact master takes the few its vertex uses.
+    # mirror, and the exact master takes only the stars, the carried
+    # columns and the columns the float vertex names.
+    vertices, masters = recorded_exact_masters(monkeypatch)
     a = kronecker(crown(3), crown(4))
     report = run(a, ColGenConfig())
     assert report.converged and report.value == 9
     assert_is_fractional_partition(a, report.support)
-    assert report.records[-1].pool_size <= 2 * a.num_edges
+    assert len(vertices) == len(masters) == report.iterations
+    stars = initial_stars(a)
+    for (support, degenerate), (carried, solver, columns) in zip(vertices, masters):
+        assert set(columns) <= {*stars, *carried, *support, *degenerate}
+        assert len(solver.columns) == len(columns)
 
 
 def test_rejected_crash_gives_the_exact_master_every_strategy_column(
         monkeypatch, crown5):
+    _, masters = recorded_exact_masters(monkeypatch)
     monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
     report = run(crown5, ColGenConfig())
     assert report.converged and report.value == rat(10, 3)
-    assert report.records[0].pool_size == len(enumerate_all_bicliques(crown5)) == 180
+    _, solver, columns = masters[0]
+    every = enumerate_all_bicliques(crown5)
+    assert len(every) == 180 and set(every) <= set(columns)
+    assert [bits for bits, _ in solver.columns] == [
+        incidence_column(crown5, b) for b in columns]
 
 
 # ---------------------------------------------------------------------------

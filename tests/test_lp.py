@@ -64,6 +64,21 @@ def test_linear_program_validation():
         LinearProgram(2, (0b1,), "maximize")
 
 
+def test_solver_refuses_an_empty_or_out_of_range_column(d):
+    m = d.num_edges
+    with pytest.raises(ContractViolation, match="column 1 empty"):
+        SimplexSolver(m, PARTITION, [0b1, 0])
+    with pytest.raises(ContractViolation, match="column 0 empty"):
+        SimplexSolver(m, PARTITION, [-1])
+    with pytest.raises(ContractViolation, match="out of row range"):
+        SimplexSolver(m, PARTITION, [1 << m])
+    with pytest.raises(ContractViolation, match="unknown sense"):
+        SimplexSolver(m, "maximize", [0b1])
+    solver = SimplexSolver(m, PARTITION, [(1 << m) - 1])
+    assert solver.solve_from_cold() == "optimal"
+    assert solver.objective() == rat(1)
+
+
 def test_build_master_uses_edge_order(d):
     bs = enumerate_all_bicliques(d)
     prog = build_master(d, bs, PARTITION)
@@ -221,15 +236,8 @@ def test_complementary_slackness_random(rng):
 
 
 # ---------------------------------------------------------------------------
-# Basis round trips and warm starts
+# Warm starts
 # ---------------------------------------------------------------------------
-
-def test_solution_basis_round_trip(d):
-    prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
-    first = solve(prog)
-    again = solve(prog, start_basis=first.basis)
-    assert again == first
-
 
 def test_solve_is_deterministic(rng):
     for _ in range(10):
@@ -238,68 +246,43 @@ def test_solve_is_deterministic(rng):
         assert solve(prog) == solve(prog)
 
 
+def star_started_solver(a, bicliques):
+    """Solver over the row stars plus `bicliques`, on the stars' basis;
+    returns it with the ids of `bicliques`."""
+    stars = initial_stars(a)
+    solver = SimplexSolver(a.num_edges, PARTITION,
+                           [incidence_column(a, b) for b in stars + list(bicliques)])
+    solver.install_disjoint_start(range(len(stars)))
+    return solver, list(range(len(stars), len(stars) + len(bicliques)))
+
+
 def test_warm_reoptimize_monotone(d):
-    bs = enumerate_all_bicliques(d)
-    stars = [b for b in bs if b.row_set.bit_count() == 1
-             and b.col_set == d.rows[b.row_set.bit_length() - 1]]
-    solver = SimplexSolver(d.num_edges, PARTITION)
-    ids = {}
-    for b in stars:
-        ids[b] = solver.add_column(incidence_column(d, b))
-    solver.install_disjoint_start(list(ids.values()))
-    solver.reoptimize()
-    obj = solver.objective()
-    assert obj == rat(3)  # one star per row
-    seen = [obj]
-    for b in bs:
-        if b not in ids:
-            solver.add_column(incidence_column(d, b))
-            solver.reoptimize()
-            seen.append(solver.objective())
+    # A fresh solver for each growing prefix of the non-star columns,
+    # every one reoptimized from the stars' basis.
+    stars = initial_stars(d)
+    rest = [b for b in enumerate_all_bicliques(d) if b not in stars]
+    seen = []
+    for k in range(len(rest) + 1):
+        solver, _ = star_started_solver(d, rest[:k])
+        solver.reoptimize()
+        seen.append(solver.objective())
+    assert seen[0] == rat(3)  # one star per row
     assert seen[-1] == rat(5, 2)
     assert all(x >= y for x, y in zip(seen, seen[1:]))
 
 
 def test_disjoint_start_validation(d):
-    solver = SimplexSolver(d.num_edges, PARTITION)
-    a_id = solver.add_column(0b0000011)
-    b_id = solver.add_column(0b0000110)  # overlaps a on edge 1
+    solver = SimplexSolver(d.num_edges, PARTITION,
+                           [0b0000011, 0b0000110, 0b1111100])
+    a_id, b_id, c_id = 0, 1, 2  # b overlaps a on edge 1
     with pytest.raises(ContractViolation):
         solver.install_disjoint_start([a_id, b_id])
-    c_id = solver.add_column(0b1111100)
     with pytest.raises(ContractViolation):
         solver.install_disjoint_start([a_id])  # does not cover
     solver.install_disjoint_start([a_id, c_id])
     solver.reoptimize()
     assert solver.objective() == rat(2)
     assert a_id in solver.basis
-    with pytest.raises(ContractViolation):
-        solver.remove_column(a_id)  # basic
-    with pytest.raises(ContractViolation):
-        solver.remove_column(b_id + 999)
-
-
-def test_install_basis_rejects_junk(d):
-    prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
-    sol = solve(prog)
-    solver = SimplexSolver(prog.num_rows, PARTITION)
-    for bits in prog.columns:
-        solver.add_column(bits)
-    with pytest.raises(ContractViolation):
-        solver.install_basis(sol.basis[:-1])  # wrong length
-    with pytest.raises(ContractViolation):
-        solver.install_basis([sol.basis[0]] * prog.num_rows)  # singular
-
-
-def star_started_solver(a, bicliques):
-    """Solver over the row stars plus `bicliques`, on the stars' basis;
-    returns it with the ids of `bicliques`."""
-    solver = SimplexSolver(a.num_edges, PARTITION)
-    star_ids = [solver.add_column(incidence_column(a, b))
-                for b in initial_stars(a)]
-    ids = [solver.add_column(incidence_column(a, b)) for b in bicliques]
-    solver.install_disjoint_start(star_ids)
-    return solver, ids
 
 
 def test_crash_installs_an_optimal_basis(d):
@@ -363,15 +346,17 @@ def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch):
 
 def test_primal_by_id_matches_solution(d):
     prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
-    solver = SimplexSolver(prog.num_rows, PARTITION)
-    cids = [solver.add_column(bits) for bits in prog.columns]
+    solver = SimplexSolver(prog.num_rows, PARTITION, prog.columns)
     status = solver.solve_from_cold()
     assert status == "optimal"
     assert solver.objective() == rat(5, 2)
     by_id = solver.primal_by_id()
     assert sum(by_id.values(), rat(0)) == rat(5, 2)
     assert all(v > 0 for v in by_id.values())
-    assert set(by_id) <= set(cids)
+    assert set(by_id) <= set(range(prog.num_cols))
+    # The ids index the columns: the weights partition the edges.
+    x = [by_id.get(k, rat(0)) for k in range(prog.num_cols)]
+    assert edge_sums(prog, x) == [rat(1)] * prog.num_rows
 
 
 # ---------------------------------------------------------------------------
