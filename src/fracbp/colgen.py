@@ -13,19 +13,22 @@ In exact arithmetic the final master is certified against its own
 columns; global dual feasibility of the rescaled dual follows from the
 pricing maximum being exact.
 
-The run keeps one column store: a float mirror of the master (HiGHS
-dual simplex) over every column met so far, namely the checkpointed
-ones, the init strategy's, the stars and every priced candidate.  Each
-iteration runs the mirror to a standstill and then builds the exact
-master afresh, listing each of its columns once: the stars, `carried`
-(the structural columns of the previous exact basis plus a few exact
-candidates), and the columns the float vertex names.  That vertex is
-crashed in as the starting basis, so the exact simplex only repairs
-and certifies it; if the crash is rejected, the exact master is built
-again with every strategy column as well.  The floats only
-steer: the crash is kept only if exactly feasible, and alpha, the
-bounds, convergence and the certificate all come from the exact
-master's dual.  The previous exact optimum stays feasible in the next
+The run keeps one column store: a float mirror of the master over
+every column met so far, namely the checkpointed ones, the init
+strategy's, the stars and every priced candidate.  It holds them as
+sparse 0/1 columns (CSC: column starts and edge indices), and each
+float solve passes them to a fresh model of HiGHS's dual simplex
+through scipy's own binding.  Each iteration runs the mirror to a
+standstill and then builds the exact master afresh, listing each of
+its columns once: the stars, `carried` (the structural columns of the
+previous exact basis plus a few exact candidates), and the columns the
+float vertex names.  That vertex is crashed in as the starting basis,
+so the exact simplex only repairs and certifies it; if the crash is
+rejected, the exact master is built again with every strategy column
+as well, and if a float solve fails, it takes every column of the
+mirror.  The floats only steer: the crash is kept only if exactly
+feasible, and alpha, the bounds, convergence and the certificate all
+come from the exact master's dual.  The previous exact optimum stays feasible in the next
 exact master, so the objective never rises.  When the exact dual equals
 the rounded float dual the mirror priced last, that pricing result is
 the exact one, and it is reused instead of priced again.
@@ -43,9 +46,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog as _linprog
+# scipy's private HiGHS binding; see pyproject.toml.
+from scipy.optimize._highspy import _core as _highs
 
 from ._rational import ONE, ZERO, rat
 from .core import (
@@ -301,6 +306,11 @@ def run(
         t0 = time.perf_counter()
         support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
         t1 = time.perf_counter()
+        if not support:
+            # The float solve failed.  Carrying only the basis and a few
+            # candidates can then cycle, so the exact master takes every
+            # buffered column, which is plain column generation.
+            carried = carried + buffer.bicliques
         solver, columns = _exact_master(a, stars, carried, support, degenerate, initial)
         solver.reoptimize()
         t_float += t1 - t0
@@ -409,14 +419,17 @@ class _FloatBuffer:
     float vertex names.  Insertion order is fixed and deduplication is
     by canonical biclique key, keeping the float solves deterministic.
 
-    `extend` builds its new columns as one block: the row and column
-    masks are unpacked to bits, and the entry of edge (i, j) is row bit
-    i AND column bit j.  The check is exact and the one
-    `is_valid_biclique` makes: a mask past the matrix dimensions is
-    refused, and so is a biclique whose column counts fewer than |R|·|C|
-    edges, since then some (i, j) of R x C is a zero.  The columns live
-    in one column-major array whose capacity doubles as it fills; a
-    solve passes the filled part as a view, without copying it.
+    The columns are stored sparse, by columns (CSC): `_start[j]` is
+    where column j's edge indices begin in `_index`, ascending, and
+    every entry is one, so memory grows with the edges the columns
+    cover rather than with edges times columns.  `extend` builds its
+    new columns as one block: the row and column masks are unpacked to
+    bits, and the entry of edge (i, j) is row bit i AND column bit j.
+    The check is exact and the one `is_valid_biclique` makes: a mask
+    past the matrix dimensions is refused, and so is a biclique whose
+    column counts fewer than |R|·|C| edges, since then some (i, j) of
+    R x C is a zero.  Each `solve` hands the arrays to a fresh HiGHS
+    model through `_linprog`.
     """
 
     def __init__(self, a: BinaryMatrix):
@@ -425,7 +438,8 @@ class _FloatBuffer:
         self.bicliques: list[Biclique] = []
         edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
         self._edge_rows, self._edge_cols = edges[:, 0], edges[:, 1]
-        self._mat = np.zeros((a.num_edges, 64), dtype=np.float64, order="F")
+        self._start = np.zeros(1, dtype=np.int32)
+        self._index = np.zeros(0, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.bicliques)
@@ -454,30 +468,83 @@ class _FloatBuffer:
         if (block.sum(axis=1, dtype=np.int64) != sizes).any():
             raise ContractViolation(
                 "biclique is not an all-ones submatrix of the matrix")
-        n, k = len(self.bicliques), len(new)
-        m, capacity = self._mat.shape
-        if n + k > capacity:
-            while capacity < n + k:
-                capacity *= 2
-            grown = np.zeros((m, capacity), dtype=np.float64, order="F")
-            grown[:, :n] = self._mat[:, :n]
-            self._mat = grown
-        self._mat[:, n:n + k] = block.T
+        # Row-major nonzeros list each new column's edges in ascending order.
+        _, edges = np.nonzero(block)
+        starts = self._start[-1] + np.cumsum(sizes)
+        self._start = np.concatenate((self._start, starts.astype(np.int32)))
+        self._index = np.concatenate((self._index, edges.astype(np.int32)))
         self._keys.update(new)
         self.bicliques.extend(new.values())
-        return k
+        return len(new)
 
     def solve(self):
-        """One float solve of the buffered master; None on failure."""
-        n = len(self.bicliques)
-        try:
-            res = _linprog(
-                np.ones(n), A_eq=self._mat[:, :n],
-                b_eq=np.ones(self._a.num_edges), bounds=(0, None),
-                method="highs-ds")
-        except ValueError:  # pragma: no cover - solver-side rejection
-            return None
-        return res if res.success else None
+        """One float solve of the buffered master, as `_linprog` returns
+        it: (x, row duals, lower-bound marginals), or None on failure."""
+        return _linprog(A_eq=_Csc(
+            self._start, self._index, np.ones(len(self._index)),
+            (self._a.num_edges, len(self))))
+
+
+class _Csc(NamedTuple):
+    """A matrix by columns: column j's rows are indices[indptr[j]:
+    indptr[j + 1]], with values in data at the same positions."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+
+_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+
+
+def _linprog(*, A_eq: _Csc):
+    """Minimise the sum of x subject to A_eq x = 1 and x >= 0 by HiGHS
+    dual simplex.  Returns (x, row duals, lower-bound marginals) at an
+    optimal vertex, or None when HiGHS reports no optimum.
+
+    Each call builds a fresh HiGHS model and sets the options that
+    scipy's linprog(method="highs-ds") sets: presolve on, the simplex
+    solver, the dual simplex strategy and no output.  The vertex is
+    therefore the one linprog returns, without linprog's per-call
+    option checks and conversions.  A column's lower-bound marginal is
+    its dual where HiGHS reports it nonbasic at its lower bound and 0
+    otherwise, as linprog reports it.
+
+    The name is kept from when this was scipy's linprog: the
+    benchmark's tracer wraps `colgen._linprog` by name and reads
+    `A_eq.shape` and `A_eq.nbytes` (ROADMAP item 5 moves that tracing
+    into the library).
+    """
+    m, n = A_eq.shape
+    model = _highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("log_to_console", False)
+    model.setOptionValue("presolve", "on")
+    model.setOptionValue("solver", "simplex")
+    model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    # The array form of passModel takes the numpy arrays as they are,
+    # where filling a HighsLp's fields converts them element by element.
+    passed = model.passModel(
+        n, m, len(A_eq.indices), _COLWISE, _MINIMIZE, 0.0,
+        np.ones(n), np.zeros(n), np.full(n, _highs.kHighsInf),
+        np.ones(m), np.ones(m), A_eq.indptr, A_eq.indices, A_eq.data,
+        np.zeros(n, dtype=np.int32))  # every column continuous
+    if (passed == _highs.HighsStatus.kError
+            or model.run() == _highs.HighsStatus.kError
+            or model.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+        return None
+    solution = model.getSolution()
+    status = np.array(model.getBasis().col_status, dtype=np.int8)
+    lower = np.where(status == _AT_LOWER, np.array(solution.col_dual), 0.0)
+    return np.array(solution.col_value), np.array(solution.row_dual), lower
 
 
 def _unpack(masks, width: int) -> np.ndarray:
@@ -489,6 +556,12 @@ def _unpack(masks, width: int) -> np.ndarray:
                          count=width, bitorder="little")
 
 
+# A float phase prices new columns into the mirror for at most
+# _INNER_ROUNDS solves and stops early once the mirror holds _BUFFER_CAP
+# columns.  The cap is soft: a phase can pass it by one round's
+# candidates, and every iteration still adds its exact candidates.  The
+# mirror stores 4 bytes per covered edge of each column, so its memory
+# follows the columns' sizes, not the edge count times the columns.
 _INNER_ROUNDS = 40
 _BUFFER_CAP = 60_000
 _TRUE_ADMIT = 8
@@ -512,16 +585,17 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
     """
     if len(buffer) == 0:
         return [], [], None
-    res = priced = None
+    priced = None
     for _ in range(_INNER_ROUNDS):
-        res = buffer.solve()
-        if res is None:
+        vertex = buffer.solve()
+        if vertex is None:
             return [], [], None
+        x, duals, lower = vertex
         # A degenerate vertex repeats few dual values, so each distinct
         # float is rounded once per solve.
         rounded = {}
         smoothed = []
-        for v in res.eqlin.marginals.tolist():
+        for v in duals.tolist():
             q = rounded.get(v)
             if q is None:
                 f = Fraction(v).limit_denominator(10 ** 9)
@@ -532,9 +606,9 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
         fresh = buffer.extend([pb.biclique for pb in found])
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
-    zero = res.x <= 1e-9
+    zero = x <= 1e-9
     support = np.nonzero(~zero)[0]
-    degenerate = np.nonzero(zero & (np.abs(res.lower.marginals) < 1e-9))[0]
+    degenerate = np.nonzero(zero & (np.abs(lower) < 1e-9))[0]
     return ([buffer.bicliques[i] for i in support],
             [buffer.bicliques[i] for i in degenerate], priced)
 

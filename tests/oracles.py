@@ -143,6 +143,16 @@ def brute_fooling_sets(a: BinaryMatrix) -> int:
     return best
 
 
+def dense_incidence(a: BinaryMatrix, bicliques) -> np.ndarray:
+    """Edges x bicliques 0/1 float matrix, entry by entry."""
+    mat = np.zeros((a.num_edges, len(bicliques)))
+    for col, b in enumerate(bicliques):
+        for i in b.row_indices():
+            for j in b.col_indices():
+                mat[a.edge_index[(i, j)], col] = 1.0
+    return mat
+
+
 def float_lp_value(a: BinaryMatrix, bicliques, sense: str) -> float:
     """Reference LP optimum from scipy (HiGHS), in floats.
 
@@ -151,11 +161,7 @@ def float_lp_value(a: BinaryMatrix, bicliques, sense: str) -> float:
     Returns the optimum, or None when HiGHS reports infeasible.
     """
     m = a.num_edges
-    mat = np.zeros((m, len(bicliques)))
-    for col, b in enumerate(bicliques):
-        for i in b.row_indices():
-            for j in b.col_indices():
-                mat[a.edge_index[(i, j)], col] = 1.0
+    mat = dense_incidence(a, bicliques)
     c = np.ones(len(bicliques))
     if sense == "partition":
         res = linprog(c, A_eq=mat, b_eq=np.ones(m), bounds=(0, None),
@@ -167,6 +173,17 @@ def float_lp_value(a: BinaryMatrix, bicliques, sense: str) -> float:
         return None
     assert res.success, res.message
     return res.fun
+
+
+def highs_ds_vertex(a: BinaryMatrix, bicliques):
+    """scipy's linprog(method="highs-ds") on the partition LP over
+    `bicliques`, from a dense matrix: (x, row duals, lower-bound
+    marginals), or None when it reports no optimum."""
+    res = linprog(np.ones(len(bicliques)), A_eq=dense_incidence(a, bicliques),
+                  b_eq=np.ones(a.num_edges), bounds=(0, None), method="highs-ds")
+    if not res.success:
+        return None
+    return res.x, res.eqlin.marginals, res.lower.marginals
 
 
 def random_binary_matrix(rng, max_rows=4, max_cols=4) -> BinaryMatrix:

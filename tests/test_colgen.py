@@ -42,7 +42,7 @@ from fracbp.lp import PARTITION, SimplexSolver, build_master, solve
 from fracbp.maximal import enumerate_maximal
 from fracbp.pricing import price_all
 
-from oracles import random_binary_matrix
+from oracles import highs_ds_vertex, random_binary_matrix
 
 FIVE_HALVES = rat(5, 2)
 SIX = rat(6)
@@ -405,10 +405,30 @@ def test_rejected_crash_gives_the_exact_master_every_strategy_column(
 # ---------------------------------------------------------------------------
 
 def buffered_columns(buffer):
-    return buffer._mat[:, :len(buffer)]
+    """The buffer's CSC columns as a dense edges x columns array; each
+    column's edge indices must be ascending, as scipy's CSC lists them."""
+    start, index = buffer._start, buffer._index
+    assert len(start) == len(buffer) + 1 and start[-1] == len(index)
+    dense = np.zeros((buffer._a.num_edges, len(buffer)))
+    for k in range(len(buffer)):
+        edges = index[start[k]:start[k + 1]]
+        assert (np.diff(edges) > 0).all()
+        dense[edges, k] = 1
+    return dense
 
 
-def test_float_buffer_columns_are_the_incidence_columns(d, rng):
+def solve_view(buffer, monkeypatch):
+    """The A_eq that the buffer's solve hands to colgen._linprog."""
+    import fracbp.colgen as colgen
+
+    seen = []
+    monkeypatch.setattr(colgen, "_linprog", lambda *, A_eq: seen.append(A_eq))
+    buffer.solve()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_float_buffer_columns_are_the_incidence_columns(d, rng, monkeypatch):
     d4 = kronecker_power(d, 4)
     cases = [(a, enumerate_all_bicliques(a)) for a in (
         d, kronecker(d, d), kronecker(crown(3), crown(4)))]
@@ -420,7 +440,7 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng):
     assert len(cases[-1][1]) == 256
     for a, bicliques in cases:
         buffer = _FloatBuffer(a)
-        # Uneven chunks make the array grow inside and across calls.
+        # Uneven chunks make the arrays grow inside and across calls.
         cut = len(bicliques) // 3
         assert buffer.extend(bicliques[:cut]) == cut
         assert buffer.extend(bicliques[cut:]) == len(bicliques) - cut
@@ -429,6 +449,10 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng):
         for k, b in enumerate(bicliques):
             expected[list(bit_indices(incidence_column(a, b))), k] = 1
         assert np.array_equal(buffered_columns(buffer), expected)
+    # The sparse store passes HiGHS less than a dense float64 A_eq would.
+    view = solve_view(buffer, monkeypatch)
+    assert view.shape == (d4.num_edges, 256)
+    assert view.nbytes < d4.num_edges * 256 * 8
 
 
 def test_float_buffer_skips_buffered_bicliques(d):
@@ -440,6 +464,42 @@ def test_float_buffer_skips_buffered_bicliques(d):
     assert buffer.extend([]) == 0
     assert buffer.bicliques == bicliques
     assert np.array_equal(buffered_columns(buffer), before)
+
+
+def test_float_solve_is_linprogs_vertex(d, crown5, rng):
+    cases = [d, kronecker(d, d), kronecker(crown(3), crown(4)), crown5]
+    while len(cases) < 44:
+        m, n = rng.randint(4, 7), rng.randint(4, 7)
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        if any(rows):
+            cases.append(BinaryMatrix(m, n, rows))
+    for a in cases:
+        bicliques = enumerate_all_bicliques(a)
+        buffer = _FloatBuffer(a)
+        buffer.extend(bicliques)
+        got, want = buffer.solve(), highs_ds_vertex(a, bicliques)
+        # Every biclique is there, stars included, so the LP is feasible.
+        assert got is not None and want is not None
+        for ours, theirs in zip(got, want):
+            assert np.array_equal(ours, theirs)
+
+
+def test_float_failure_only_loses_steering(d, m5, monkeypatch):
+    import fracbp.colgen as colgen
+
+    # Every float solve reports no optimum (append returns None).
+    calls = []
+    monkeypatch.setattr(colgen, "_linprog",
+                        lambda *, A_eq: calls.append(A_eq.shape))
+    report = run(d, ColGenConfig())
+    assert report.converged and report.value == FIVE_HALVES
+    assert_is_fractional_partition(d, report.support)
+    report = run(m5, ColGenConfig(init_strategy="stars"))
+    assert report.converged and report.value == 4
+    assert_is_fractional_partition(m5, report.support)
+    report = solve_power(d, 2, ColGenConfig())
+    assert report.converged and report.value == SIX
+    assert calls
 
 
 def test_float_buffer_refuses_what_is_no_biclique(d):
