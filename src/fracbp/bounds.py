@@ -93,7 +93,9 @@ def _max_clique(adj: list[int]) -> int:
 def fractional_cover_number(a: BinaryMatrix):
     """Exact bc_f: minimum total weight on bicliques covering each edge
     at least once.  Maximal bicliques suffice; growing a biclique never
-    hurts a covering solution."""
+    hurts a covering solution.  Maximal bicliques cover every edge, so
+    the LP always starts from a minimal cover of them and never needs
+    phase 1."""
     maximals = enumerate_maximal(a)
     sol = solve(build_master(a, maximals, COVER))
     if sol.status != "optimal":

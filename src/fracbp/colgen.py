@@ -396,7 +396,7 @@ def _exact_master(a, stars, carried, support, degenerate, initial):
     def build(bicliques):
         solver = SimplexSolver(a.num_edges, PARTITION,
                                [incidence_column(a, b) for b in bicliques])
-        solver.install_disjoint_start(range(len(stars)))
+        solver.install_start(range(len(stars)))
         return solver
 
     columns = list(dict.fromkeys([*stars, *carried, *support, *degenerate]))
@@ -651,8 +651,9 @@ def solve_power(
     the densest pool that fits, and each later level starts from the
     products of the previous level's optimal support with level 1's,
     which seeds its master close to optimal.  Every level's matrix and
-    lifted maximal bicliques are built exactly once, and only the top
-    level checkpoints and reports progress.  A power over the size cap
+    maximal bicliques are built exactly once, each from the level below
+    in one product step, and only the top level checkpoints and reports
+    progress.  A power over the size cap
     is refused before any level is built or solved.
     """
     if k < 1:
@@ -674,7 +675,8 @@ def solve_power(
     for level in range(1, k + 1):
         if level > 1:
             matrix = kronecker(matrix, base)
-            maximals = lift_maximal_kronecker(base_maximals, level, base_shape)
+            maximals = lift_maximal_kronecker(base_maximals, level, base_shape,
+                                              below=maximals)
             extra = initial_kronecker_support(support, base_support, base_shape)
         top = level == k
         report = run(matrix, config if top else inner, maximals=maximals,

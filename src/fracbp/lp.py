@@ -20,6 +20,13 @@ crashes a float vertex into its basis and reoptimizes.
 
 Design notes that matter for correctness:
 
+- Every solve that can starts feasible, from a basis whose inverse
+  has a closed form at determinant +-1 (`install_start`): column
+  generation's masters from the row stars, a stateless cover from a
+  minimal cover with surpluses on the other rows, a stateless
+  partition from its singleton columns.  Phase 1 from the
+  all-artificial basis (`solve_from_cold`) is only the fallback, and
+  the only source of Farkas rays.
 - Masters start with far fewer columns than rows, so the constraint
   matrix is rank deficient.  Redundant rows keep an artificial variable
   pinned in the basis at value zero forever; the ratio test caps the
@@ -194,32 +201,44 @@ class SimplexSolver:
 
     # -- basis installation --
 
-    def install_disjoint_start(self, col_ids) -> None:
-        """Feasible start from pairwise disjoint columns covering all rows.
+    def install_start(self, col_ids) -> None:
+        """Feasible start from columns that cover every row, each owning
+        a private row that no other start column covers.
 
-        Each column becomes basic at value 1 on its lowest row; every
-        other row of the column gets an artificial pinned at zero.  The
-        inverse has a closed form because the columns do not overlap, so
-        no elimination is needed, and its determinant is +-1.
+        Each column becomes basic at value 1 on its lowest private row.
+        Every other row r gets a row variable: in a partition the start
+        columns must be pairwise disjoint, and r gets an artificial
+        pinned at zero; in a cover r gets its surplus, at r's cover
+        count minus one.  With the private rows P first, the basis is
+        B = [[I, 0], [A_NP, s*I]] for s = +1 (artificial) or -1
+        (surplus), so B^-1 = [[I, 0], [-s*A_NP, s*I]] in closed form, at
+        determinant +-1 and with no elimination.
         """
         m = self.m
-        covered = 0
-        reps = []
+        count = [0] * m
         for cid in col_ids:
-            bits, rows = self.columns[cid]
-            if covered & bits:
-                raise ContractViolation("start columns must be disjoint")
-            covered |= bits
-            reps.append((cid, rows))
-        if covered != (1 << m) - 1:
+            for r in self.columns[cid][1]:
+                count[r] += 1
+        if not all(count):
             raise ContractViolation("start columns must cover every row")
-        basis = [self._art(r) for r in range(m)]
+        if self.sense == PARTITION and max(count) > 1:
+            raise ContractViolation("start columns must be disjoint")
+        s = 1 if self.sense == PARTITION else -1
+        basis = [self._art(r) if s == 1 else -1 - r for r in range(m)]
         t = np.eye(m, dtype=np.int64)
-        for cid, rows in reps:
-            rep = rows[0]
+        for cid in col_ids:
+            rows = self.columns[cid][1]
+            rep = next((r for r in rows if count[r] == 1), None)
+            if rep is None:
+                raise ContractViolation(
+                    f"start column {cid} has no row of its own")
             basis[rep] = cid
-            for i in rows[1:]:
-                t[i, rep] = -1
+            for i in rows:
+                if i != rep:
+                    t[i, rep] = -s
+        for r, code in enumerate(basis):
+            if code < 0:
+                t[r, r] = s
         self.basis = basis
         self._set_matrix(t, 1)
         self._feasible = True
@@ -267,7 +286,8 @@ class SimplexSolver:
 
     def solve_from_cold(self) -> str:
         """Phase 1 from the all-artificial basis, then phase 2; returns
-        "optimal" or "infeasible"."""
+        "optimal" or "infeasible".  `solve` falls back to this when it
+        has no start for `install_start`."""
         self.basis = [self._art(r) for r in range(self.m)]
         self._set_matrix(np.eye(self.m, dtype=np.int64), 1)
         self._feasible = False
@@ -578,13 +598,24 @@ class SimplexSolver:
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality or infeasibility, with exact certificates.
 
-    Each call builds a fresh `SimplexSolver` and starts it cold.
-    Optimal solutions are checked for primal feasibility and exact
-    strong duality before being returned; infeasible outcomes carry a
-    verified Farkas ray.
+    Each call builds a fresh `SimplexSolver` and runs phase 2 only from
+    a feasible start in closed form (`_start_columns`): a minimal cover
+    for a cover, the singleton columns for a partition.  When there is
+    none, because a cover's columns miss a row or a partition row has
+    no singleton column, it starts cold, and phase 1 either finds a
+    feasible basis or proves infeasibility.  Optimal solutions are
+    checked for primal feasibility and exact strong duality before
+    being returned; infeasible outcomes carry a verified Farkas ray.
+    The optimal value is unique, but which optimal vertex is returned
+    depends on the start.
     """
     s = SimplexSolver(lp.num_rows, lp.sense, lp.columns)
-    if s.solve_from_cold() == "infeasible":
+    start = _start_columns(s)
+    if start is not None:
+        s.install_start(start)
+        # Not `reoptimize`: bench/tracer.py times that as colgen's master.
+        s._optimize(phase=2)
+    elif s.solve_from_cold() == "infeasible":
         ray = s.farkas_ray()
         _check_farkas(lp, ray)
         return LpSolution("infeasible", None, None, ray)
@@ -595,6 +626,38 @@ def solve(lp: LinearProgram) -> LpSolution:
     obj = s.objective()
     _check_optimal(lp, x, y, obj)
     return LpSolution("optimal", obj, tuple(x), y)
+
+
+def _start_columns(s: SimplexSolver) -> list[int] | None:
+    """Column ids for `s.install_start`, or None when there are none.
+
+    Cover: a minimal cover.  Columns are scanned smallest first, ties to
+    the lower id, and each is dropped when all its rows are covered by
+    the columns still kept, so every kept column ends up owning a row.
+    Partition: each row's lowest-id singleton column, when every row
+    has one.
+    """
+    m = s.m
+    if s.sense == PARTITION:
+        singles: dict[int, int] = {}
+        for cid, (_, rows) in enumerate(s.columns):
+            if len(rows) == 1:
+                singles.setdefault(rows[0], cid)
+        return [singles[r] for r in range(m)] if len(singles) == m else None
+    count = [0] * m
+    for _, rows in s.columns:
+        for r in rows:
+            count[r] += 1
+    if not all(count):
+        return None
+    kept = set(range(len(s.columns)))
+    for cid in sorted(kept, key=lambda k: (len(s.columns[k][1]), k)):
+        rows = s.columns[cid][1]
+        if all(count[r] > 1 for r in rows):
+            for r in rows:
+                count[r] -= 1
+            kept.discard(cid)
+    return sorted(kept)
 
 
 def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
@@ -644,8 +707,12 @@ def solve_integer(lp: LinearProgram, node_cap: int = 100_000) -> IntegerSolution
     """Optimal integer (0/1) solution by LP-based branch and bound.
 
     Depth first, branching on the most fractional variable, diving on
-    the x=1 side first.  `node_cap` limits LP solves; exceeding it
-    raises NodeCapExceeded carrying the incumbent and root bound.
+    the x=1 side first.  Each node is one `solve`, so which optimal
+    vertex a node's LP returns steers the branching: the objective is
+    the integer optimum, but the selection is one optimum among
+    possibly several, and it and the node count move whenever `solve`'s
+    start does.  `node_cap` limits LP solves; exceeding it raises
+    NodeCapExceeded carrying the incumbent and root bound.
     """
     root = solve(lp)
     if root.status == "infeasible":

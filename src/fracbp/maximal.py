@@ -28,7 +28,8 @@ def enumerate_maximal(a: BinaryMatrix) -> list[Biclique]:
 
 
 def lift_maximal_kronecker(
-    base_maximals: list[Biclique], k: int, base_shape: tuple[int, int]
+    base_maximals: list[Biclique], k: int, base_shape: tuple[int, int],
+    below: list[Biclique] | None = None,
 ) -> list[Biclique]:
     """Maximal bicliques of the k-th Kronecker power of the base matrix.
 
@@ -39,6 +40,9 @@ def lift_maximal_kronecker(
         base_maximals: maximal bicliques of the base matrix.
         k: power, at least 1.
         base_shape: (num_rows, num_cols) of the base matrix.
+        below: the maximal bicliques of the (k-1)-th power, when they
+            are already at hand; level k is then one product step from
+            them instead of k-1 steps from the base.  Needs k >= 2.
 
     Returns:
         Canonically sorted list of the t^k product bicliques, for a base
@@ -46,8 +50,13 @@ def lift_maximal_kronecker(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    level = list(base_maximals)
-    for _ in range(k - 1):
+    if below is None:
+        level, steps = list(base_maximals), k - 1
+    elif k < 2:
+        raise ValueError("lifting from the level below needs k >= 2")
+    else:
+        level, steps = list(below), 1
+    for _ in range(steps):
         level = [
             kronecker_biclique(prev, b, base_shape)
             for prev in level

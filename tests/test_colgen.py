@@ -293,6 +293,38 @@ def test_ladder_builds_each_level_once(monkeypatch):
     assert calls == {"kronecker": 3, "lift_maximal_kronecker": 3}
 
 
+def test_ladder_lifts_each_level_from_the_one_below(monkeypatch):
+    import fracbp.colgen as colgen
+    import fracbp.maximal as maximal
+
+    products = 0
+    lifted = []
+    product = maximal.kronecker_biclique
+    lift = colgen.lift_maximal_kronecker
+
+    def counting_product(*args):
+        nonlocal products
+        products += 1
+        return product(*args)
+
+    def recording_lift(*args, **kwargs):
+        out = lift(*args, **kwargs)
+        lifted.append(out)
+        return out
+
+    monkeypatch.setattr(maximal, "kronecker_biclique", counting_product)
+    monkeypatch.setattr(colgen, "lift_maximal_kronecker", recording_lift)
+    triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+    report = solve_power(triangle, 6, ColGenConfig())
+    assert report.converged and report.value == 2 ** 6
+    # One product per maximal biclique kept: 4 + 8 + ... + 64 over
+    # levels 2..6, where lifting each level from the base took 228.
+    assert products == sum(map(len, lifted)) == 124
+    base = enumerate_maximal(triangle)
+    for level, out in enumerate(lifted, start=2):
+        assert out == lift(base, level, (2, 2))
+
+
 def test_power_zero_is_rejected(d):
     with pytest.raises(ContractViolation):
         solve_power(d, 0, ColGenConfig())

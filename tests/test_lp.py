@@ -7,6 +7,7 @@ import fracbp.lp as lp
 from fracbp.colgen import ColGenConfig, initial_stars, run
 from fracbp.core import (
     Biclique,
+    BinaryMatrix,
     enumerate_all_bicliques,
     incidence_column,
     kronecker,
@@ -22,7 +23,8 @@ from fracbp.lp import (
     solve_integer,
 )
 from fracbp.maximal import enumerate_maximal
-from fracbp._rational import rat
+from fracbp._rational import rat, rat_ceil
+from fracbp.bounds import fractional_cover_number
 
 from oracles import float_lp_value, random_binary_matrix
 
@@ -252,7 +254,7 @@ def star_started_solver(a, bicliques):
     stars = initial_stars(a)
     solver = SimplexSolver(a.num_edges, PARTITION,
                            [incidence_column(a, b) for b in stars + list(bicliques)])
-    solver.install_disjoint_start(range(len(stars)))
+    solver.install_start(range(len(stars)))
     return solver, list(range(len(stars), len(stars) + len(bicliques)))
 
 
@@ -276,13 +278,119 @@ def test_disjoint_start_validation(d):
                            [0b0000011, 0b0000110, 0b1111100])
     a_id, b_id, c_id = 0, 1, 2  # b overlaps a on edge 1
     with pytest.raises(ContractViolation):
-        solver.install_disjoint_start([a_id, b_id])
+        solver.install_start([a_id, b_id])
     with pytest.raises(ContractViolation):
-        solver.install_disjoint_start([a_id])  # does not cover
-    solver.install_disjoint_start([a_id, c_id])
+        solver.install_start([a_id])  # does not cover
+    solver.install_start([a_id, c_id])
     solver.reoptimize()
     assert solver.objective() == rat(2)
     assert a_id in solver.basis
+
+
+def test_cover_start_is_a_closed_form_inverse(crown5):
+    # A minimal cover of crown5's maximals, the other rows on surpluses:
+    # T is B^-1 exactly at delta 1 and every basic value is the row's
+    # cover count minus one, or 1 for a start column.
+    prog = build_master(crown5, enumerate_maximal(crown5), COVER)
+    solver = SimplexSolver(prog.num_rows, COVER, prog.columns)
+    start = lp._start_columns(solver)
+    solver.install_start(start)
+    m = prog.num_rows
+    b = np.zeros((m, m), dtype=np.int64)
+    for slot, code in enumerate(solver.basis):
+        if code >= 0:
+            b[list(solver.columns[code][1]), slot] = 1
+        else:
+            assert -1 - code == slot  # a surplus on its own row
+            b[slot, slot] = -1
+    assert solver.delta == 1 and np.array_equal(solver.T @ b, np.eye(m))
+    count = [sum((prog.columns[k] >> r) & 1 for k in start) for r in range(m)]
+    x = solver.T.sum(axis=1)
+    for slot, code in enumerate(solver.basis):
+        assert x[slot] == (1 if code >= 0 else count[slot] - 1)
+    solver.reoptimize()
+    assert solver.objective() == rat(10, 3)
+    with pytest.raises(ContractViolation, match="no row of its own"):
+        solver.install_start(list(range(prog.num_cols)))
+    with pytest.raises(ContractViolation, match="cover every row"):
+        solver.install_start(start[1:])
+
+
+def random_4_to_7(rng):
+    while True:
+        m, n = rng.randint(4, 7), rng.randint(4, 7)
+        a = BinaryMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+        if a.num_edges:
+            return a
+
+
+def random_6x6(rng):
+    return BinaryMatrix(6, 6, tuple(rng.getrandbits(6) | 1 for _ in range(6)))
+
+
+def cold_objective(prog):
+    solver = SimplexSolver(prog.num_rows, prog.sense, prog.columns)
+    assert solver.solve_from_cold() == "optimal"
+    return solver.objective(), solver.pivots
+
+
+def test_started_solve_matches_the_cold_solve(rng):
+    for _ in range(40):
+        a = random_4_to_7(rng)
+        for bicliques, sense in ((enumerate_maximal(a), COVER),
+                                 (enumerate_all_bicliques(a), PARTITION)):
+            prog = build_master(a, bicliques, sense)
+            sol = solve(prog)
+            assert sol.status == "optimal"
+            assert sol.objective == cold_objective(prog)[0]
+
+
+def test_covers_never_start_cold(rng, crown5, monkeypatch):
+    calls = 0
+    cold = SimplexSolver.solve_from_cold
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return cold(self)
+
+    monkeypatch.setattr(SimplexSolver, "solve_from_cold", counting)
+    assert fractional_cover_number(crown5) == rat(10, 3)
+    for _ in range(10):
+        assert fractional_cover_number(random_6x6(rng)) > 0
+    assert calls == 0
+
+
+def test_cover_start_takes_under_half_the_cold_pivots(rng, crown5, monkeypatch):
+    started = 0
+    optimize = SimplexSolver._optimize
+
+    def counting(self, phase):
+        nonlocal started
+        before = self.pivots
+        optimize(self, phase)
+        started += self.pivots - before
+
+    progs = [build_master(crown5, enumerate_maximal(crown5), COVER)]
+    for _ in range(20):
+        a = random_6x6(rng)
+        progs.append(build_master(a, enumerate_maximal(a), COVER))
+    cold = sum(cold_objective(prog)[1] for prog in progs)
+    monkeypatch.setattr(SimplexSolver, "_optimize", counting)
+    for prog in progs:
+        solve(prog)
+    assert 0 < 2 * started < cold
+
+
+def test_cover_missing_a_row_returns_a_farkas_ray():
+    # Row 2 is in no column, so the cover is infeasible.
+    prog = LinearProgram(4, (0b0011, 0b1001, 0b0001), COVER)
+    sol = solve(prog)
+    assert sol.status == "infeasible"
+    y = sol.dual
+    assert all(v >= 0 for v in y) and sum(y, rat(0)) > 0
+    for bits in prog.columns:
+        assert sum(y[r] for r in range(prog.num_rows) if (bits >> r) & 1) <= 0
 
 
 def test_crash_installs_an_optimal_basis(d):
@@ -399,5 +507,5 @@ def test_integer_matches_float_reference(rng):
         assert frac <= res.objective
         sums = edge_sums(prog, [rat(v) for v in res.selection])
         assert all(s >= 1 for s in sums)
-        better = [s for s in range(res.objective)]
-        assert len(better) == res.objective  # objective is a plain int
+        assert res.objective == sum(res.selection)
+        assert res.objective >= rat_ceil(frac)

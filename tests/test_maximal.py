@@ -81,3 +81,16 @@ def test_lift_counts_and_validity(d):
     assert lift_maximal_kronecker(base, 1, (3, 3)) == sorted(base)
     with pytest.raises(ValueError):
         lift_maximal_kronecker(base, 0, (3, 3))
+    with pytest.raises(ValueError):
+        lift_maximal_kronecker(base, 1, (3, 3), below=base)
+
+
+def test_lift_from_the_level_below_matches_the_lift_from_the_base(rng, d):
+    cases = [d] + [random_binary_matrix(rng, 3, 3) for _ in range(6)]
+    for a in cases:
+        base = enumerate_maximal(a)
+        shape = (a.num_rows, a.num_cols)
+        level = base
+        for k in range(2, 5):
+            level = lift_maximal_kronecker(base, k, shape, below=level)
+            assert level == lift_maximal_kronecker(base, k, shape)
