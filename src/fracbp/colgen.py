@@ -21,17 +21,18 @@ float solve passes them to a fresh model of HiGHS's dual simplex
 through scipy's own binding.  Each iteration runs the mirror to a
 standstill and then builds the exact master afresh, listing each of
 its columns once: the stars, `carried` (the structural columns of the
-previous exact basis plus a few exact candidates), and the columns the
-float vertex names.  That vertex is crashed in as the starting basis,
-so the exact simplex only repairs and certifies it; if the crash is
-rejected, the exact master is built again with every strategy column
-as well, and if a float solve fails, it takes every column of the
-mirror.  The floats only steer: the crash is kept only if exactly
-feasible, and alpha, the bounds, convergence and the certificate all
-come from the exact master's dual.  The previous exact optimum stays feasible in the next
-exact master, so the objective never rises.  When the exact dual equals
-the rounded float dual the mirror priced last, that pricing result is
-the exact one, and it is reused instead of priced again.
+previous exact basis plus a few exact candidates), and the basic
+columns of HiGHS's final optimal basis.  That basis is crashed in
+whole, the artificials of its basic rows first, so the exact simplex
+only certifies it; if the crash is rejected, the exact master is built
+again with every strategy column as well, and if a float solve fails,
+it takes every column of the mirror.  The floats only steer: the crash
+is kept only if exactly feasible, and alpha, the bounds, convergence
+and the certificate all come from the exact master's dual.  The
+previous exact optimum stays feasible in the next exact master, so the
+objective never rises.  When the exact dual equals the rounded float
+dual the mirror priced last, that pricing result is the exact one, and
+it is reused instead of priced again.
 
 `carried` can be checkpointed to JSON every iteration and resumed
 later: a resumed run seeds the float mirror with it and carries it all
@@ -113,7 +114,7 @@ class IterationRecord:
     """One iteration's bounds and the counts of the columns it carries.
 
     `pool_size` counts `carried`, the columns this iteration hands to
-    the next exact master besides the stars and the float vertex: the
+    the next exact master besides the stars and HiGHS's basis: the
     structural columns of its optimal basis plus the candidates admitted
     for the next one.  It is also what the checkpoint holds.  `added`
     and `pruned` count the carried columns that the previous iteration
@@ -301,17 +302,17 @@ def run(
         # the optimal dual face, and columns priced on a single extreme point
         # often miss the ones the primal actually needs.  Candidates are
         # therefore collected in the float mirror first: its inner loop runs
-        # to a standstill, and the exact master takes the columns of its
-        # final vertex, with that vertex crashed in as its basis.
+        # to a standstill, and the exact master takes the basic columns of
+        # its final optimal basis, with that basis crashed in.
         t0 = time.perf_counter()
-        support, degenerate, priced = _float_phase(a, maximals, buffer, threshold)
+        basic, basic_rows, priced = _float_phase(a, maximals, buffer, threshold)
         t1 = time.perf_counter()
-        if not support:
+        if not basic:
             # The float solve failed.  Carrying only the basis and a few
             # candidates can then cycle, so the exact master takes every
             # buffered column, which is plain column generation.
             carried = carried + buffer.bicliques
-        solver, columns = _exact_master(a, stars, carried, support, degenerate, initial)
+        solver, columns = _exact_master(a, stars, carried, basic, basic_rows, initial)
         solver.reoptimize()
         t_float += t1 - t0
         t_master += time.perf_counter() - t1
@@ -381,17 +382,18 @@ def run(
         timings=timings)
 
 
-def _exact_master(a, stars, carried, support, degenerate, initial):
-    """One iteration's exact master, with the float vertex crashed in.
+def _exact_master(a, stars, carried, basic, basic_rows, initial):
+    """One iteration's exact master, with HiGHS's optimal basis crashed in.
 
     The master's columns are the stars, installed as the disjoint start,
-    then `carried`, then the float vertex's `support` and `degenerate`
-    candidates, each listed once in that order.  The candidates are
-    crashed in in the same order, and those the crash leaves out stay
-    as nonbasic columns.  When the crash is rejected, the master is
-    built again over the same columns plus the strategy columns
-    `initial`, since it must then find its own way.  Returns the solver
-    and its columns as a list of bicliques indexed by column id.
+    then `carried`, then HiGHS's `basic` columns, each listed once in
+    that order.  The crash takes the artificials of `basic_rows` first,
+    then the basic columns: together they name a nonsingular basis, so
+    each takes at most one exchange and the crash rebuilds HiGHS's basis
+    exactly.  When the crash is rejected, the master is built again over
+    the same columns plus the strategy columns `initial`, since it must
+    then find its own way.  Returns the solver and its columns as a list
+    of bicliques indexed by column id.
     """
     def build(bicliques):
         solver = SimplexSolver(a.num_edges, PARTITION,
@@ -399,10 +401,11 @@ def _exact_master(a, stars, carried, support, degenerate, initial):
         solver.install_start(range(len(stars)))
         return solver
 
-    columns = list(dict.fromkeys([*stars, *carried, *support, *degenerate]))
+    columns = list(dict.fromkeys([*stars, *carried, *basic]))
     solver = build(columns)
     ids = {b: cid for cid, b in enumerate(columns)}
-    if not solver.crash([ids[b] for b in support + degenerate]):
+    codes = [solver.artificial(r) for r in basic_rows] + [ids[b] for b in basic]
+    if not solver.crash(codes):
         columns = list(dict.fromkeys([*columns, *initial]))
         solver = build(columns)
     return solver, columns
@@ -415,9 +418,10 @@ class _FloatBuffer:
     Columns here cost one float column each, so the buffer can afford
     every strategy column and the floods of near-duplicate candidates
     that would drown the exact master, which each iteration rebuilds
-    from the stars, its last basis, a few candidates and the columns the
-    float vertex names.  Insertion order is fixed and deduplication is
-    by canonical biclique key, keeping the float solves deterministic.
+    from the stars, its last basis, a few candidates and the basic
+    columns of HiGHS's optimal basis.  Insertion order is fixed and
+    deduplication is by canonical biclique key, keeping the float solves
+    deterministic.
 
     The columns are stored sparse, by columns (CSC): `_start[j]` is
     where column j's edge indices begin in `_index`, ascending, and
@@ -479,7 +483,7 @@ class _FloatBuffer:
 
     def solve(self):
         """One float solve of the buffered master, as `_linprog` returns
-        it: (x, row duals, lower-bound marginals), or None on failure."""
+        it: (x, row duals, basic variables), or None on failure."""
         return _linprog(A_eq=_Csc(
             self._start, self._index, np.ones(len(self._index)),
             (self._a.num_edges, len(self))))
@@ -502,21 +506,20 @@ class _Csc(NamedTuple):
 _DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
-_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 
 
 def _linprog(*, A_eq: _Csc):
     """Minimise the sum of x subject to A_eq x = 1 and x >= 0 by HiGHS
-    dual simplex.  Returns (x, row duals, lower-bound marginals) at an
-    optimal vertex, or None when HiGHS reports no optimum.
+    dual simplex.  Returns (x, row duals, basic variables) at an optimal
+    vertex, or None when HiGHS reports no optimum or no basis.
 
     Each call builds a fresh HiGHS model and sets the options that
     scipy's linprog(method="highs-ds") sets: presolve on, the simplex
     solver, the dual simplex strategy and no output.  The vertex is
     therefore the one linprog returns, without linprog's per-call
-    option checks and conversions.  A column's lower-bound marginal is
-    its dual where HiGHS reports it nonbasic at its lower bound and 0
-    otherwise, as linprog reports it.
+    option checks and conversions.  The basic variables are HiGHS's
+    optimal basis, one per row in HiGHS's convention: j >= 0 is column
+    j and -1 - r is row r's slack.
 
     The name is kept from when this was scipy's linprog: the
     benchmark's tracer wraps `colgen._linprog` by name and reads
@@ -541,10 +544,11 @@ def _linprog(*, A_eq: _Csc):
             or model.run() == _highs.HighsStatus.kError
             or model.getModelStatus() != _highs.HighsModelStatus.kOptimal):
         return None
+    status, basic = model.getBasicVariables()
+    if status != _highs.HighsStatus.kOk:
+        return None
     solution = model.getSolution()
-    status = np.array(model.getBasis().col_status, dtype=np.int8)
-    lower = np.where(status == _AT_LOWER, np.array(solution.col_dual), 0.0)
-    return np.array(solution.col_value), np.array(solution.row_dual), lower
+    return np.array(solution.col_value), np.array(solution.row_dual), basic
 
 
 def _unpack(masks, width: int) -> np.ndarray:
@@ -572,16 +576,15 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
 
     Alternates float solves with pricing rounds against the float dual
     (snapshotted as exact rationals) until pricing stops producing new
-    columns.  Returns basis candidates from the final vertex, in buffer
-    order: the support bicliques, then the zero-valued ones with zero
-    reduced cost (where the rest of HiGHS's optimal basis lies).  The
-    third item is the last priced dual with its `price_all` result, as
-    (dual tuple, (alpha, candidates)), or None: when the crash makes the
-    exact dual equal that dual, the exact pass reuses the result instead
-    of pricing again.  Everything else is advisory: the exact master
-    crashes the candidates in only if the result is exactly feasible,
-    and the true pricing pass still decides convergence, so a float
-    failure just returns no candidates.
+    columns.  Returns HiGHS's optimal basis at the final vertex: its
+    basic bicliques in buffer order, and the rows whose slack is basic,
+    ascending.  The third item is the last priced dual with its
+    `price_all` result, as (dual tuple, (alpha, candidates)), or None:
+    when the crash makes the exact dual equal that dual, the exact pass
+    reuses the result instead of pricing again.  Everything else is
+    advisory: the exact master crashes the basis in only if the result
+    is exactly feasible, and the true pricing pass still decides
+    convergence, so a float failure just returns an empty basis.
     """
     if len(buffer) == 0:
         return [], [], None
@@ -590,7 +593,7 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
         vertex = buffer.solve()
         if vertex is None:
             return [], [], None
-        x, duals, lower = vertex
+        _, duals, basic = vertex
         # A degenerate vertex repeats few dual values, so each distinct
         # float is rounded once per solve.
         rounded = {}
@@ -606,11 +609,9 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
         fresh = buffer.extend([pb.biclique for pb in found])
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
-    zero = x <= 1e-9
-    support = np.nonzero(~zero)[0]
-    degenerate = np.nonzero(zero & (np.abs(lower) < 1e-9))[0]
-    return ([buffer.bicliques[i] for i in support],
-            [buffer.bicliques[i] for i in degenerate], priced)
+    columns = np.sort(basic[basic >= 0])
+    rows = np.sort(-1 - basic[basic < 0])
+    return [buffer.bicliques[j] for j in columns.tolist()], rows.tolist(), priced
 
 
 def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:

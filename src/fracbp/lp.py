@@ -16,7 +16,7 @@ Two entry points: `solve` is stateless and certifies its answer
 (strong duality, feasibility, or a Farkas ray).  `SimplexSolver` is the
 engine underneath, which column generation also drives directly: it
 takes every column when it is built, and each iteration builds one,
-crashes a float vertex into its basis and reoptimizes.
+crashes a float solver's optimal basis into it and reoptimizes.
 
 Design notes that matter for correctness:
 
@@ -56,11 +56,12 @@ Design notes that matter for correctness:
   and none can drift.  The lexicographic reference is never
   materialized; its entries are read off T and a snapshot of the reset
   basis only when a tie actually needs them.
-- Warm starts come from a float solver's optimal vertex: `crash` pivots
-  the suggested columns into the current basis without a ratio test,
-  then checks exactly that the result is primal feasible and keeps it
-  only if so.  The float solver finds the basis and exact arithmetic
-  only certifies it: after a good crash, a warm-started master is one
+- Warm starts come from a float solver's optimal basis: `crash` pivots
+  its basic columns, and the artificials of its basic rows, into the
+  current basis without a ratio test, one exchange per code, then
+  checks exactly that the result is primal feasible and keeps it only
+  if so.  The float solver finds the basis and exact arithmetic only
+  certifies it: after a good crash, a warm-started master is one
   certifying pricing scan with no basis exchange, and a bad suggestion
   costs nothing but the crash.  Every basis inverse comes from the
   same fraction-free pivots; there is no separate rational inversion.
@@ -224,7 +225,7 @@ class SimplexSolver:
         if self.sense == PARTITION and max(count) > 1:
             raise ContractViolation("start columns must be disjoint")
         s = 1 if self.sense == PARTITION else -1
-        basis = [self._art(r) if s == 1 else -1 - r for r in range(m)]
+        basis = [self.artificial(r) if s == 1 else -1 - r for r in range(m)]
         t = np.eye(m, dtype=np.int64)
         for cid in col_ids:
             rows = self.columns[cid][1]
@@ -246,16 +247,24 @@ class SimplexSolver:
     def crash(self, codes) -> bool:
         """Pivot `codes` into the basis in order, without a ratio test.
 
-        Meant for an optimal basis suggested by a float solver, support
-        columns first.  Each code that is not basic takes the first free
-        row with a nonzero tableau entry, artificial rows first, and is
-        skipped when there is none; a row is free until the code holding
-        it has had its turn.  The new basis is kept only if it is exactly
-        primal feasible with every artificial at zero; otherwise the old
-        basis, inverse and regime are restored and False is returned.
+        Meant for an optimal basis suggested by a float solver.  Codes
+        are distinct basis codes: structural column ids or row
+        variables, such as the `artificial` of each row whose slack the
+        float solver keeps basic.  Each code that is not basic takes the
+        first free row with a nonzero tableau entry, artificial rows
+        first, and is skipped when there is none; a row is free until
+        the code holding it has had its turn.  When the codes name a
+        nonsingular basis, each of them finds a free row in any order,
+        since a column whose tableau entries all sit on taken rows lies
+        in the span of the codes that took them; so a full basis is
+        rebuilt exactly, with at most one exchange per code.  The new
+        basis is kept only if it is exactly primal feasible with every
+        artificial at zero; otherwise the old basis, inverse and regime
+        are restored and False is returned.
         """
         saved = (list(self.basis), self.T, self.delta, self._objmode, self._tmax)
         fixed = np.zeros(self.m, dtype=bool)
+        free = self.m
         art = self._art_mask()
         where = {code: i for i, code in enumerate(self.basis)}
         for code in codes:
@@ -272,7 +281,8 @@ class SimplexSolver:
                 art[pos] = self._is_art(code)
                 self._exchange(code, pos, t_nums)
             fixed[pos] = True
-            if fixed.all():
+            free -= 1
+            if not free:
                 # No later code can find a free row.
                 break
         x = self._basic_numerators()
@@ -288,7 +298,7 @@ class SimplexSolver:
         """Phase 1 from the all-artificial basis, then phase 2; returns
         "optimal" or "infeasible".  `solve` falls back to this when it
         has no start for `install_start`."""
-        self.basis = [self._art(r) for r in range(self.m)]
+        self.basis = [self.artificial(r) for r in range(self.m)]
         self._set_matrix(np.eye(self.m, dtype=np.int64), 1)
         self._feasible = False
         self._optimize(phase=1)
@@ -325,10 +335,11 @@ class SimplexSolver:
     def farkas_ray(self) -> tuple:
         return self._farkas
 
-    # -- internals --
-
-    def _art(self, r: int) -> int:
+    def artificial(self, r: int) -> int:
+        """Basis code of row r's artificial."""
         return -1 - self.m - r
+
+    # -- internals --
 
     def _is_art(self, code: int) -> bool:
         return code < -self.m
@@ -617,14 +628,14 @@ def solve(lp: LinearProgram) -> LpSolution:
         s._optimize(phase=2)
     elif s.solve_from_cold() == "infeasible":
         ray = s.farkas_ray()
-        _check_farkas(lp, ray)
+        _check_farkas(lp, s.columns, ray)
         return LpSolution("infeasible", None, None, ray)
     x = [ZERO] * lp.num_cols
     for cid, v in s.primal_by_id().items():
         x[cid] = v
     y = s.duals()
     obj = s.objective()
-    _check_optimal(lp, x, y, obj)
+    _check_optimal(lp, s.columns, x, y, obj)
     return LpSolution("optimal", obj, tuple(x), y)
 
 
@@ -660,16 +671,18 @@ def _start_columns(s: SimplexSolver) -> list[int] | None:
     return sorted(kept)
 
 
-def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
+def _check_optimal(lp: LinearProgram, columns, x, y, obj) -> None:
+    # `columns` is lp's columns as a solver holds them, (bits, rows) per
+    # column, so no column is split into its rows again here.
     # Denominators are cleared once, so every per-row and per-column
     # sum is over integers: x = xn / dx and y = yn / dy.
     dx, xn = clear_denominators(x)
     cover = [0] * lp.num_rows
-    for bits, v in zip(lp.columns, xn):
+    for (_, rows), v in zip(columns, xn):
         if v < 0:
             raise InvariantViolation("negative primal value")
         if v:
-            for r in bit_indices(bits):
+            for r in rows:
                 cover[r] += v
     for r, c in enumerate(cover):
         ok = (c == dx) if lp.sense == PARTITION else (c >= dx)
@@ -681,19 +694,20 @@ def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
     if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover dual must be nonnegative")
     getter = yn.__getitem__
-    for k, bits in enumerate(lp.columns):
-        if sum(map(getter, bit_indices(bits))) > dy:
+    for k, (_, rows) in enumerate(columns):
+        if sum(map(getter, rows)) > dy:
             raise InvariantViolation(f"dual infeasible at column {k}")
 
 
-def _check_farkas(lp: LinearProgram, y) -> None:
-    # y = yn / dy with dy > 0, so every sign test holds on yn alone.
+def _check_farkas(lp: LinearProgram, columns, y) -> None:
+    # `columns` as in _check_optimal; y = yn / dy with dy > 0, so every
+    # sign test holds on yn alone.
     _, yn = clear_denominators(y)
     if sum(yn) <= 0:
         raise InvariantViolation("Farkas ray has nonpositive objective")
     getter = yn.__getitem__
-    for k, bits in enumerate(lp.columns):
-        if sum(map(getter, bit_indices(bits))) > 0:
+    for k, (_, rows) in enumerate(columns):
+        if sum(map(getter, rows)) > 0:
             raise InvariantViolation(f"Farkas ray violated by column {k}")
     if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover Farkas ray must be nonnegative")

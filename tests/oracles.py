@@ -177,13 +177,13 @@ def float_lp_value(a: BinaryMatrix, bicliques, sense: str) -> float:
 
 def highs_ds_vertex(a: BinaryMatrix, bicliques):
     """scipy's linprog(method="highs-ds") on the partition LP over
-    `bicliques`, from a dense matrix: (x, row duals, lower-bound
-    marginals), or None when it reports no optimum."""
+    `bicliques`, from a dense matrix: (x, row duals), or None when it
+    reports no optimum."""
     res = linprog(np.ones(len(bicliques)), A_eq=dense_incidence(a, bicliques),
                   b_eq=np.ones(a.num_edges), bounds=(0, None), method="highs-ds")
     if not res.success:
         return None
-    return res.x, res.eqlin.marginals, res.lower.marginals
+    return res.x, res.eqlin.marginals
 
 
 def random_binary_matrix(rng, max_rows=4, max_cols=4) -> BinaryMatrix:

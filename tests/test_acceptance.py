@@ -307,7 +307,7 @@ def test_12_certificates_on_every_optimal_solve(d, crown5):
         enumerate_maximal(dd))
 
 
-def test_13_interrupted_resume_reproduces_the_value(tmp_path, m5):
+def test_13_interrupted_resume_reproduces_the_value(tmp_path, m5, one_inner_round):
     uninterrupted = run(m5, ColGenConfig(init_strategy="stars"))
     assert uninterrupted.converged
 

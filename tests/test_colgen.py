@@ -182,7 +182,7 @@ def test_foreign_initial_column_is_rejected(d):
 # Report invariants
 # ---------------------------------------------------------------------------
 
-def test_records_are_monotone_and_bounded(d, m5):
+def test_records_are_monotone_and_bounded(d, m5, one_inner_round):
     for matrix in (d, m5):
         report = run(matrix, ColGenConfig(init_strategy="stars"))
         objectives = [r.objective for r in report.records]
@@ -204,7 +204,7 @@ def test_dual_certificate_prices_below_one_everywhere(d):
     assert sum(report.dual, rat(0)) == report.value
 
 
-def test_iteration_cap_reports_honest_upper_bound(m5):
+def test_iteration_cap_reports_honest_upper_bound(m5, one_inner_round):
     report = run(m5, ColGenConfig(init_strategy="stars", max_iterations=1))
     assert not report.converged
     assert report.value >= 4
@@ -212,7 +212,7 @@ def test_iteration_cap_reports_honest_upper_bound(m5):
     assert_is_fractional_partition(m5, report.support)
 
 
-def test_reports_are_deterministic(d, m5):
+def test_reports_are_deterministic(d, m5, one_inner_round):
     for a in (d, m5):
         first = run(a, ColGenConfig(init_strategy="stars"))
         second = run(a, ColGenConfig(init_strategy="stars"))
@@ -233,8 +233,8 @@ def test_timings_book_the_float_mirror_apart(d):
 
 def test_float_vertex_leaves_the_exact_master_few_pivots(monkeypatch):
     # The float mirror's optimal basis is crashed into the exact master,
-    # which then only certifies it; from its last basis alone the master
-    # walks 1292 pivots here.
+    # which then only certifies it in one pricing pass; from its last
+    # basis alone the master walks 1292 pivots here.
     pivots = 0
     reoptimize = SimplexSolver.reoptimize
 
@@ -247,7 +247,55 @@ def test_float_vertex_leaves_the_exact_master_few_pivots(monkeypatch):
     monkeypatch.setattr(SimplexSolver, "reoptimize", counting)
     report = run(kronecker(crown(3), crown(4)), ColGenConfig())
     assert report.converged and report.value == 9
-    assert pivots <= 10
+    assert pivots <= 1
+
+
+def test_crash_rebuilds_highs_basis_with_one_exchange_per_code(
+        d, crown5, rng, monkeypatch):
+    # The crash takes HiGHS's optimal basis, artificials of its basic
+    # rows first: at most m codes, each costing at most one tableau
+    # column, and the exact master it leaves is already optimal.
+    ftrans = 0
+    crashes = []
+    reopt_pivots = []
+    ftran, crash, reoptimize = (SimplexSolver._ftran_scaled,
+                                SimplexSolver.crash, SimplexSolver.reoptimize)
+
+    def counting_ftran(self, code):
+        nonlocal ftrans
+        ftrans += 1
+        return ftran(self, code)
+
+    def recording_crash(self, codes):
+        before = ftrans
+        accepted = crash(self, codes)
+        crashes.append((self.m, len(codes), ftrans - before, accepted))
+        return accepted
+
+    def counting_reoptimize(self):
+        before = self.pivots
+        reoptimize(self)
+        reopt_pivots.append(self.pivots - before)
+
+    monkeypatch.setattr(SimplexSolver, "_ftran_scaled", counting_ftran)
+    monkeypatch.setattr(SimplexSolver, "crash", recording_crash)
+    monkeypatch.setattr(SimplexSolver, "reoptimize", counting_reoptimize)
+    cases = [kronecker(crown(3), crown(4)), kronecker(d, d), crown5]
+    while len(cases) < 43:
+        m, n = rng.randint(4, 7), rng.randint(4, 7)
+        rows = tuple(rng.getrandbits(n) for _ in range(m))
+        if any(rows):
+            cases.append(BinaryMatrix(m, n, rows))
+    for a in cases:
+        crashes.clear()
+        reopt_pivots.clear()
+        report = run(a, ColGenConfig())
+        assert report.converged
+        assert crashes and len(crashes) == len(reopt_pivots)
+        for m, codes, ftran_calls, accepted in crashes:
+            assert accepted and codes <= m and ftran_calls <= m
+        # One pricing pass per exact master, no basis exchange.
+        assert reopt_pivots == [1] * len(reopt_pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +429,8 @@ def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
 
 
 def recorded_exact_masters(monkeypatch):
-    """Record each iteration's float vertex as (support, degenerate) and
-    each exact master as (carried, solver, columns)."""
+    """Record each iteration's basic float columns and each exact master
+    as (carried, solver, columns)."""
     import fracbp.colgen as colgen
 
     vertices, masters = [], []
@@ -390,7 +438,7 @@ def recorded_exact_masters(monkeypatch):
 
     def recording_float_phase(*args):
         result = float_phase(*args)
-        vertices.append(result[:2])
+        vertices.append(result[0])
         return result
 
     def recording_exact_master(a, stars, carried, *rest):
@@ -406,7 +454,7 @@ def recorded_exact_masters(monkeypatch):
 def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch):
     # The union init offers all 1824 bicliques; they seed the float
     # mirror, and the exact master takes only the stars, the carried
-    # columns and the columns the float vertex names.
+    # columns and the basic columns of HiGHS's optimal basis.
     vertices, masters = recorded_exact_masters(monkeypatch)
     a = kronecker(crown(3), crown(4))
     report = run(a, ColGenConfig())
@@ -414,8 +462,8 @@ def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch)
     assert_is_fractional_partition(a, report.support)
     assert len(vertices) == len(masters) == report.iterations
     stars = initial_stars(a)
-    for (support, degenerate), (carried, solver, columns) in zip(vertices, masters):
-        assert set(columns) <= {*stars, *carried, *support, *degenerate}
+    for basic, (carried, solver, columns) in zip(vertices, masters):
+        assert set(columns) <= {*stars, *carried, *basic}
         assert len(solver.columns) == len(columns)
 
 
@@ -512,8 +560,13 @@ def test_float_solve_is_linprogs_vertex(d, crown5, rng):
         got, want = buffer.solve(), highs_ds_vertex(a, bicliques)
         # Every biclique is there, stars included, so the LP is feasible.
         assert got is not None and want is not None
-        for ours, theirs in zip(got, want):
-            assert np.array_equal(ours, theirs)
+        x, duals, basic = got
+        assert np.array_equal(x, want[0]) and np.array_equal(duals, want[1])
+        # One basic variable per row: a column j >= 0 or row r's slack
+        # as -1 - r, never the same one twice.
+        m = a.num_edges
+        assert len(basic) == len(set(basic.tolist())) == m
+        assert ((-m <= basic) & (basic < len(bicliques))).all()
 
 
 def test_float_failure_only_loses_steering(d, m5, monkeypatch):
@@ -647,7 +700,7 @@ def test_checkpoint_is_written_every_iteration(tmp_path, d):
     assert len(raw) == report.records[-1].pool_size
 
 
-def test_interrupted_run_resumes_to_the_same_value(tmp_path, m5):
+def test_interrupted_run_resumes_to_the_same_value(tmp_path, m5, one_inner_round):
     uninterrupted = run(m5, ColGenConfig(init_strategy="stars"))
 
     path = str(tmp_path / "state.json")

@@ -138,26 +138,32 @@ def test_maximals_only_partition_is_infeasible(d):
     assert sol.status == "infeasible"
 
 
+def split_columns(prog: LinearProgram):
+    """The program's columns as a solver holds them: (bits, rows)."""
+    return SimplexSolver(prog.num_rows, prog.sense, prog.columns).columns
+
+
 def test_certificate_checks_refuse_bad_certificates(d):
     prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
+    cols = split_columns(prog)
     sol = solve(prog)
     x, y, obj = list(sol.primal), list(sol.dual), sol.objective
-    lp._check_optimal(prog, x, y, obj)
+    lp._check_optimal(prog, cols, x, y, obj)
     # A step of 1/den, den beyond every denominator in the certificate.
     step = Fraction(1, 7 * max(v.denominator for v in x + y))
 
     bad = list(x)
     bad[x.index(0)] = -step
     with pytest.raises(InvariantViolation, match="negative primal"):
-        lp._check_optimal(prog, bad, y, obj)
+        lp._check_optimal(prog, cols, bad, y, obj)
 
     bad = list(x)
     bad[x.index(0)] = step
     with pytest.raises(InvariantViolation, match="primal infeasible"):
-        lp._check_optimal(prog, bad, y, obj)
+        lp._check_optimal(prog, cols, bad, y, obj)
 
     with pytest.raises(InvariantViolation, match="strong duality"):
-        lp._check_optimal(prog, x, y, obj + step)
+        lp._check_optimal(prog, cols, x, y, obj + step)
 
     # Raise one dual on a tight column, and the objective with it, so
     # only dual feasibility breaks.
@@ -166,14 +172,15 @@ def test_certificate_checks_refuse_bad_certificates(d):
     bad = list(y)
     bad[row] += step
     with pytest.raises(InvariantViolation, match=f"dual infeasible at column {tight}"):
-        lp._check_optimal(prog, x, bad, obj + step)
+        lp._check_optimal(prog, cols, x, bad, obj + step)
 
 
 def test_farkas_check_refuses_a_violated_ray(d):
     cols = [b for b in enumerate_all_bicliques(d) if b.num_edges >= 4]
     prog = build_master(d, cols, PARTITION)
+    cols = split_columns(prog)
     ray = list(solve(prog).dual)
-    lp._check_farkas(prog, ray)
+    lp._check_farkas(prog, cols, ray)
     # Lift one row of column 0 until that column sums to 1/den > 0.
     bits = prog.columns[0]
     row = (bits & -bits).bit_length() - 1
@@ -181,7 +188,7 @@ def test_farkas_check_refuses_a_violated_ray(d):
     step = Fraction(1, 7 * max(v.denominator for v in ray))
     ray[row] += step - total
     with pytest.raises(InvariantViolation, match="Farkas ray violated by column 0"):
-        lp._check_farkas(prog, ray)
+        lp._check_farkas(prog, cols, ray)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +433,8 @@ def test_crash_rejects_an_infeasible_basis(d):
     assert solver.duals() == twin.duals()
 
 
-def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch):
+def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch,
+                                                  one_inner_round):
     partition = build_master(d, enumerate_all_bicliques(d), PARTITION)
     cover = build_master(crown5, enumerate_maximal(crown5), COVER)
     expected = [solve(partition), solve(cover)]
@@ -443,7 +451,8 @@ def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch):
     assert [solve(partition), solve(cover)] == expected
     assert promotions >= 2
     # The default init only crashes in this regime; M5 from the stars
-    # runs three iterations, each with its own exact master.
+    # runs three iterations with one float round each, each iteration
+    # with its own exact master.
     report = run(kronecker(d, d), ColGenConfig())
     assert report.converged and report.value == rat(6)
     promotions = 0
