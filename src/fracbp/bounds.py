@@ -19,7 +19,7 @@ from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 
 from .core import BinaryMatrix, Biclique, bit_indices, enumerate_all_bicliques
 from .errors import ContractViolation, InvariantViolation, SizeCapExceeded
-from .lp import COVER, PARTITION, build_master, solve, solve_integer
+from .lp import COVER, NODE_CAP, PARTITION, build_master, solve, solve_integer
 from .maximal import enumerate_maximal
 
 ROOT_PRECISION = 50
@@ -59,8 +59,8 @@ def fooling_set(a: BinaryMatrix, cap: int = FOOLING_CAP) -> list[tuple[int, int]
     return [ones[p] for p in bit_indices(best_mask)]
 
 
-def fooling_set_number(a: BinaryMatrix, cap: int = FOOLING_CAP) -> int:
-    return len(fooling_set(a, cap))
+def fooling_set_number(a: BinaryMatrix) -> int:
+    return len(fooling_set(a))
 
 
 def _max_clique(adj: list[int]) -> int:
@@ -104,21 +104,21 @@ def fractional_cover_number(a: BinaryMatrix):
 
 
 def integer_partition_number(
-    a: BinaryMatrix, enum_cap: int = 100_000, node_cap: int = 100_000
+    a: BinaryMatrix, node_cap: int = NODE_CAP
 ) -> tuple[int, list[Biclique], int]:
     """Exact bp: minimum number of bicliques partitioning the ones.
 
     Enumerates every biclique (partitions may need non-maximal parts)
     and runs branch and bound.  Returns (value, parts, nodes explored).
     """
-    bicliques = enumerate_all_bicliques(a, enum_cap)
+    bicliques = enumerate_all_bicliques(a)
     result = solve_integer(build_master(a, bicliques, PARTITION), node_cap)
     chosen = [b for b, take in zip(bicliques, result.selection) if take]
     return result.objective, chosen, result.nodes
 
 
 def integer_cover_number(
-    a: BinaryMatrix, node_cap: int = 100_000
+    a: BinaryMatrix, node_cap: int = NODE_CAP
 ) -> tuple[int, list[Biclique], int]:
     """Exact bc over maximal bicliques (maximality is free for covers)."""
     maximals = enumerate_maximal(a)
@@ -132,7 +132,7 @@ def integer_cover_number(
 # ---------------------------------------------------------------------------
 
 def _to_decimal(value) -> Decimal:
-    return Decimal(int(value.numerator)) / Decimal(int(value.denominator))
+    return Decimal(value.numerator) / Decimal(value.denominator)
 
 
 def decimal_root(value, k: int) -> Decimal:
@@ -215,7 +215,6 @@ def sandwich_report(
     a: BinaryMatrix,
     upper_values: dict[int, object],
     kmax: int | None = None,
-    fooling_cap: int = FOOLING_CAP,
 ) -> SandwichReport:
     """Bracket the asymptotic k-th root of the power partition optima.
 
@@ -225,7 +224,6 @@ def sandwich_report(
             Key 1 is used as bp_f(a) when present, otherwise bp_f(a) is
             computed here from the full biclique LP.
         kmax: last k to tabulate; defaults to the largest key (at least 1).
-        fooling_cap: passed through to the fooling set search.
 
     Returns:
         SandwichReport with one row per k: the per-k lower bound root,
@@ -242,7 +240,7 @@ def sandwich_report(
         kmax = max(uppers) if uppers else 1
     if kmax < 1:
         raise ContractViolation("kmax must be at least 1")
-    fooling = fooling_set_number(a, fooling_cap)
+    fooling = fooling_set_number(a)
     cover_value = fractional_cover_number(a)
     if 1 in uppers:
         partition_value = uppers[1]

@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 from . import bounds as bounds_mod
 from . import colgen
-from ._rational import as_pair, rat, rat_from_str
+from ._rational import rat, rat_from_str
 from .core import Biclique, format_matrix, kronecker_power, load_matrix, matrix_hash
 from .errors import (
     CheckpointError,
@@ -33,7 +33,7 @@ from .errors import (
     OutputError,
     SizeCapExceeded,
 )
-from .lp import COVER, build_master, solve
+from .lp import COVER, NODE_CAP, build_master, solve
 from .maximal import enumerate_maximal
 
 EXIT_OK = 0
@@ -57,13 +57,12 @@ def decimal6(value) -> str:
     """Six-decimal string of an exact rational, half-even."""
     with localcontext() as ctx:
         ctx.prec = 50
-        d = Decimal(int(value.numerator)) / Decimal(int(value.denominator))
+        d = Decimal(value.numerator) / Decimal(value.denominator)
         return str(d.quantize(Decimal("1.000000"), rounding=ROUND_HALF_EVEN))
 
 
 def _pair_dict(value) -> dict:
-    num, den = as_pair(value)
-    return {"num": num, "den": den}
+    return {"num": value.numerator, "den": value.denominator}
 
 
 def _support_entry(b: Biclique, weight) -> dict:
@@ -103,12 +102,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bp", help="integer biclique partition number")
     add_common(p)
-    p.add_argument("--node-cap", type=int, default=100_000)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP)
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("bc", help="integer biclique cover number")
     add_common(p)
-    p.add_argument("--node-cap", type=int, default=100_000)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP)
     p.set_defaults(func=cmd_bc)
 
     p = sub.add_parser("bounds", help="fooling set, cover value, and root bounds")

@@ -24,15 +24,15 @@ its columns once: the stars, `carried` (the structural columns of the
 previous exact basis plus a few exact candidates), and the basic
 columns of HiGHS's final optimal basis.  That basis is crashed in
 whole, the artificials of its basic rows first, so the exact simplex
-only certifies it; if the crash is rejected, the exact master is built
-again with every strategy column as well, and if a float solve fails,
-it takes every column of the mirror.  The floats only steer: the crash
-is kept only if exactly feasible, and alpha, the bounds, convergence
-and the certificate all come from the exact master's dual.  The
-previous exact optimum stays feasible in the next exact master, so the
-objective never rises.  When the exact dual equals the rounded float
-dual the mirror priced last, that pricing result is the exact one, and
-it is reused instead of priced again.
+only certifies it.  When a float solve fails or the crash is rejected,
+the exact master is instead the stars, `carried` and every column of
+the mirror, the strategy columns among them.  The floats only steer:
+the crash is kept only if exactly feasible, and alpha, the bounds,
+convergence and the certificate all come from the exact master's
+dual.  The previous exact optimum stays feasible in the next exact
+master, so the objective never rises.  When the exact dual equals the
+rounded float dual the mirror priced last, that pricing result is the
+exact one, and it is reused instead of priced again.
 
 `carried` can be checkpointed to JSON every iteration and resumed
 later: a resumed run seeds the float mirror with it and carries it all
@@ -63,7 +63,6 @@ from .core import (
     incidence_column,
     kronecker,
     kronecker_biclique,
-    kronecker_power,
     matrix_hash,
 )
 from .errors import (
@@ -88,8 +87,7 @@ class ColGenConfig:
 
     The run converges once the pricing maximum is at most 1 + `epsilon`
     and stops after `max_iterations` otherwise.  `init_strategy` picks
-    the columns that seed the float mirror besides the stars, and
-    `enum_cap` bounds the enumeration behind "all" and "union".
+    the columns that seed the float mirror besides the stars.
     `checkpoint_path` names a JSON file written every iteration and
     resumed from when it exists.
     """
@@ -98,7 +96,6 @@ class ColGenConfig:
     max_iterations: int = 1000
     init_strategy: str = "union"
     checkpoint_path: str | None = None
-    enum_cap: int = 100_000
 
     def __post_init__(self):
         if self.init_strategy not in INIT_STRATEGIES:
@@ -163,15 +160,9 @@ class ColGenReport:
         return self.records[-1].iteration if self.records else 0
 
 
-def initial_stars(a: BinaryMatrix, side: str = "rows") -> list[Biclique]:
-    """One star per nonempty row (or column): disjoint and covering."""
-    if side == "rows":
-        return [Biclique(1 << i, bits) for i, bits in enumerate(a.rows) if bits]
-    return [
-        Biclique(a.column_mask(j), 1 << j)
-        for j in range(a.num_cols)
-        if a.column_mask(j)
-    ]
+def initial_stars(a: BinaryMatrix) -> list[Biclique]:
+    """One star per nonempty row: disjoint and covering."""
+    return [Biclique(1 << i, bits) for i, bits in enumerate(a.rows) if bits]
 
 
 def initial_kronecker_support(prev_support, base_support, base_shape) -> list[Biclique]:
@@ -280,10 +271,9 @@ def run(
             buffer.extend(carried)
         except ContractViolation as exc:
             raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
-        initial = []
     else:
-        initial = _initial_bicliques(a, config, extra_initial)
-    buffer.extend(initial + stars)
+        buffer.extend(_initial_bicliques(a, config, extra_initial))
+    buffer.extend(stars)
     held = set(carried)
 
     records: list[IterationRecord] = []
@@ -307,12 +297,7 @@ def run(
         t0 = time.perf_counter()
         basic, basic_rows, priced = _float_phase(a, maximals, buffer, threshold)
         t1 = time.perf_counter()
-        if not basic:
-            # The float solve failed.  Carrying only the basis and a few
-            # candidates can then cycle, so the exact master takes every
-            # buffered column, which is plain column generation.
-            carried = carried + buffer.bicliques
-        solver, columns = _exact_master(a, stars, carried, basic, basic_rows, initial)
+        solver, columns = _exact_master(a, stars, carried, basic, basic_rows, buffer)
         solver.reoptimize()
         t_float += t1 - t0
         t_master += time.perf_counter() - t1
@@ -382,7 +367,7 @@ def run(
         timings=timings)
 
 
-def _exact_master(a, stars, carried, basic, basic_rows, initial):
+def _exact_master(a, stars, carried, basic, basic_rows, buffer):
     """One iteration's exact master, with HiGHS's optimal basis crashed in.
 
     The master's columns are the stars, installed as the disjoint start,
@@ -390,10 +375,12 @@ def _exact_master(a, stars, carried, basic, basic_rows, initial):
     that order.  The crash takes the artificials of `basic_rows` first,
     then the basic columns: together they name a nonsingular basis, so
     each takes at most one exchange and the crash rebuilds HiGHS's basis
-    exactly.  When the crash is rejected, the master is built again over
-    the same columns plus the strategy columns `initial`, since it must
-    then find its own way.  Returns the solver and its columns as a list
-    of bicliques indexed by column id.
+    exactly.  When there is no basis (the float solve failed) or the
+    crash is rejected, the master must find its own way, and carrying
+    only a basis and a few candidates could then cycle: it is built
+    instead over the stars, `carried` and every column of the float
+    mirror `buffer`, which is plain column generation.  Returns the
+    solver and its columns as a list of bicliques indexed by column id.
     """
     def build(bicliques):
         solver = SimplexSolver(a.num_edges, PARTITION,
@@ -401,14 +388,15 @@ def _exact_master(a, stars, carried, basic, basic_rows, initial):
         solver.install_start(range(len(stars)))
         return solver
 
-    columns = list(dict.fromkeys([*stars, *carried, *basic]))
-    solver = build(columns)
-    ids = {b: cid for cid, b in enumerate(columns)}
-    codes = [solver.artificial(r) for r in basic_rows] + [ids[b] for b in basic]
-    if not solver.crash(codes):
-        columns = list(dict.fromkeys([*columns, *initial]))
+    if basic:
+        columns = list(dict.fromkeys([*stars, *carried, *basic]))
         solver = build(columns)
-    return solver, columns
+        ids = {b: cid for cid, b in enumerate(columns)}
+        codes = [solver.artificial(r) for r in basic_rows] + [ids[b] for b in basic]
+        if solver.crash(codes):
+            return solver, columns
+    columns = list(dict.fromkeys([*stars, *carried, *buffer.bicliques]))
+    return build(columns), columns
 
 
 class _FloatBuffer:
@@ -619,14 +607,14 @@ def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
     if strategy == "stars":
         return []
     if strategy == "all":
-        return enumerate_all_bicliques(a, config.enum_cap)
+        return enumerate_all_bicliques(a)
     # union takes whatever the caller lifted, else falls back to the
     # densest pool that fits (all bicliques, else just the stars).
     extra = list(extra_initial)
     if extra:
         return extra
     try:
-        return enumerate_all_bicliques(a, config.enum_cap)
+        return enumerate_all_bicliques(a)
     except SizeCapExceeded:
         return []
 
@@ -646,15 +634,14 @@ def solve_power(
 ) -> ColGenReport:
     """Column generation on the k-th Kronecker power of `base`.
 
-    With the stars and all strategies, or when resuming from a
-    checkpoint, the power is built once and solved directly.  With
-    union the powers are walked level by level: level 1 starts from
-    the densest pool that fits, and each later level starts from the
-    products of the previous level's optimal support with level 1's,
-    which seeds its master close to optimal.  Every level's matrix and
+    The powers are walked level by level, and every level's matrix and
     maximal bicliques are built exactly once, each from the level below
-    in one product step, and only the top level checkpoints and reports
-    progress.  A power over the size cap
+    in one product step.  With union, unless resuming from a checkpoint,
+    every level is solved: level 1 starts from the densest pool that
+    fits, and each later level starts from the products of the previous
+    level's optimal support with level 1's, which seeds its master close
+    to optimal.  Otherwise only the top level is solved.  Only the top
+    level checkpoints and reports progress.  A power over the size cap
     is refused before any level is built or solved.
     """
     if k < 1:
@@ -664,13 +651,7 @@ def solve_power(
     base_maximals = enumerate_maximal(base)
 
     resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
-    if config.init_strategy != "union" or resuming:
-        maximals = (
-            base_maximals if k == 1
-            else lift_maximal_kronecker(base_maximals, k, base_shape))
-        return run(kronecker_power(base, k), config,
-                   maximals=maximals, progress=progress)
-
+    ladder = config.init_strategy == "union" and not resuming
     inner = replace(config, checkpoint_path=None)
     matrix, maximals, extra = base, base_maximals, []
     for level in range(1, k + 1):
@@ -678,11 +659,13 @@ def solve_power(
             matrix = kronecker(matrix, base)
             maximals = lift_maximal_kronecker(base_maximals, level, base_shape,
                                               below=maximals)
-            extra = initial_kronecker_support(support, base_support, base_shape)
+            if ladder:
+                extra = initial_kronecker_support(support, base_support, base_shape)
         top = level == k
-        report = run(matrix, config if top else inner, maximals=maximals,
-                     extra_initial=extra, progress=progress if top else None)
-        support = [b for b, _ in report.support]
-        if level == 1:
-            base_support = support
+        if top or ladder:
+            report = run(matrix, config if top else inner, maximals=maximals,
+                         extra_initial=extra, progress=progress if top else None)
+            support = [b for b, _ in report.support]
+            if level == 1:
+                base_support = support
     return report

@@ -83,6 +83,9 @@ COVER = "cover"
 # Hard circuit breaker; hitting it means a termination bug.
 MAX_PIVOTS = 2_000_000
 
+# Default limit on the LP solves of one branch and bound.
+NODE_CAP = 100_000
+
 # Entry bound that keeps every int64 product in the kernel (pivot
 # numerators, dual sums, pricing dot products) below 2^62.
 _INT64_GUARD = 1 << 62
@@ -717,7 +720,7 @@ def _check_farkas(lp: LinearProgram, columns, y) -> None:
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-def solve_integer(lp: LinearProgram, node_cap: int = 100_000) -> IntegerSolution:
+def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP) -> IntegerSolution:
     """Optimal integer (0/1) solution by LP-based branch and bound.
 
     Depth first, branching on the most fractional variable, diving on

@@ -6,6 +6,7 @@ import pytest
 
 from fracbp._rational import rat
 from fracbp.bounds import (
+    FOOLING_CAP,
     decimal_root,
     fooling_set,
     fractional_cover_number,
@@ -217,9 +218,12 @@ def test_sandwich_rejects_upper_below_product_bound(d):
         sandwich_report(d, {1: rat(5, 2), 3: rat(9)})
 
 
-def test_sandwich_respects_fooling_cap(d):
+def test_sandwich_respects_fooling_cap():
+    # The 12x12 all-ones matrix has 144 ones, more than FOOLING_CAP.
+    j12 = BinaryMatrix.from_dense([[1] * 12] * 12)
+    assert j12.num_edges > FOOLING_CAP
     with pytest.raises(SizeCapExceeded):
-        sandwich_report(d, dict(UPPERS3), fooling_cap=3)
+        sandwich_report(j12, {1: rat(1)})
 
 
 def test_sandwich_on_crown(crown5):

@@ -89,7 +89,7 @@ def test_config_rejects_nonpositive_counters():
 # ---------------------------------------------------------------------------
 
 def test_row_stars_of_domino(d):
-    stars = initial_stars(d, "rows")
+    stars = initial_stars(d)
     assert stars == [
         Biclique(0b001, 0b011),
         Biclique(0b010, 0b111),
@@ -99,17 +99,9 @@ def test_row_stars_of_domino(d):
     assert sol.status == "optimal" and sol.objective == 3
 
 
-def test_column_stars_of_domino(d):
-    stars = initial_stars(d, "cols")
-    assert len(stars) == 3
-    for j, b in enumerate(stars):
-        assert b.col_set == 1 << j
-        assert b.row_set == d.column_mask(j)
-
-
 def test_zero_rows_get_no_star():
     a = BinaryMatrix.from_dense([[1, 1], [0, 0], [0, 1]])
-    assert len(initial_stars(a, "rows")) == 2
+    assert len(initial_stars(a)) == 2
 
 
 def test_kronecker_support_products_dedup_and_stay_feasible(d):
@@ -148,16 +140,19 @@ def test_stars_init_reaches_same_optimum(d):
     assert_is_fractional_partition(d, report.support)
 
 
-def test_union_falls_back_to_stars_when_enumeration_refuses(d):
-    report = run(d, ColGenConfig(init_strategy="union", enum_cap=5))
-    assert report.converged and report.value == FIVE_HALVES
+# The 9x9 all-ones matrix has (2^9 - 1)^2 = 261121 bicliques, more
+# than enumerate_all_bicliques' default cap of 100000.
+J9 = BinaryMatrix.from_dense([[1] * 9] * 9)
 
 
-def test_all_init_surfaces_enumeration_refusal(d):
-    from fracbp.errors import SizeCapExceeded
+def test_union_falls_back_to_stars_when_enumeration_refuses():
+    report = run(J9, ColGenConfig(init_strategy="union"))
+    assert report.converged and report.value == 1
 
+
+def test_all_init_surfaces_enumeration_refusal():
     with pytest.raises(SizeCapExceeded):
-        run(d, ColGenConfig(init_strategy="all", enum_cap=5))
+        run(J9, ColGenConfig(init_strategy="all"))
 
 
 def test_union_init_accepts_lifted_columns(d):
@@ -429,55 +424,69 @@ def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
 
 
 def recorded_exact_masters(monkeypatch):
-    """Record each iteration's basic float columns and each exact master
-    as (carried, solver, columns)."""
+    """Record each float phase as (basic columns, buffered columns after
+    it) and each exact master as (matrix, carried, solver, columns)."""
     import fracbp.colgen as colgen
 
-    vertices, masters = [], []
+    floats, masters = [], []
     float_phase, exact_master = colgen._float_phase, colgen._exact_master
 
-    def recording_float_phase(*args):
-        result = float_phase(*args)
-        vertices.append(result[0])
+    def recording_float_phase(a, maximals, buffer, threshold):
+        result = float_phase(a, maximals, buffer, threshold)
+        floats.append((result[0], list(buffer.bicliques)))
         return result
 
     def recording_exact_master(a, stars, carried, *rest):
         solver, columns = exact_master(a, stars, carried, *rest)
-        masters.append((list(carried), solver, columns))
+        masters.append((a, list(carried), solver, columns))
         return solver, columns
 
     monkeypatch.setattr(colgen, "_float_phase", recording_float_phase)
     monkeypatch.setattr(colgen, "_exact_master", recording_exact_master)
-    return vertices, masters
+    return floats, masters
+
+
+def assert_masters_take_every_buffered_column(floats, masters):
+    """Each exact master is the stars, the carried columns and every
+    column the float mirror held, in that order."""
+    assert masters and len(floats) == len(masters)
+    for (_, buffered), (a, carried, _, columns) in zip(floats, masters):
+        assert columns == list(dict.fromkeys([*initial_stars(a), *carried, *buffered]))
 
 
 def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch):
     # The union init offers all 1824 bicliques; they seed the float
     # mirror, and the exact master takes only the stars, the carried
     # columns and the basic columns of HiGHS's optimal basis.
-    vertices, masters = recorded_exact_masters(monkeypatch)
+    floats, masters = recorded_exact_masters(monkeypatch)
     a = kronecker(crown(3), crown(4))
     report = run(a, ColGenConfig())
     assert report.converged and report.value == 9
     assert_is_fractional_partition(a, report.support)
-    assert len(vertices) == len(masters) == report.iterations
+    assert len(floats) == len(masters) == report.iterations
     stars = initial_stars(a)
-    for basic, (carried, solver, columns) in zip(vertices, masters):
+    for (basic, _), (_, carried, solver, columns) in zip(floats, masters):
         assert set(columns) <= {*stars, *carried, *basic}
         assert len(solver.columns) == len(columns)
 
 
 def test_rejected_crash_gives_the_exact_master_every_strategy_column(
-        monkeypatch, crown5):
-    _, masters = recorded_exact_masters(monkeypatch)
+        monkeypatch, crown5, d):
+    floats, masters = recorded_exact_masters(monkeypatch)
     monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
     report = run(crown5, ColGenConfig())
     assert report.converged and report.value == rat(10, 3)
-    _, solver, columns = masters[0]
+    _, _, solver, columns = masters[0]
     every = enumerate_all_bicliques(crown5)
     assert len(every) == 180 and set(every) <= set(columns)
     assert [bits for bits, _ in solver.columns] == [
         incidence_column(crown5, b) for b in columns]
+    assert_masters_take_every_buffered_column(floats, masters)
+    floats.clear()
+    masters.clear()
+    report = solve_power(d, 2, ColGenConfig())
+    assert report.converged and report.value == SIX
+    assert_masters_take_every_buffered_column(floats, masters)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +581,12 @@ def test_float_solve_is_linprogs_vertex(d, crown5, rng):
 def test_float_failure_only_loses_steering(d, m5, monkeypatch):
     import fracbp.colgen as colgen
 
-    # Every float solve reports no optimum (append returns None).
+    # Every float solve reports no optimum (append returns None), and
+    # each exact master falls back to every buffered column.
     calls = []
     monkeypatch.setattr(colgen, "_linprog",
                         lambda *, A_eq: calls.append(A_eq.shape))
+    floats, masters = recorded_exact_masters(monkeypatch)
     report = run(d, ColGenConfig())
     assert report.converged and report.value == FIVE_HALVES
     assert_is_fractional_partition(d, report.support)
@@ -585,6 +596,8 @@ def test_float_failure_only_loses_steering(d, m5, monkeypatch):
     report = solve_power(d, 2, ColGenConfig())
     assert report.converged and report.value == SIX
     assert calls
+    assert all(basic == [] for basic, _ in floats)
+    assert_masters_take_every_buffered_column(floats, masters)
 
 
 def test_float_buffer_refuses_what_is_no_biclique(d):
@@ -604,7 +617,7 @@ def test_float_buffer_refuses_what_is_no_biclique(d):
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path, d):
-    stars = initial_stars(d, "rows")
+    stars = initial_stars(d)
     path = str(tmp_path / "state.json")
     write_checkpoint(path, matrix_hash(d), 7, stars)
     iteration, bicliques = load_checkpoint(path, matrix_hash(d))
@@ -638,7 +651,7 @@ def test_checkpoint_rejects_other_version(tmp_path, d):
 
 def test_checkpoint_rejects_foreign_matrix(tmp_path, d, crown5):
     path = str(tmp_path / "state.json")
-    write_checkpoint(path, matrix_hash(d), 1, initial_stars(d, "rows"))
+    write_checkpoint(path, matrix_hash(d), 1, initial_stars(d))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, matrix_hash(crown5))
 
