@@ -72,7 +72,7 @@ from .errors import (
     InvariantViolation,
     SizeCapExceeded,
 )
-from .lp import PARTITION, SimplexSolver
+from .lp import PARTITION, SimplexSolver, highs_model, highs_solution
 from .maximal import enumerate_maximal, lift_maximal_kronecker
 from .pricing import price_all
 
@@ -491,51 +491,29 @@ class _Csc(NamedTuple):
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
 
-_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_COLWISE = int(_highs.MatrixFormat.kColwise)
-_MINIMIZE = int(_highs.ObjSense.kMinimize)
-
-
 def _linprog(*, A_eq: _Csc):
     """Minimise the sum of x subject to A_eq x = 1 and x >= 0 by HiGHS
     dual simplex.  Returns (x, row duals, basic variables) at an optimal
     vertex, or None when HiGHS reports no optimum or no basis.
 
-    Each call builds a fresh HiGHS model and sets the options that
-    scipy's linprog(method="highs-ds") sets: presolve on, the simplex
-    solver, the dual simplex strategy and no output.  The vertex is
-    therefore the one linprog returns, without linprog's per-call
-    option checks and conversions.  The basic variables are HiGHS's
-    optimal basis, one per row in HiGHS's convention: j >= 0 is column
-    j and -1 - r is row r's slack.
+    Each call builds a fresh HiGHS model through `lp.highs_model`, whose
+    options make the vertex the one scipy's linprog(method="highs-ds")
+    returns.  The basic variables are HiGHS's optimal basis, one per row
+    in HiGHS's convention: j >= 0 is column j and -1 - r is row r's
+    slack.
 
     The name is kept from when this was scipy's linprog: the
     benchmark's tracer wraps `colgen._linprog` by name and reads
     `A_eq.shape` and `A_eq.nbytes` (ROADMAP item 5 moves that tracing
     into the library).
     """
-    m, n = A_eq.shape
-    model = _highs._Highs()
-    model.setOptionValue("output_flag", False)
-    model.setOptionValue("log_to_console", False)
-    model.setOptionValue("presolve", "on")
-    model.setOptionValue("solver", "simplex")
-    model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
-    # The array form of passModel takes the numpy arrays as they are,
-    # where filling a HighsLp's fields converts them element by element.
-    passed = model.passModel(
-        n, m, len(A_eq.indices), _COLWISE, _MINIMIZE, 0.0,
-        np.ones(n), np.zeros(n), np.full(n, _highs.kHighsInf),
-        np.ones(m), np.ones(m), A_eq.indptr, A_eq.indices, A_eq.data,
-        np.zeros(n, dtype=np.int32))  # every column continuous
-    if (passed == _highs.HighsStatus.kError
-            or model.run() == _highs.HighsStatus.kError
-            or model.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+    model = highs_model(A_eq.shape[0], A_eq.indptr, A_eq.indices, A_eq.data, PARTITION)
+    solution = None if model is None else highs_solution(model)
+    if solution is None:
         return None
     status, basic = model.getBasicVariables()
     if status != _highs.HighsStatus.kOk:
         return None
-    solution = model.getSolution()
     return np.array(solution.col_value), np.array(solution.row_dual), basic
 
 

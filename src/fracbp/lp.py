@@ -65,6 +65,16 @@ Design notes that matter for correctness:
   certifying pricing scan with no basis exchange, and a bad suggestion
   costs nothing but the crash.  Every basis inverse comes from the
   same fraction-free pivots; there is no separate rational inversion.
+- Branch and bound (`solve_integer`) solves its root with `solve` and
+  every other node on one HiGHS model of the root LP, as a change of
+  column bounds that HiGHS re-solves hot from its last basis.  HiGHS
+  only steers there too.  A node is pruned only on its rounded row
+  duals after an exact check, in Python integers, that they are dual
+  feasible for the node's own LP, which gives an exact lower bound.  An
+  integral float leaf is closed only after its columns are checked edge
+  by edge to partition (or cover) the node's rows, in exactly as many
+  columns as that bound.  A node whose float solve fails, or whose
+  duals or leaf fail a check, is solved exactly by `solve` instead.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# scipy's private HiGHS binding; see pyproject.toml.
+from scipy.optimize._highspy import _core as _highs
 
 from ._rational import ZERO, clear_denominators, rat, rat_ceil
 from .core import BinaryMatrix, bit_indices, incidence_column
@@ -717,6 +729,55 @@ def _check_farkas(lp: LinearProgram, columns, y) -> None:
 
 
 # ---------------------------------------------------------------------------
+# HiGHS models
+# ---------------------------------------------------------------------------
+
+_DUAL_SIMPLEX = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
+
+def highs_model(num_rows: int, indptr, indices, data, sense: str):
+    """A HiGHS model of min 1'x over Mx (= or >=) 1, x >= 0, or None
+    when HiGHS refuses it.
+
+    M is given by columns: column j's rows are indices[indptr[j]:
+    indptr[j + 1]], ascending, with values in data at the same
+    positions.  A partition and a cover differ only in the rows' upper
+    bounds, 1 and infinity.  The options are the ones scipy's
+    linprog(method="highs-ds") sets: presolve on, the simplex solver,
+    the dual simplex strategy and no output, so the first solve gives
+    linprog's vertex without linprog's per-call option checks and
+    conversions.
+    """
+    n = len(indptr) - 1
+    model = _highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("log_to_console", False)
+    model.setOptionValue("presolve", "on")
+    model.setOptionValue("solver", "simplex")
+    model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
+    row_upper = np.full(num_rows, 1.0 if sense == PARTITION else _highs.kHighsInf)
+    # The array form of passModel takes the numpy arrays as they are,
+    # where filling a HighsLp's fields converts them element by element.
+    passed = model.passModel(
+        n, num_rows, len(indices), _COLWISE, _MINIMIZE, 0.0,
+        np.ones(n), np.zeros(n), np.full(n, _highs.kHighsInf),
+        np.ones(num_rows), row_upper, indptr, indices, data,
+        np.zeros(n, dtype=np.int32))  # every column continuous
+    return None if passed == _highs.HighsStatus.kError else model
+
+
+def highs_solution(model):
+    """Run `model`; its solution (col_value, row_dual, ...) when HiGHS
+    reports an optimum, else None."""
+    if (model.run() == _highs.HighsStatus.kError
+            or model.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+        return None
+    return model.getSolution()
+
+
+# ---------------------------------------------------------------------------
 # Branch and bound
 # ---------------------------------------------------------------------------
 
@@ -724,69 +785,199 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP) -> IntegerSolutio
     """Optimal integer (0/1) solution by LP-based branch and bound.
 
     Depth first, branching on the most fractional variable, diving on
-    the x=1 side first.  Each node is one `solve`, so which optimal
-    vertex a node's LP returns steers the branching: the objective is
-    the integer optimum, but the selection is one optimum among
-    possibly several, and it and the node count move whenever `solve`'s
-    start does.  `node_cap` limits LP solves; exceeding it raises
-    NodeCapExceeded carrying the incumbent and root bound.
+    the x=1 side first.  The root is one `solve`; every other node is a
+    bound change on one HiGHS model of the root LP, built for this call,
+    and is pruned or closed only on exactly checked bounds, or else
+    solved by `solve` (see the module notes).  The objective is the
+    integer optimum whatever vertices HiGHS and `solve` return.  The
+    selection is one optimum among possibly several, and it and the
+    node count move with those vertices.  `node_cap` limits LP solves;
+    exceeding it raises NodeCapExceeded carrying the incumbent and root
+    bound.
     """
     root = solve(lp)
     if root.status == "infeasible":
         raise ContractViolation("integer model is infeasible")
-    state = {"best": None, "sel": None, "nodes": 1, "root": root.objective}
+    search = _BranchAndBound(lp, node_cap, root.objective)
+    cols = list(enumerate(lp.columns))
+    frac = search.exact_node(cols, [], root)
+    if frac is not None:
+        search.model = _node_model(lp)
+        search.branch((1 << lp.num_rows) - 1, cols, [], frac)
+    if search.best is None:
+        raise InvariantViolation("no integer solution found in a feasible model")
+    selection = tuple(1 if k in search.chosen else 0 for k in range(lp.num_cols))
+    return IntegerSolution(search.best, selection, search.nodes)
 
-    def recurse(row_mask: int, cols: list[tuple[int, int]], ones: list[int], sol: LpSolution):
-        frac = _most_fractional(sol.primal)
-        if frac is None:
-            total = len(ones) + int(sol.objective)
-            if state["best"] is None or total < state["best"]:
-                state["best"] = total
-                chosen = set(ones)
-                for k, v in enumerate(sol.primal):
-                    if v == 1:
-                        chosen.add(cols[k][0])
-                state["sel"] = chosen
-            return
-        branch_col = cols[frac]
+
+# A float x this close to 0 or 1 counts as integral.  It only steers:
+# an integral float leaf is checked exactly before it is closed.
+_INTEGRAL_TOL = 1e-6
+
+# A node's float row duals are rounded to multiples of 2^-_DUAL_BITS
+# and shrunk by the factor 1 - 2^-_SHRINK_BITS.  HiGHS meets the dual
+# constraints to within ~1e-12 on these LPs, far inside the shrink, so
+# they then hold exactly.  The shrink lowers the bound's ceiling only
+# for a node whose LP value lies that close above an integer.
+_DUAL_BITS = 40
+_SHRINK_BITS = 30
+
+
+class _BranchAndBound:
+    """The search state of one `solve_integer` call.
+
+    A node is its live rows (`row_mask`), its live columns as (column
+    id, bits on the live rows), and the column ids fixed at one
+    (`ones`).  `model` is the HiGHS model of the root LP, or None when
+    HiGHS refused it, and then every node is solved exactly.
+    """
+
+    def __init__(self, lp: LinearProgram, node_cap: int, root_bound):
+        self.lp = lp
+        self.node_cap = node_cap
+        self.root_bound = root_bound
+        self.model = None
+        self.best: int | None = None
+        self.chosen: set[int] = set()
+        self.nodes = 1
+        self._rows: dict[int, tuple[int, ...]] = {}
+
+    def branch(self, row_mask: int, cols, ones: list[int], frac: int) -> None:
+        """Search both children of a node, branching on cols[frac]."""
         for value in (1, 0):
             if value == 1:
-                sub_rows, sub_cols = _fix_one(lp.sense, row_mask, cols, frac)
-                sub_ones = ones + [branch_col[0]]
+                sub_rows, sub_cols = _fix_one(self.lp.sense, row_mask, cols, frac)
+                sub_ones = ones + [cols[frac][0]]
             else:
                 sub_rows = row_mask
                 sub_cols = cols[:frac] + cols[frac + 1:]
                 sub_ones = ones
             if sub_rows == 0:
-                total = len(sub_ones)
-                if state["best"] is None or total < state["best"]:
-                    state["best"] = total
-                    state["sel"] = set(sub_ones)
+                self._offer(sub_ones)
                 continue
             if not sub_cols:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > node_cap:
+            self.nodes += 1
+            if self.nodes > self.node_cap:
                 raise NodeCapExceeded(
-                    f"branch and bound exceeded {node_cap} nodes",
-                    incumbent=state["best"], root_bound=state["root"],
-                    nodes=state["nodes"])
-            sub_lp = _remap(lp.sense, sub_rows, sub_cols)
-            sub_sol = solve(sub_lp)
-            if sub_sol.status == "infeasible":
-                continue
-            bound = len(sub_ones) + rat_ceil(sub_sol.objective)
-            if state["best"] is not None and bound >= state["best"]:
-                continue
-            recurse(sub_rows, sub_cols, sub_ones, sub_sol)
+                    f"branch and bound exceeded {self.node_cap} nodes",
+                    incumbent=self.best, root_bound=self.root_bound,
+                    nodes=self.nodes)
+            sub_frac = self.node(sub_rows, sub_cols, sub_ones)
+            if sub_frac is not None:
+                self.branch(sub_rows, sub_cols, sub_ones, sub_frac)
 
-    all_rows = (1 << lp.num_rows) - 1
-    cols0 = list(enumerate(lp.columns))
-    recurse(all_rows, cols0, [], root)
-    if state["best"] is None:
-        raise InvariantViolation("no integer solution found in a feasible model")
-    selection = tuple(1 if k in state["sel"] else 0 for k in range(lp.num_cols))
-    return IntegerSolution(state["best"], selection, state["nodes"])
+    def node(self, row_mask: int, cols, ones: list[int]) -> int | None:
+        """Bound a node on the HiGHS model.  Returns the position in
+        `cols` to branch on, or None once the node is pruned or closed.
+        Falls back to `exact_node` whenever HiGHS fails or a check does.
+        """
+        vertex = None
+        if self.model is not None:
+            vertex = _highs_node(self.model, *self._bounds(cols, ones))
+        if vertex is not None:
+            x, duals = vertex
+            need = self._dual_bound(row_mask, cols, duals)
+            if need is not None:
+                if self.best is not None and len(ones) + need >= self.best:
+                    return None
+                xs = x[[k for k, _ in cols]]
+                # Rounded, gaps that are equal in exact arithmetic tie,
+                # and argmin takes the first of them, as `_most_fractional`
+                # does; unrounded, float noise would pick among them.
+                gap = np.round(np.abs(xs - 0.5), 9)
+                if (gap < 0.5 - _INTEGRAL_TOL).any():
+                    return int(np.argmin(gap))
+                picked = [col for col, v in zip(cols, xs.tolist()) if v > 0.5]
+                if len(picked) == need and self._fills(row_mask, picked):
+                    self._offer(ones + [k for k, _ in picked])
+                    return None
+        return self.exact_node(
+            cols, ones, solve(_remap(self.lp.sense, row_mask, cols)))
+
+    def exact_node(self, cols, ones: list[int], sol: LpSolution) -> int | None:
+        """`node` for an exact solution of the node's LP."""
+        if sol.status == "infeasible":
+            return None
+        if self.best is not None and len(ones) + rat_ceil(sol.objective) >= self.best:
+            return None
+        frac = _most_fractional(sol.primal)
+        if frac is None:
+            self._offer(ones + [cols[k][0] for k, v in enumerate(sol.primal) if v == 1])
+        return frac
+
+    def _offer(self, chosen: list[int]) -> None:
+        if self.best is None or len(chosen) < self.best:
+            self.best = len(chosen)
+            self.chosen = set(chosen)
+
+    def _bounds(self, cols, ones: list[int]):
+        # Live columns free, the ones fixed at 1, every other column at 0.
+        lower = np.zeros(self.lp.num_cols)
+        upper = np.zeros(self.lp.num_cols)
+        upper[[k for k, _ in cols]] = np.inf
+        lower[ones] = upper[ones] = 1
+        return lower, upper
+
+    def _rows_of(self, bits: int) -> tuple[int, ...]:
+        rows = self._rows.get(bits)
+        if rows is None:
+            rows = self._rows[bits] = bit_indices(bits)
+        return rows
+
+    def _dual_bound(self, row_mask: int, cols, duals) -> int | None:
+        """ceil(sum of y) over the node's rows for the rounded float row
+        duals y, or None unless y is exactly feasible for the dual of the
+        node's LP: every live column sums to at most 1 over the node's
+        rows, and in a cover y >= 0.  By weak duality the node's optimum
+        is at least sum(y).  The check runs on Python integers."""
+        rows = self._rows_of(row_mask)
+        nums = [int(v) for v in np.rint(duals[list(rows)] * 2.0 ** _DUAL_BITS).tolist()]
+        if self.lp.sense == COVER and min(nums) < 0:
+            return None
+        y = [0] * self.lp.num_rows
+        for r, v in zip(rows, nums):
+            y[r] = v
+        getter = y.__getitem__
+        # y = nums * keep / limit, a shade below the float duals.
+        keep = (1 << _SHRINK_BITS) - 1
+        limit = 1 << (_DUAL_BITS + _SHRINK_BITS)
+        for _, bits in cols:
+            if sum(map(getter, self._rows_of(bits))) * keep > limit:
+                return None
+        return -(-sum(nums) * keep // limit)
+
+    def _fills(self, row_mask: int, picked) -> bool:
+        """Whether the picked columns partition (or cover) the node's
+        rows, checked edge by edge."""
+        covered = 0
+        for _, bits in picked:
+            if self.lp.sense == PARTITION and covered & bits:
+                return False
+            covered |= bits
+        return covered == row_mask
+
+
+def _node_model(lp: LinearProgram):
+    """The HiGHS model of `lp`, or None when HiGHS refuses it."""
+    rows = [bit_indices(bits) for bits in lp.columns]
+    indptr = np.zeros(lp.num_cols + 1, dtype=np.int32)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.fromiter((r for col in rows for r in col), dtype=np.int32,
+                          count=int(indptr[-1]))
+    return highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
+
+
+def _highs_node(model, lower, upper):
+    """Re-solve `model` hot from its last basis with every column's
+    bounds replaced: (x, row duals), or None when HiGHS reports no
+    optimum."""
+    n = len(lower)
+    status = model.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper)
+    solution = None if status == _highs.HighsStatus.kError else highs_solution(model)
+    if solution is None:
+        return None
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
 def _most_fractional(x):

@@ -143,6 +143,40 @@ def brute_fooling_sets(a: BinaryMatrix) -> int:
     return best
 
 
+def brute_integer_number(a: BinaryMatrix, sense: str) -> int:
+    """The least number of bicliques that partition (sense "partition")
+    or cover (sense "cover") the ones of `a`, by exhaustive search.
+
+    Iterative deepening: a depth-d search tries every biclique through
+    the lowest one not yet covered, disjoint from the parts chosen so
+    far in a partition, and recurses with depth d - 1.  A cover may use
+    maximal bicliques alone, since each part of a cover can grow to a
+    maximal biclique.
+    """
+    pairs = brute_bicliques(a) if sense == "partition" else brute_maximal_bicliques(a)
+    parts = [
+        frozenset((i, j) for i in range(a.num_rows) if (rmask >> i) & 1
+                  for j in range(a.num_cols) if (cmask >> j) & 1)
+        for rmask, cmask in sorted(pairs)
+    ]
+    ones = sorted(a.edges)
+
+    def fits(used, depth):
+        first = next((e for e in ones if e not in used), None)
+        if first is None:
+            return True
+        if depth == 0:
+            return False
+        return any(
+            fits(used | part, depth - 1) for part in parts
+            if first in part and (sense == "cover" or not part & used))
+
+    depth = 0
+    while not fits(frozenset(), depth):
+        depth += 1
+    return depth
+
+
 def dense_incidence(a: BinaryMatrix, bicliques) -> np.ndarray:
     """Edges x bicliques 0/1 float matrix, entry by entry."""
     mat = np.zeros((a.num_edges, len(bicliques)))

@@ -26,7 +26,7 @@ from fracbp.maximal import enumerate_maximal
 from fracbp._rational import rat, rat_ceil
 from fracbp.bounds import fractional_cover_number
 
-from oracles import float_lp_value, random_binary_matrix
+from oracles import brute_integer_number, float_lp_value, random_binary_matrix
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -518,3 +518,155 @@ def test_integer_matches_float_reference(rng):
         assert all(s >= 1 for s in sums)
         assert res.objective == sum(res.selection)
         assert res.objective >= rat_ceil(frac)
+
+
+def seeded_matrices(rng, count):
+    """`count` seeded matrices of 3 to 5 rows and columns, each with a one."""
+    out = []
+    while len(out) < count:
+        m, n = rng.randint(3, 5), rng.randint(3, 5)
+        a = BinaryMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+        if a.num_edges:
+            out.append(a)
+    return out
+
+
+def integer_models(a):
+    """The partition LP over every biclique and the cover LP over the
+    maximal ones, as bounds.integer_partition_number and
+    integer_cover_number build them."""
+    return [build_master(a, enumerate_all_bicliques(a), PARTITION),
+            build_master(a, enumerate_maximal(a), COVER)]
+
+
+def assert_exact_selection(prog, res):
+    sums = edge_sums(prog, [rat(v) for v in res.selection])
+    if prog.sense == PARTITION:
+        assert sums == [1] * prog.num_rows
+    else:
+        assert all(s >= 1 for s in sums)
+    assert res.objective == sum(res.selection)
+
+
+def test_integer_matches_brute_force(rng):
+    for a in seeded_matrices(rng, 30):
+        for prog in integer_models(a):
+            res = solve_integer(prog)
+            assert res.objective == brute_integer_number(a, prog.sense)
+            assert_exact_selection(prog, res)
+
+
+def test_branch_and_bound_floats_only_steer(d, crown5, rng, monkeypatch):
+    progs = [prog for a in [d, crown5] + seeded_matrices(rng, 8)
+             for prog in integer_models(a)]
+    expected = [solve_integer(prog).objective for prog in progs]
+    exact = []
+    real_solve, real_node = lp.solve, lp._highs_node
+    monkeypatch.setattr(lp, "solve", lambda prog: exact.append(prog) or real_solve(prog))
+
+    # HiGHS fails at every node, so every node is one exact solve.
+    monkeypatch.setattr(lp, "_highs_node", lambda model, lower, upper: None)
+    for prog, want in zip(progs, expected):
+        exact.clear()
+        res = solve_integer(prog)
+        assert res.objective == want and len(exact) == res.nodes
+        assert_exact_selection(prog, res)
+
+    # HiGHS raises row 0's dual by 1e-3.  Where row 0 is live, some
+    # live column through it is basic and tight over the node's rows,
+    # so the raised dual breaks its constraint and the node falls back.
+    # Over a cover's rows a column can be tight only on all its rows,
+    # so there this holds for nodes that keep every row, such as the
+    # root's x=0 child.
+    def raised(model, lower, upper):
+        vertex = real_node(model, lower, upper)
+        if vertex is not None:
+            vertex[1][0] += 1e-3
+        return vertex
+
+    seen = []
+    real_search = lp._BranchAndBound.node
+
+    def node(search, row_mask, cols, ones):
+        before = len(exact)
+        out = real_search(search, row_mask, cols, ones)
+        seen.append((row_mask, len(exact) > before))
+        return out
+
+    monkeypatch.setattr(lp, "_highs_node", raised)
+    monkeypatch.setattr(lp._BranchAndBound, "node", node)
+    for prog, want in zip(progs, expected):
+        seen.clear()
+        res = solve_integer(prog)
+        assert res.objective == want
+        assert_exact_selection(prog, res)
+        full = (1 << prog.num_rows) - 1
+        checked = [fell for rows, fell in seen
+                   if rows == full or (rows & 1 and prog.sense == PARTITION)]
+        assert all(checked) and (checked or res.nodes == 1)
+
+
+def test_branch_and_bound_checks_integral_leaves(d, crown5, rng, monkeypatch):
+    # A node is closed on an integral float x only if its columns pass
+    # both exact checks: they partition (or cover) the node's rows, and
+    # there are as many as the node's checked dual bound.
+    progs = [prog for a in [d, crown5] + seeded_matrices(rng, 8)
+             for prog in integer_models(a)]
+    expected = [solve_integer(prog).objective for prog in progs]
+    real_node = lp._highs_node
+
+    def rounded(prog):
+        # Every node looks integral, and most such x are no partition.
+        def fake(model, lower, upper):
+            vertex = real_node(model, lower, upper)
+            return None if vertex is None else (np.rint(vertex[0]), vertex[1])
+        return fake
+
+    def singletons(prog):
+        # x partitions the node's rows by the singleton columns of a
+        # partition LP, which takes more columns than its optimum.
+        single = {bits.bit_length() - 1: k for k, bits in enumerate(prog.columns)
+                  if not bits & (bits - 1)}
+
+        def fake(model, lower, upper):
+            vertex = real_node(model, lower, upper)
+            if vertex is None:
+                return None
+            covered = 0
+            for k in np.nonzero(lower)[0]:
+                covered |= prog.columns[k]
+            x = lower.copy()
+            for r, k in single.items():
+                if not (covered >> r) & 1 and upper[k]:
+                    x[k] = 1
+            return x, vertex[1]
+        return fake
+
+    for make, senses in ((rounded, (PARTITION, COVER)), (singletons, (PARTITION,))):
+        for prog, want in zip(progs, expected):
+            if prog.sense in senses:
+                monkeypatch.setattr(lp, "_highs_node", make(prog))
+                res = solve_integer(prog)
+                assert res.objective == want
+                assert_exact_selection(prog, res)
+
+
+def test_branch_and_bound_builds_one_model(crown5, monkeypatch):
+    prog = build_master(crown5, enumerate_all_bicliques(crown5), PARTITION)
+    models, exact = [], []
+    real_model, real_solve = lp.highs_model, lp.solve
+    monkeypatch.setattr(lp, "highs_model",
+                        lambda *args: models.append(args) or real_model(*args))
+    monkeypatch.setattr(lp, "solve", lambda p: exact.append(p) or real_solve(p))
+    first = solve_integer(prog)
+    assert first.objective == 5 and first.nodes > 1
+    assert len(models) == 1 and exact == [prog]
+    assert solve_integer(prog) == first
+
+
+def test_integer_node_cap_past_the_root(crown5):
+    for prog, cap, optimum in zip(integer_models(crown5), (3, 2), (5, 4)):
+        with pytest.raises(NodeCapExceeded) as info:
+            solve_integer(prog, node_cap=cap)
+        assert info.value.root_bound == Fraction(10, 3)
+        assert info.value.incumbent is None or info.value.incumbent >= optimum
