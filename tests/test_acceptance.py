@@ -6,15 +6,11 @@ derived expectation was independently confirmed by the brute-force
 oracles next to this file.
 """
 
-import os
 import time
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 import random
-
-import pytest
 
 from fracbp._rational import rat
 from fracbp.bounds import (
@@ -139,31 +135,23 @@ def test_03_cube_partition_value_to_six_decimals(d):
     decimal = Decimal(int(report.value.numerator)) / Decimal(
         int(report.value.denominator))
     assert abs(decimal - Decimal("13.818792")) <= Decimal("0.00001")
-    warnings.warn(
-        f"informational: third power value is exactly {report.value}; "
-        f"equals 2059/149: {report.value == rat(2059, 149)}; "
-        f"solved in {elapsed:.1f}s over {report.iterations} iterations")
-    assert elapsed < 1800.0
+    assert report.value == rat(2059, 149)
+    assert elapsed < 30.0
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FRACBP_STRETCH"),
-    reason="fourth power needs hours; set FRACBP_STRETCH=1 to attempt it")
-def test_04_fourth_power_partition_value_stretch(d):
+def test_04_fourth_power_partition_value(d):
     t0 = time.perf_counter()
     report = solve_power(
         d, 4, ColGenConfig(max_iterations=4000),
         progress=lambda rec: print(
             f"  iter {rec.iteration}: {float(rec.objective):.6f}", flush=True))
     elapsed = time.perf_counter() - t0
-    if not report.converged:
-        warnings.warn(
-            f"fourth power did not certify within {elapsed:.0f}s; best "
-            f"bracket [{report.best_lower_bound}, {report.value}]")
-        return
+    assert report.converged
     decimal = Decimal(int(report.value.numerator)) / Decimal(
         int(report.value.denominator))
     assert abs(decimal - Decimal("32.040389")) <= Decimal("0.001")
+    assert report.value == rat(62671, 1956)
+    assert elapsed < 120.0
 
 
 # ---------------------------------------------------------------------------

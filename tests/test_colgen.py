@@ -36,6 +36,7 @@ from fracbp.errors import (
     CheckpointError,
     ContractViolation,
     EmptyGraphError,
+    InvariantViolation,
     SizeCapExceeded,
 )
 from fracbp.lp import PARTITION, SimplexSolver, build_master, solve
@@ -302,8 +303,9 @@ def test_power_one_is_the_plain_run(d):
     assert report.converged and report.value == FIVE_HALVES
 
 
-def test_power_two_by_ladder(d):
-    report = solve_power(d, 2, ColGenConfig())
+def test_power_two_by_ladder(d, tmp_path):
+    # A checkpoint keeps the union run on the ladder.
+    report = solve_power(d, 2, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
     assert report.converged and report.value == SIX
     assert_is_fractional_partition(kronecker(d, d), report.support)
 
@@ -384,6 +386,150 @@ def test_oversized_power_is_refused_before_any_level_is_solved(d, monkeypatch):
         solve_power(d, 8, ColGenConfig())
 
 
+# ---------------------------------------------------------------------------
+# Orbit master
+# ---------------------------------------------------------------------------
+
+TRIANGLE = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+
+ORBIT_CASES = [
+    ("domino^2", domino(), 2),
+    ("domino^3", domino(), 3),
+    *[(f"triangle^{k}", TRIANGLE, k) for k in range(2, 7)],
+    ("crown3^2", crown(3), 2),
+    ("2x3^2", BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]]), 2),
+]
+
+
+def orbit_report(monkeypatch, base, k, config=None):
+    """solve_power on the orbit path, failing if it reaches `run`."""
+    import fracbp.colgen as colgen
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the orbit master fell back to the ladder")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(colgen, "run", refusing)
+        return solve_power(base, k, config or ColGenConfig())
+
+
+@pytest.mark.parametrize("name, base, k", ORBIT_CASES, ids=[c[0] for c in ORBIT_CASES])
+def test_orbit_master_is_certified_and_matches_the_ladder(
+        name, base, k, monkeypatch, tmp_path):
+    report = orbit_report(monkeypatch, base, k)
+    a = report.matrix
+    assert a == kronecker_power(base, k)
+    assert report.converged
+    # alpha over one maximal per orbit is the unreduced pricing maximum
+    # at the reported full-space dual.
+    maximals = enumerate_maximal(a)
+    alpha, _ = price_all(maximals, EdgeWeights(a, report.dual), rat(2))
+    assert alpha == report.final_alpha <= 1 + ColGenConfig().epsilon
+    assert sum(report.dual, rat(0)) == report.value
+    assert_is_fractional_partition(a, report.support)
+    assert sum((w for _, w in report.support), rat(0)) == report.value
+    assert list(report.support) == sorted(
+        report.support, key=lambda t: (t[0].row_set, t[0].col_set))
+    ladder = solve_power(base, k, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
+    assert ladder.converged and report.value == ladder.value
+
+
+def test_orbit_records_count_orbit_columns_and_new_profiles(d, monkeypatch):
+    seen = []
+    report = orbit_report(monkeypatch, d, 3, ColGenConfig())
+    again = solve_power(d, 3, ColGenConfig(), progress=seen.append)
+    assert report.value == again.value == rat(2059, 149)
+    assert seen == report.records == again.records
+    assert report.support == again.support and report.dual == again.dual
+    for before, rec in zip(report.records, report.records[1:]):
+        assert rec.pool_size == before.pool_size + rec.added
+        assert rec.pruned == 0
+    assert report.records[-1].added == 0
+    assert {"total", "master", "pricing", "float"} == set(report.timings)
+
+
+def test_orbit_master_stops_at_the_iteration_cap(d, monkeypatch):
+    report = orbit_report(monkeypatch, d, 3, ColGenConfig(max_iterations=2))
+    assert not report.converged and report.iterations == 2
+    a = report.matrix
+    assert_is_fractional_partition(a, report.support)
+    assert report.best_lower_bound < rat(2059, 149) < report.value
+
+
+def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
+    import fracbp.colgen as colgen
+
+    runs = []
+    run_ = colgen.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args[0])
+        return run_(*args, **kwargs)
+
+    monkeypatch.setattr(colgen, "run", counting_run)
+
+    extend = colgen._OrbitColumns.extend
+
+    def stalling(self, bicliques):
+        # The start columns go in; no priced column ever does.
+        return 0 if len(self) else extend(self, bicliques)
+
+    fallbacks = [
+        (colgen, "_linprog", lambda *, A_eq: None),       # HiGHS fails
+        (colgen, "_bareiss_solve", lambda matrix, rhs: None),  # singular basis
+        (colgen._OrbitColumns, "extend", stalling),        # pricing stalls
+    ]
+    for owner, name, patched in fallbacks:
+        runs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, patched)
+            report = solve_power(d, 2, ColGenConfig())
+        assert report.converged and report.value == SIX, name
+        assert_is_fractional_partition(report.matrix, report.support)
+        # The ladder solves both levels, on the levels already built.
+        assert [a.num_rows for a in runs] == [3, 9], name
+
+
+def test_orbit_master_refuses_a_generator_that_maps_a_one_to_a_zero(d, monkeypatch):
+    import fracbp.colgen as colgen
+    from fracbp.symmetry import Symmetry, power_generators
+
+    # Swapping rows 0 and 1 of the first factor alone moves the zero at
+    # (0, 2) of the domino onto the one at (1, 2).
+    swap = list(range(9))
+    swap[0:6] = [3, 4, 5, 0, 1, 2]
+    bad = Symmetry(tuple(swap), tuple(range(9)))
+    monkeypatch.setattr(colgen, "power_generators",
+                        lambda base, k: [*power_generators(base, k), bad])
+    with pytest.raises(InvariantViolation):
+        solve_power(d, 2, ColGenConfig())
+
+
+def test_orbit_master_refuses_representatives_that_miss_a_maximal(d, monkeypatch):
+    import fracbp.colgen as colgen
+    from fracbp.symmetry import orbit_representatives
+
+    monkeypatch.setattr(colgen, "orbit_representatives",
+                        lambda bicliques, gens: orbit_representatives(bicliques, gens)[1:])
+    with pytest.raises(InvariantViolation):
+        solve_power(d, 2, ColGenConfig())
+
+
+def test_bareiss_solve_is_exact(rng):
+    from fracbp.colgen import _bareiss_solve
+
+    assert _bareiss_solve([[1, 2], [2, 4]], [1, 2]) is None
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        matrix = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randint(-4, 9) for _ in range(n)]
+        x = _bareiss_solve(matrix, rhs)
+        if x is None:
+            continue
+        for row, b in zip(matrix, rhs):
+            assert sum((c * v for c, v in zip(row, x)), rat(0)) == b
+
+
 def counted_pricing(monkeypatch):
     """Count the calls that reach colgen's price_all."""
     import fracbp.colgen as colgen
@@ -399,10 +545,11 @@ def counted_pricing(monkeypatch):
     return calls
 
 
-def test_exact_pass_reuses_the_float_pricing(monkeypatch):
+def test_exact_pass_reuses_the_float_pricing(monkeypatch, tmp_path):
     calls = counted_pricing(monkeypatch)
     triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
-    report = solve_power(triangle, 3, ColGenConfig())
+    report = solve_power(
+        triangle, 3, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
     assert report.converged and report.value == 8
     # One iteration per level: the float mirror prices once, and the
     # crashed exact dual equals its dual, so the exact pass reuses it.
@@ -471,7 +618,7 @@ def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch)
 
 
 def test_rejected_crash_gives_the_exact_master_every_strategy_column(
-        monkeypatch, crown5, d):
+        monkeypatch, crown5, d, tmp_path):
     floats, masters = recorded_exact_masters(monkeypatch)
     monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
     report = run(crown5, ColGenConfig())
@@ -484,7 +631,7 @@ def test_rejected_crash_gives_the_exact_master_every_strategy_column(
     assert_masters_take_every_buffered_column(floats, masters)
     floats.clear()
     masters.clear()
-    report = solve_power(d, 2, ColGenConfig())
+    report = solve_power(d, 2, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
     assert report.converged and report.value == SIX
     assert_masters_take_every_buffered_column(floats, masters)
 
