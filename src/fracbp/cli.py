@@ -92,14 +92,11 @@ def build_parser() -> _Parser:
     p.add_argument("--init", choices=colgen.INIT_STRATEGIES, default="union",
                    help="columns that seed the master; with union and -k 2 "
                         "or more, the power is solved over the orbits of its "
-                        "symmetries unless --checkpoint is given")
+                        "symmetries")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored; pricing "
                         "runs serially")
-    p.add_argument("--checkpoint",
-                   help="checkpoint JSON path (resumes if present); a power "
-                        "is then solved level by level by the union ladder, "
-                        "not over orbits")
+    p.add_argument("--checkpoint", help="checkpoint JSON path (resumes if present)")
     p.set_defaults(func=cmd_bpf)
 
     p = sub.add_parser("bcf", help="fractional biclique cover number")

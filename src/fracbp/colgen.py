@@ -39,18 +39,19 @@ later: a resumed run seeds the float mirror with it and carries it all
 into its first exact master.
 
 Kronecker powers (`solve_power`) with k >= 2 and the union strategy
-are solved by the orbit master unless a checkpoint path is set: one
-LP over the orbits of the power's symmetry group G (see `symmetry`),
-with a row per edge orbit and a column per profile, priced over one
-maximal biclique per orbit.  HiGHS solves it in floats and its basis
-is then solved exactly by Bareiss elimination, so floats only steer
-here too.  The answer does not rest on the symmetry code: each
-generator is checked to map ones onto ones, the orbits of the
-representatives are checked to cover every maximal biclique, which
-makes their pricing maximum the global alpha, and the orbit solution is
-expanded to a full-space partition that is checked edge by edge.  The
-union ladder, which runs `run` on every level, solves checkpointed
-union runs and is the fallback when the orbit master cannot finish.
+are solved by the orbit master: one LP over the orbits of the power's
+symmetry group G (see `symmetry`), with a row per edge orbit and a
+column per profile, priced over one maximal biclique per orbit.  Like
+`run`, it prices HiGHS's rounded duals until they bring nothing new,
+then solves HiGHS's basis exactly (checking the rounded values against
+it, else by Bareiss elimination), so floats only steer here too.  The
+answer does not rest on the symmetry code: each generator is checked
+to map ones onto ones, the orbits of the representatives are checked
+to cover every maximal biclique, which makes their pricing maximum the
+global alpha, and the orbit solution is expanded to a full-space
+partition that is checked edge by edge.  It checkpoints its columns in
+the same format as `run`.  The union ladder, which runs `run` on every
+level, is the fallback when the orbit master cannot finish.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -90,12 +90,6 @@ from .errors import (
 from .lp import PARTITION, SimplexSolver, highs_model, highs_solution
 from .maximal import enumerate_maximal, lift_maximal_kronecker
 from .pricing import price_all
-from .symmetry import (
-    biclique_orbit,
-    edge_orbits,
-    orbit_representatives,
-    power_generators,
-)
 
 CHECKPOINT_VERSION = 1
 
@@ -142,8 +136,8 @@ class IterationRecord:
 
     On the orbit master of `solve_power`, `pool_size` counts the orbit
     columns held after the iteration's pricing, `added` the new profiles
-    that pricing brought in, and `pruned` is always 0: no orbit column
-    is ever dropped.
+    that its float rounds and its exact pricing brought in, and `pruned`
+    is always 0: no orbit column is ever dropped.
     """
 
     iteration: int
@@ -565,6 +559,16 @@ _INNER_ROUNDS = 40
 _BUFFER_CAP = 60_000
 _TRUE_ADMIT = 8
 
+# HiGHS's floats are read as the nearest fraction with a denominator up
+# to this, both to price them and, in the orbit master, to try them as
+# the exact solution of their basis.
+_ROUNDING_DEN = 10 ** 9
+
+
+def _nearest(v: float):
+    f = Fraction(v).limit_denominator(_ROUNDING_DEN)
+    return rat(f.numerator, f.denominator)
+
 
 def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
     """Run the float relaxation of the buffered master to a standstill.
@@ -596,8 +600,7 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
         for v in duals.tolist():
             q = rounded.get(v)
             if q is None:
-                f = Fraction(v).limit_denominator(10 ** 9)
-                q = rounded[v] = rat(f.numerator, f.denominator)
+                q = rounded[v] = _nearest(v)
             smoothed.append(q)
         alpha, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
         priced = (tuple(smoothed), (alpha, found))
@@ -646,23 +649,25 @@ def solve_power(
     in one product step.  A power over the size cap is refused before
     any level is built or solved.
 
-    With k >= 2, the union strategy and no `checkpoint_path`, the top
-    level is solved by the orbit master (`_orbit_master`): one LP over
-    the edge orbits of the power's symmetry group, priced over one
-    maximal biclique per orbit.  Its result does not rest on the
-    symmetry code: every generator is checked to map ones onto ones,
-    the orbits of the representatives must cover every lifted maximal,
-    which makes the pricing maximum over the representatives the global
-    one, and the reported support is the orbit columns expanded to the
-    full space and checked edge by edge.  When HiGHS fails, the exact
-    basis is singular or infeasible, or pricing stalls, the call falls
-    back to the union ladder below.
+    With k >= 2 and the union strategy, the top level is solved by the
+    orbit master (`orbits.orbit_master`): one LP over the edge orbits of the
+    power's symmetry group, priced over one maximal biclique per orbit.
+    Its result does not rest on the symmetry code: every generator is
+    checked to map ones onto ones, the orbits of the representatives
+    must cover every lifted maximal, which makes the pricing maximum
+    over the representatives the global one, and the reported support
+    is the orbit columns expanded to the full space and checked edge by
+    edge.  Its records go to `progress` once it has finished.  When
+    HiGHS fails, the exact basis is singular or infeasible, or an
+    iteration adds no column, the call falls back to the union ladder
+    below, which then resumes from the orbit master's checkpoint, if
+    it wrote one.
 
-    The union ladder (a checkpointed union run, or the fallback) solves
-    every level unless resuming from a checkpoint: level 1 starts from
-    the densest pool that fits, and each later level starts from the
-    products of the previous level's optimal support with level 1's,
-    which seeds its master close to optimal.  Otherwise only the top
+    The union ladder (the fallback) solves every level unless resuming
+    from a checkpoint: level 1 starts from the densest pool that fits,
+    and each later level starts from the products of the previous
+    level's optimal support with level 1's, which seeds its master close
+    to optimal.  Otherwise, and for the other strategies, only the top
     level is solved, by `run`.  Only the top level checkpoints and
     reports progress.
     """
@@ -677,9 +682,15 @@ def solve_power(
         levels.append((kronecker(below, base),
                        lift_maximal_kronecker(base_maximals, level, base_shape,
                                               below=below_maximals)))
-    if k >= 2 and config.init_strategy == "union" and not config.checkpoint_path:
-        report = _orbit_master(base, k, *levels[-1], config, progress)
+    if k >= 2 and config.init_strategy == "union":
+        # Imported here because `orbits` imports this module.
+        from .orbits import orbit_master
+
+        report = orbit_master(base, k, *levels[-1], config)
         if report is not None:
+            if progress is not None:
+                for record in report.records:
+                    progress(record)
             return report
 
     resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
@@ -697,239 +708,3 @@ def solve_power(
             if level == 1:
                 base_support = support
     return report
-
-
-# ---------------------------------------------------------------------------
-# Orbit master
-# ---------------------------------------------------------------------------
-
-def _orbit_master(base, k, a, maximals, config, progress) -> ColGenReport | None:
-    """Column generation on the k-th power `a` of `base` over the orbits
-    of its symmetry group G, or None when the caller should fall back.
-
-    Averaging an optimum over G keeps it optimal, so some optimum gives
-    every biclique of one G-orbit the same weight, and some optimal
-    dual y is constant on each edge orbit E.  The orbit LP has one row
-    per E, sum_O |b_O & E| z_O = |E|, objective sum z_O, and one column
-    per profile: a biclique's vector of |b & E| over the edge orbits.
-    Bicliques with one profile are one column, so new columns are
-    deduplicated by profile and need no canonical form.  It starts from
-    one singleton per edge orbit, which makes it feasible, then the
-    profiles of the stars and of the maximal-orbit representatives.
-
-    Each iteration solves the LP in floats (rows scaled by 1/|E|) and
-    then HiGHS's optimal basis exactly in integers, for z and the dual
-    w; y_e = w_E for e in E.  Pricing scans only the representatives
-    (one maximal per orbit): once the orbits are checked to cover every
-    maximal, their maximum is the global one, since G maps bicliques
-    onto bicliques of the same y-weight.  The run stops at alpha <= 1 +
-    epsilon or after `max_iterations`, and the support of the last
-    basis is expanded: each basic orbit column's z spread evenly over
-    its representative's G-orbit, then checked edge by edge.
-
-    Returns None when HiGHS fails, the basis is singular or not exactly
-    feasible, or pricing finds alpha > 1 + epsilon but no new profile.
-    """
-    t_start = time.perf_counter()
-    gens = power_generators(base, k)
-    orbits = edge_orbits(a, gens)
-    reps = orbit_representatives(maximals, gens)
-    covered = set()
-    for b in reps:
-        covered.update(biclique_orbit(b, gens))
-    if not covered.issuperset(maximals):
-        raise InvariantViolation(
-            "the orbits of the representatives miss a maximal biclique")
-    orbit_of = np.empty(a.num_edges, dtype=np.intp)
-    for t, orbit in enumerate(orbits):
-        orbit_of[orbit] = t
-    orbit_of = orbit_of.tolist()
-    pool = _OrbitColumns(a, orbits)
-    singletons = []
-    for orbit in orbits:
-        i, j = a.edges[int(orbit[0])]
-        singletons.append(Biclique(1 << i, 1 << j))
-    pool.extend([*singletons, *initial_stars(a), *reps])
-
-    records: list[IterationRecord] = []
-    best_lower = ZERO
-    t_master = t_pricing = t_float = 0.0
-    threshold = ONE + config.epsilon
-    iteration = 0
-    while True:
-        iteration += 1
-        t0 = time.perf_counter()
-        vertex = _linprog(A_eq=pool.scaled())
-        t1 = time.perf_counter()
-        exact = None if vertex is None else pool.solve_basis(vertex[2])
-        t2 = time.perf_counter()
-        t_float += t1 - t0
-        t_master += t2 - t1
-        if exact is None:
-            return None
-        z, w = exact
-        objective = sum(z.values(), ZERO)
-        dual = tuple(w[t] for t in orbit_of)
-        alpha, candidates = price_all(reps, EdgeWeights(a, dual), threshold)
-        t_pricing += time.perf_counter() - t2
-        lower = objective / alpha if alpha > 1 else objective
-        if lower > best_lower:
-            best_lower = lower
-        converged = alpha <= threshold
-        added = 0 if converged else pool.extend([pb.biclique for pb in candidates])
-        records.append(IterationRecord(
-            iteration, objective, alpha, best_lower, len(pool), added, 0))
-        if progress is not None:
-            progress(records[-1])
-        if converged or iteration >= config.max_iterations:
-            break
-        if not added:
-            return None
-
-    support = _expand_orbits(
-        a, gens, [(pool.bicliques[j], x) for j, x in z.items() if x], objective)
-    timings = {
-        "total": time.perf_counter() - t_start,
-        "master": t_master,
-        "pricing": t_pricing,
-        "float": t_float,
-    }
-    return ColGenReport(
-        matrix=a, matrix_hash=matrix_hash(a), converged=converged,
-        value=objective, best_lower_bound=best_lower, final_alpha=alpha,
-        support=tuple(support), dual=dual, records=records, timings=timings)
-
-
-class _OrbitColumns:
-    """The orbit LP's columns: one representative biclique per profile,
-    in the order first met, with the edge orbits' sizes as the right
-    hand side.  A profile is counted from the biclique's incidence
-    column, one bitset AND per edge orbit."""
-
-    def __init__(self, a: BinaryMatrix, orbits):
-        self._a = a
-        self.sizes = [len(orbit) for orbit in orbits]
-        self._masks = []
-        for orbit in orbits:
-            bits = np.zeros(a.num_edges, dtype=np.uint8)
-            bits[orbit] = 1
-            self._masks.append(int.from_bytes(
-                np.packbits(bits, bitorder="little").tobytes(), "little"))
-        self._ids: dict[tuple[int, ...], int] = {}
-        self.bicliques: list[Biclique] = []
-        self.profiles: list[tuple[int, ...]] = []
-
-    def __len__(self) -> int:
-        return len(self.bicliques)
-
-    def extend(self, bicliques) -> int:
-        """Add the bicliques whose profiles are new; returns how many."""
-        before = len(self)
-        for b in bicliques:
-            bits = incidence_column(self._a, b)
-            profile = tuple((bits & mask).bit_count() for mask in self._masks)
-            if profile not in self._ids:
-                self._ids[profile] = len(self.bicliques)
-                self.bicliques.append(b)
-                self.profiles.append(profile)
-        return len(self) - before
-
-    def scaled(self) -> _Csc:
-        """The LP with row E divided by |E|, so every right hand side is
-        one, as `_linprog` solves it."""
-        counts = np.array(self.profiles, dtype=np.int64)
-        cols, rows = np.nonzero(counts)
-        indptr = np.zeros(len(self) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=len(self)), out=indptr[1:])
-        data = counts[cols, rows] / np.array(self.sizes, dtype=np.float64)[rows]
-        return _Csc(indptr, rows.astype(np.int32), data, (len(self.sizes), len(self)))
-
-    def solve_basis(self, basic):
-        """The exact solution at HiGHS's basis `basic`, in the unscaled
-        LP: ({column: z}, w), or None when the basis is singular or not
-        feasible.  A basic row slack stands for an artificial unit
-        column of cost 0, which must be 0 in a feasible solution."""
-        basic = basic.tolist()
-        cols = sorted(j for j in basic if j >= 0)
-        slack_rows = sorted(-1 - j for j in basic if j < 0)
-        m = len(self.sizes)
-        if len(cols) + len(slack_rows) != m:
-            return None
-        matrix = [[self.profiles[j][r] for j in cols]
-                  + [int(r == s) for s in slack_rows] for r in range(m)]
-        z = _bareiss_solve(matrix, self.sizes)
-        if z is None or min(z) < 0 or any(z[len(cols):]):
-            return None
-        w = _bareiss_solve([list(col) for col in zip(*matrix)],
-                           [1] * len(cols) + [0] * len(slack_rows))
-        return dict(zip(cols, z)), w
-
-
-def _bareiss_solve(matrix, rhs):
-    """x with matrix x = rhs for a square integer matrix, exactly, or
-    None when it is singular.  Fraction-free Gaussian elimination
-    (Bareiss): every division is exact, so entries stay integers, and
-    only the back substitution is rational."""
-    n = len(matrix)
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    prev = 1
-    for p in range(n):
-        pick = next((i for i in range(p, n) if m[i][p]), None)
-        if pick is None:
-            return None
-        m[p], m[pick] = m[pick], m[p]
-        top = m[p]
-        pivot = top[p]
-        for row in m[p + 1:]:
-            f = row[p]
-            for j in range(p + 1, n + 1):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-            row[p] = 0
-        prev = pivot
-    # With det the last pivot, det * x is an integer vector (Cramer),
-    # so back substitution on it divides exactly too.
-    det = prev
-    scaled = [0] * n
-    for i in reversed(range(n)):
-        row = m[i]
-        rest = sum(row[j] * scaled[j] for j in range(i + 1, n))
-        scaled[i] = (row[n] * det - rest) // row[i]
-    return [rat(v, det) for v in scaled]
-
-
-def _expand_orbits(a, gens, columns, value) -> list[tuple[Biclique, object]]:
-    """The full-space support of orbit columns [(representative, z)]:
-    every biclique of a representative's G-orbit O gets z / |O|.
-
-    It is checked here in integers, without the symmetry code: the
-    weights are positive and sum to `value`, and with den their common
-    denominator, every one of `a` is covered by total weight exactly
-    den / den and every zero by none.  Raises InvariantViolation
-    otherwise."""
-    weights: dict[Biclique, object] = {}
-    for b, z in columns:
-        orbit = biclique_orbit(b, gens)
-        share = z / len(orbit)
-        for c in orbit:
-            weights[c] = weights.get(c, ZERO) + share
-    support = sorted(weights.items(), key=lambda t: (t[0].row_set, t[0].col_set))
-    den = lcm(*(w.denominator for _, w in support))
-    groups: dict[int, list[Biclique]] = {}
-    for b, w in support:
-        groups.setdefault(w.numerator * (den // w.denominator), []).append(b)
-    total_num = sum(num * len(bs) for num, bs in groups.items())
-    if min(groups) <= 0 or total_num != value * den:
-        raise InvariantViolation("expanded support weights do not sum to the value")
-    # Each cell's total is at most the summed numerators, so int64 holds
-    # it when those fit.
-    dtype = np.int64 if total_num < 1 << 62 else object
-    total = np.zeros((a.num_rows, a.num_cols), dtype=dtype)
-    for num, bs in groups.items():
-        rows = _unpack([b.row_set for b in bs], a.num_rows).astype(np.float64)
-        cols = _unpack([b.col_set for b in bs], a.num_cols).astype(np.float64)
-        # Float counts are exact: each is at most len(bs) < 2^53.
-        total += np.rint(rows.T @ cols).astype(np.int64).astype(dtype) * num
-    ones = _unpack(a.rows, a.num_cols).astype(bool)
-    if (total[ones] != den).any() or total[~ones].any():
-        raise InvariantViolation("expanded support is not a fractional partition")
-    return support

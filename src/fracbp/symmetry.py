@@ -278,13 +278,15 @@ def biclique_orbit(b: Biclique, gens) -> list[Biclique]:
     return [Biclique(r, c) for r, c in sorted(_orbit((b.row_set, b.col_set), gens))]
 
 
-def orbit_representatives(bicliques, gens) -> list[Biclique]:
-    """The first of `bicliques`, in input order, from each G-orbit."""
-    seen: set[tuple[int, int]] = set()
+def orbit_representatives(bicliques, gens):
+    """(reps, covered): the first of `bicliques`, in input order, from
+    each G-orbit, and the union of their orbits as (row mask, column
+    mask) pairs."""
+    covered: set[tuple[int, int]] = set()
     reps = []
     for b in bicliques:
         key = (b.row_set, b.col_set)
-        if key not in seen:
+        if key not in covered:
             reps.append(b)
-            seen |= _orbit(key, gens)
-    return reps
+            covered |= _orbit(key, gens)
+    return reps, covered

@@ -303,9 +303,17 @@ def test_power_one_is_the_plain_run(d):
     assert report.converged and report.value == FIVE_HALVES
 
 
-def test_power_two_by_ladder(d, tmp_path):
-    # A checkpoint keeps the union run on the ladder.
-    report = solve_power(d, 2, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
+def on_the_ladder(patch):
+    """Make solve_power fall back to the union ladder, as it does when
+    the orbit master cannot finish."""
+    import fracbp.orbits as orbits
+
+    patch.setattr(orbits, "orbit_master", lambda *args: None)
+
+
+def test_power_two_by_ladder(d, monkeypatch):
+    on_the_ladder(monkeypatch)
+    report = solve_power(d, 2, ColGenConfig())
     assert report.converged and report.value == SIX
     assert_is_fractional_partition(kronecker(d, d), report.support)
 
@@ -414,8 +422,7 @@ def orbit_report(monkeypatch, base, k, config=None):
 
 
 @pytest.mark.parametrize("name, base, k", ORBIT_CASES, ids=[c[0] for c in ORBIT_CASES])
-def test_orbit_master_is_certified_and_matches_the_ladder(
-        name, base, k, monkeypatch, tmp_path):
+def test_orbit_master_is_certified_and_matches_the_ladder(name, base, k, monkeypatch):
     report = orbit_report(monkeypatch, base, k)
     a = report.matrix
     assert a == kronecker_power(base, k)
@@ -430,7 +437,9 @@ def test_orbit_master_is_certified_and_matches_the_ladder(
     assert sum((w for _, w in report.support), rat(0)) == report.value
     assert list(report.support) == sorted(
         report.support, key=lambda t: (t[0].row_set, t[0].col_set))
-    ladder = solve_power(base, k, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
+    with monkeypatch.context() as patch:
+        on_the_ladder(patch)
+        ladder = solve_power(base, k, ColGenConfig())
     assert ladder.converged and report.value == ladder.value
 
 
@@ -443,12 +452,16 @@ def test_orbit_records_count_orbit_columns_and_new_profiles(d, monkeypatch):
     assert report.support == again.support and report.dual == again.dual
     for before, rec in zip(report.records, report.records[1:]):
         assert rec.pool_size == before.pool_size + rec.added
-        assert rec.pruned == 0
-    assert report.records[-1].added == 0
+    assert all(rec.pruned == 0 for rec in report.records)
+    assert 0 < report.records[0].added < report.records[0].pool_size
     assert {"total", "master", "pricing", "float"} == set(report.timings)
 
 
 def test_orbit_master_stops_at_the_iteration_cap(d, monkeypatch):
+    import fracbp.colgen as colgen
+
+    # With one float round per iteration D^3 takes several iterations.
+    monkeypatch.setattr(colgen, "_INNER_ROUNDS", 1)
     report = orbit_report(monkeypatch, d, 3, ColGenConfig(max_iterations=2))
     assert not report.converged and report.iterations == 2
     a = report.matrix
@@ -456,8 +469,29 @@ def test_orbit_master_stops_at_the_iteration_cap(d, monkeypatch):
     assert report.best_lower_bound < rat(2059, 149) < report.value
 
 
+def test_orbit_master_checkpoints_and_resumes(d, monkeypatch, tmp_path):
+    path = str(tmp_path / "ckpt.json")
+    first = orbit_report(monkeypatch, d, 3, ColGenConfig(checkpoint_path=path))
+    iteration, saved = load_checkpoint(path, first.matrix_hash)
+    assert iteration == first.iterations and len(saved) == first.records[-1].pool_size
+    resumed = orbit_report(monkeypatch, d, 3, ColGenConfig(checkpoint_path=path))
+    assert resumed.converged and resumed.value == first.value == rat(2059, 149)
+    assert resumed.records[0].iteration == iteration + 1
+    assert resumed.records[0].added == 0
+    # A checkpoint that `run` wrote for the same power resumes too, and
+    # one for another power is refused.
+    path = str(tmp_path / "run.json")
+    run(kronecker_power(d, 2), ColGenConfig(init_strategy="stars", max_iterations=1,
+                                            checkpoint_path=path))
+    report = orbit_report(monkeypatch, d, 2, ColGenConfig(checkpoint_path=path))
+    assert report.converged and report.value == SIX
+    with pytest.raises(CheckpointError):
+        orbit_report(monkeypatch, d, 3, ColGenConfig(checkpoint_path=path))
+
+
 def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
     import fracbp.colgen as colgen
+    import fracbp.orbits as orbits
 
     runs = []
     run_ = colgen.run
@@ -468,30 +502,42 @@ def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
 
     monkeypatch.setattr(colgen, "run", counting_run)
 
-    extend = colgen._OrbitColumns.extend
+    extend = orbits._OrbitColumns.extend
 
     def stalling(self, bicliques):
         # The start columns go in; no priced column ever does.
         return 0 if len(self) else extend(self, bicliques)
 
+    def singular(patch):
+        # HiGHS's rounded values fail the check and elimination finds
+        # the basis singular.
+        patch.setattr(orbits, "_solves", lambda matrix, x, rhs: False)
+        patch.setattr(orbits, "_bareiss_solve", lambda matrix, rhs: None)
+
     fallbacks = [
-        (colgen, "_linprog", lambda *, A_eq: None),       # HiGHS fails
-        (colgen, "_bareiss_solve", lambda matrix, rhs: None),  # singular basis
-        (colgen._OrbitColumns, "extend", stalling),        # pricing stalls
+        ("HiGHS fails", lambda patch: patch.setattr(
+            colgen, "_linprog", lambda *, A_eq: None)),
+        ("singular basis", singular),
+        ("pricing stalls", lambda patch: patch.setattr(
+            orbits._OrbitColumns, "extend", stalling)),
     ]
-    for owner, name, patched in fallbacks:
+    for name, patching in fallbacks:
         runs.clear()
+        seen = []
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, patched)
-            report = solve_power(d, 2, ColGenConfig())
+            patching(patch)
+            report = solve_power(d, 2, ColGenConfig(), progress=seen.append)
         assert report.converged and report.value == SIX, name
+        # Progress shows the ladder's records only, none of the orbit
+        # master's it gave up on.
+        assert seen == report.records, name
         assert_is_fractional_partition(report.matrix, report.support)
         # The ladder solves both levels, on the levels already built.
         assert [a.num_rows for a in runs] == [3, 9], name
 
 
 def test_orbit_master_refuses_a_generator_that_maps_a_one_to_a_zero(d, monkeypatch):
-    import fracbp.colgen as colgen
+    import fracbp.orbits as orbits
     from fracbp.symmetry import Symmetry, power_generators
 
     # Swapping rows 0 and 1 of the first factor alone moves the zero at
@@ -499,24 +545,29 @@ def test_orbit_master_refuses_a_generator_that_maps_a_one_to_a_zero(d, monkeypat
     swap = list(range(9))
     swap[0:6] = [3, 4, 5, 0, 1, 2]
     bad = Symmetry(tuple(swap), tuple(range(9)))
-    monkeypatch.setattr(colgen, "power_generators",
+    monkeypatch.setattr(orbits, "power_generators",
                         lambda base, k: [*power_generators(base, k), bad])
     with pytest.raises(InvariantViolation):
         solve_power(d, 2, ColGenConfig())
 
 
 def test_orbit_master_refuses_representatives_that_miss_a_maximal(d, monkeypatch):
-    import fracbp.colgen as colgen
-    from fracbp.symmetry import orbit_representatives
+    import fracbp.orbits as orbits
+    from fracbp.symmetry import biclique_orbit, orbit_representatives
 
-    monkeypatch.setattr(colgen, "orbit_representatives",
-                        lambda bicliques, gens: orbit_representatives(bicliques, gens)[1:])
+    def dropping_the_first(bicliques, gens):
+        reps, _ = orbit_representatives(bicliques, gens)
+        covered = {(c.row_set, c.col_set)
+                   for b in reps[1:] for c in biclique_orbit(b, gens)}
+        return reps[1:], covered
+
+    monkeypatch.setattr(orbits, "orbit_representatives", dropping_the_first)
     with pytest.raises(InvariantViolation):
         solve_power(d, 2, ColGenConfig())
 
 
 def test_bareiss_solve_is_exact(rng):
-    from fracbp.colgen import _bareiss_solve
+    from fracbp.orbits import _bareiss_solve
 
     assert _bareiss_solve([[1, 2], [2, 4]], [1, 2]) is None
     for _ in range(50):
@@ -545,11 +596,11 @@ def counted_pricing(monkeypatch):
     return calls
 
 
-def test_exact_pass_reuses_the_float_pricing(monkeypatch, tmp_path):
+def test_exact_pass_reuses_the_float_pricing(monkeypatch):
     calls = counted_pricing(monkeypatch)
+    on_the_ladder(monkeypatch)
     triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
-    report = solve_power(
-        triangle, 3, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
+    report = solve_power(triangle, 3, ColGenConfig())
     assert report.converged and report.value == 8
     # One iteration per level: the float mirror prices once, and the
     # crashed exact dual equals its dual, so the exact pass reuses it.
@@ -618,7 +669,7 @@ def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch)
 
 
 def test_rejected_crash_gives_the_exact_master_every_strategy_column(
-        monkeypatch, crown5, d, tmp_path):
+        monkeypatch, crown5, d):
     floats, masters = recorded_exact_masters(monkeypatch)
     monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
     report = run(crown5, ColGenConfig())
@@ -631,7 +682,8 @@ def test_rejected_crash_gives_the_exact_master_every_strategy_column(
     assert_masters_take_every_buffered_column(floats, masters)
     floats.clear()
     masters.clear()
-    report = solve_power(d, 2, ColGenConfig(checkpoint_path=str(tmp_path / "ckpt.json")))
+    on_the_ladder(monkeypatch)
+    report = solve_power(d, 2, ColGenConfig())
     assert report.converged and report.value == SIX
     assert_masters_take_every_buffered_column(floats, masters)
 

@@ -121,13 +121,14 @@ def test_power_orbits(base, k, edge_count, maximal_count):
     orbits = edge_orbits(a, gens)
     assert [o.tolist() for o in orbits] == brute_edge_orbits(a, gens)
     maximals = enumerate_maximal(a)
-    reps = orbit_representatives(maximals, gens)
+    reps, covered_keys = orbit_representatives(maximals, gens)
     covered = set()
     for b in reps:
         orbit = biclique_orbit(b, gens)
         assert b in orbit and covered.isdisjoint(orbit)
         covered.update(orbit)
     assert covered == set(maximals)
+    assert covered_keys == {(b.row_set, b.col_set) for b in covered}
     if edge_count is not None:
         assert (len(orbits), len(reps)) == (edge_count, maximal_count)
 
