@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import time
+from math import lcm
 
 import numpy as np
 
@@ -52,9 +53,10 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
     same y-weight.  Each iteration first runs float rounds, as the
     float mirror of `colgen.run` does: HiGHS solves the LP (rows scaled
     by 1/|E|) and its duals, rounded, are priced until they bring no new
-    profile.  Then HiGHS's last optimal basis is solved exactly, for z
-    and the dual w (y_e = w_E for e in E), and w is priced, which
-    decides convergence.  The run stops at alpha <= 1 + epsilon or after
+    profile.
+    Then HiGHS's last optimal basis is solved exactly, for z and the
+    dual w (y_e = w_E for e in E), and w is priced, which decides
+    convergence.  The run stops at alpha <= 1 + epsilon or after
     `max_iterations`, writing the checkpoint, if any, after every
     iteration.  The support of the last basis is then expanded: each
     basic orbit column's z spread evenly over its G-orbit, then checked
@@ -330,15 +332,22 @@ def _expand_orbits(a, gens, columns, value) -> list[tuple[Biclique, object]]:
         for c in orbit:
             weights[c] = weights.get(c, ZERO) + share
     support = sorted(weights.items(), key=lambda t: (t[0].row_set, t[0].col_set))
-    den, nums = clear_denominators([w for _, w in support])
-    if min(nums) <= 0 or sum(nums) != value * den:
+    den = lcm(*(w.denominator for _, w in support))
+    groups: dict[int, list[Biclique]] = {}
+    for b, w in support:
+        groups.setdefault(w.numerator * (den // w.denominator), []).append(b)
+    total_num = sum(num * len(bs) for num, bs in groups.items())
+    if min(groups) <= 0 or total_num != value * den:
         raise InvariantViolation("expanded support weights do not sum to the value")
     # Each cell's total is at most the summed numerators, so int64 holds
     # it when those fit.
-    dtype = np.int64 if sum(nums) < 1 << 62 else object
+    dtype = np.int64 if total_num < 1 << 62 else object
     total = np.zeros((a.num_rows, a.num_cols), dtype=dtype)
-    for (b, _), num in zip(support, nums):
-        total[np.ix_(b.row_indices(), b.col_indices())] += num
+    for num, bs in groups.items():
+        rows = colgen._unpack([b.row_set for b in bs], a.num_rows).astype(np.float64)
+        cols = colgen._unpack([b.col_set for b in bs], a.num_cols).astype(np.float64)
+        # Float counts are exact: each is at most len(bs) < 2^53.
+        total += np.rint(rows.T @ cols).astype(np.int64).astype(dtype) * num
     ones = colgen._unpack(a.rows, a.num_cols).astype(bool)
     if (total[ones] != den).any() or total[~ones].any():
         raise InvariantViolation("expanded support is not a fractional partition")
