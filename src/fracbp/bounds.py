@@ -109,10 +109,12 @@ def integer_partition_number(
     """Exact bp: minimum number of bicliques partitioning the ones.
 
     Enumerates every biclique (partitions may need non-maximal parts)
-    and runs branch and bound.  Returns (value, parts, nodes explored).
+    and runs branch and bound, which may prune with a's symmetries.
+    Returns (value, parts, nodes explored).
     """
     bicliques = enumerate_all_bicliques(a)
-    result = solve_integer(build_master(a, bicliques, PARTITION), node_cap)
+    result = solve_integer(build_master(a, bicliques, PARTITION), node_cap,
+                           lambda: edge_symmetries(a))
     chosen = [b for b, take in zip(bicliques, result.selection) if take]
     return result.objective, chosen, result.nodes
 
@@ -120,11 +122,25 @@ def integer_partition_number(
 def integer_cover_number(
     a: BinaryMatrix, node_cap: int = NODE_CAP
 ) -> tuple[int, list[Biclique], int]:
-    """Exact bc over maximal bicliques (maximality is free for covers)."""
+    """Exact bc over maximal bicliques (maximality is free for covers);
+    branch and bound may prune with a's symmetries."""
     maximals = enumerate_maximal(a)
-    result = solve_integer(build_master(a, maximals, COVER), node_cap)
+    result = solve_integer(build_master(a, maximals, COVER), node_cap,
+                           lambda: edge_symmetries(a))
     chosen = [b for b, take in zip(maximals, result.selection) if take]
     return result.objective, chosen, result.nodes
+
+
+def edge_symmetries(a: BinaryMatrix) -> list:
+    """Generators of a's symmetries (row and column automorphisms, and
+    the transpose when a equals its own transpose up to permutations),
+    each as a permutation of a's edges: a row map of the integer LPs
+    above, which sends every biclique's column onto another's."""
+    # Imported here: `fracbp.cli` loads this module, and the symmetry
+    # search is only needed once a branch and bound asks for it.
+    from .symmetry import edge_permutations, power_generators
+
+    return edge_permutations(a, power_generators(a, 1))
 
 
 # ---------------------------------------------------------------------------

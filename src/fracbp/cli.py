@@ -3,7 +3,9 @@
 Subcommands: bpf (fractional partition via column generation), bcf
 (fractional cover LP), bp / bc (integer variants by branch and bound),
 bounds (fooling set, cover value, and per-power root bounds), kron
-(write a Kronecker power in the text matrix format).
+(write a Kronecker power in the text matrix format).  In the output of
+bp and bc, `iterations` is the number of branch-and-bound nodes (LP
+solves) explored.
 
 Exit codes: 0 success, 2 finished without converging, 3 a size or node
 cap refused the computation, 64 usage error, 65 unreadable input
@@ -103,14 +105,17 @@ def build_parser() -> _Parser:
     add_common(p)
     p.set_defaults(func=cmd_bcf)
 
+    node_cap_help = ("most branch-and-bound nodes (LP solves) to explore "
+                     "before refusing with exit code 3; the output's "
+                     "iterations is the number explored")
     p = sub.add_parser("bp", help="integer biclique partition number")
     add_common(p)
-    p.add_argument("--node-cap", type=int, default=NODE_CAP)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP, help=node_cap_help)
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("bc", help="integer biclique cover number")
     add_common(p)
-    p.add_argument("--node-cap", type=int, default=NODE_CAP)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP, help=node_cap_help)
     p.set_defaults(func=cmd_bc)
 
     p = sub.add_parser("bounds", help="fooling set, cover value, and root bounds")

@@ -69,16 +69,45 @@ Design notes that matter for correctness:
   every other node on one HiGHS model of the root LP, as a change of
   column bounds that HiGHS re-solves hot from its last basis.  HiGHS
   only steers there too.  A node is pruned only on its rounded row
-  duals after an exact check, in Python integers, that they are dual
-  feasible for the node's own LP, which gives an exact lower bound.  An
-  integral float leaf is closed only after its columns are checked edge
-  by edge to partition (or cover) the node's rows, in exactly as many
-  columns as that bound.  A node whose float solve fails, or whose
-  duals or leaf fail a check, is solved exactly by `solve` instead.
+  duals after an exact integer check that they are dual feasible for
+  the node's own LP, which gives an exact lower bound: one sum per
+  root column, since y is zero off the node's rows, in int64 unless a
+  sum could reach 2^62.  An integral float leaf is closed only after
+  its columns are checked edge by edge to partition (or cover) the
+  node's rows, in exactly as many columns as that bound.  A node whose
+  float solve fails, or whose duals or leaf fail a check, is solved
+  exactly by `solve` instead.
+- Branching is orbital when the caller supplies symmetries of the LP
+  (Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011; Margot
+  2010): row maps that send every column onto a column, as the
+  automorphisms of a matrix do with its bicliques.  A node keeps maps
+  h that map its fixed-at-one columns, and its fixed-at-zero ones,
+  each onto themselves; each such h maps the node's integer solutions
+  onto themselves at the same cost.  The x=0 child of column j then
+  fixes at zero every h(j), not j alone: h^-1 maps any solution with
+  x_h(j) = 1 to one with x_j = 1, which the x=1 child already
+  searches.  The x=1 child keeps the maps that fix j, and the x=0
+  child keeps them all, since they map j's orbit onto itself.
+  The group G is built at most once, lazily: at the first x=0 child
+  that must branch while no incumbent meets the root bound's ceiling.
+  That child's bound, taken with j alone at zero, still holds, and
+  the rest of j's orbit is fixed at zero below it.  A child pruned or
+  closed at once gains nothing from G, and once an incumbent meets
+  the ceiling it is optimal, nodes are pruned on their bounds, and all
+  symmetry work stops, as it does in a subtree once only the identity
+  is left.  G is checked exactly, map by map and
+  column by column, and closed under composition up to
+  `symmetry._CLOSURE_CAP` maps.  Any set of checked maps is sound
+  (when the cap cuts the closure, each orbit is closed under the maps
+  kept), so the cap only weakens the pruning.  G is held as row maps,
+  |G| x rows, and a column's images are looked up by their row
+  bitsets.  Values stay exact and the same; the selection and the
+  node count move.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -781,7 +810,8 @@ def highs_solution(model):
 # Branch and bound
 # ---------------------------------------------------------------------------
 
-def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP) -> IntegerSolution:
+def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
+                  symmetries=None) -> IntegerSolution:
     """Optimal integer (0/1) solution by LP-based branch and bound.
 
     Depth first, branching on the most fractional variable, diving on
@@ -794,15 +824,31 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP) -> IntegerSolutio
     node count move with those vertices.  `node_cap` limits LP solves;
     exceeding it raises NodeCapExceeded carrying the incumbent and root
     bound.
+
+    `symmetries`, when given, is a function of no arguments returning
+    row maps of `lp`, each a sequence whose entry r is row r's image,
+    and branching is orbital (see the module notes): the x=0 child of
+    column j fixes at zero j's whole orbit under the node's symmetries,
+    since a symmetry h maps any solution with x_h(j) = 1 onto one with
+    x_j = 1, which the x=1 child searches.  The function is called at
+    most once, at the first x=0 child that must branch while no
+    incumbent meets the root bound's ceiling, so a search that meets
+    it on its first dive never calls it.  The maps are checked
+    exactly: one that is no permutation of the rows, or that sends
+    some column onto no column, raises InvariantViolation, and the
+    columns must be distinct.  The group they generate is closed up to
+    `symmetry._CLOSURE_CAP` elements, which only weakens the pruning.
+    The objective is the same with or without them; the selection and
+    the node count move.
     """
     root = solve(lp)
     if root.status == "infeasible":
         raise ContractViolation("integer model is infeasible")
-    search = _BranchAndBound(lp, node_cap, root.objective)
+    search = _BranchAndBound(lp, node_cap, root.objective, symmetries)
     cols = list(enumerate(lp.columns))
     frac = search.exact_node(cols, [], root)
     if frac is not None:
-        search.model = _node_model(lp)
+        search.indptr, search.indices, search.model = _node_model(lp)
         search.branch((1 << lp.num_rows) - 1, cols, [], frac)
     if search.best is None:
         raise InvariantViolation("no integer solution found in a feasible model")
@@ -822,6 +868,9 @@ _INTEGRAL_TOL = 1e-6
 _DUAL_BITS = 40
 _SHRINK_BITS = 30
 
+# The symmetries of a node that uses none.
+_NO_GROUP = ()
+
 
 class _BranchAndBound:
     """The search state of one `solve_integer` call.
@@ -829,43 +878,115 @@ class _BranchAndBound:
     A node is its live rows (`row_mask`), its live columns as (column
     id, bits on the live rows), and the column ids fixed at one
     (`ones`).  `model` is the HiGHS model of the root LP, or None when
-    HiGHS refused it, and then every node is solved exactly.
+    HiGHS refused it, and then every node is solved exactly; `indptr`
+    and `indices` hold the root LP's columns in CSC form.
+
+    A node's symmetries (`group`) are row maps, one per row of an
+    array, each mapping `ones` onto itself and the live columns onto
+    themselves, so that it maps the node's integer solutions onto
+    themselves.  `_NO_GROUP` when the node uses none, and None on the
+    first dive, where every decision fixed a column at one, so that
+    they are the maps of G that map `ones` onto itself (`_dive_group`).
+    Only an x=1 child inherits None, so no node below an x=0 decision
+    derives its symmetries that way.
     """
 
-    def __init__(self, lp: LinearProgram, node_cap: int, root_bound):
+    def __init__(self, lp: LinearProgram, node_cap: int, root_bound, symmetries):
         self.lp = lp
         self.node_cap = node_cap
         self.root_bound = root_bound
         self.model = None
+        self.indptr = self.indices = None
         self.best: int | None = None
         self.chosen: set[int] = set()
         self.nodes = 1
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self.symmetries = symmetries
+        self._target = rat_ceil(root_bound)
+        # G once built, with whether it is closed under composition, each
+        # column's id by its bitset, and row r's bit (int64 while every
+        # row bitset fits, else a Python int).
+        self._group = None
+        self._closed = True
+        self._col_id: dict[int, int] = {}
+        self._bit = None
 
-    def branch(self, row_mask: int, cols, ones: list[int], frac: int) -> None:
+    def branch(self, row_mask: int, cols, ones: list[int], frac: int,
+               group=None) -> None:
         """Search both children of a node, branching on cols[frac]."""
-        for value in (1, 0):
-            if value == 1:
-                sub_rows, sub_cols = _fix_one(self.lp.sense, row_mask, cols, frac)
-                sub_ones = ones + [cols[frac][0]]
+        j = cols[frac][0]
+        bits = self.lp.columns[j]  # whole: the maps act on the root's rows
+        # x = 1, with the maps that fix j.
+        images = None
+        if group is None:
+            fixing = None
+        elif len(group) and self._symmetric():
+            images = self._images(group, bits)
+            fixing = self._trim(group[images == bits])
+        else:
+            fixing = _NO_GROUP
+        sub_rows, sub_cols = _fix_one(self.lp.sense, row_mask, cols, frac)
+        self._search(sub_rows, sub_cols, ones + [j], fixing)
+
+        # x = 0, with j's orbit fixed at zero and every map kept.
+        orbit, sub_group, parent = (j,), _NO_GROUP, None
+        if self._symmetric():
+            if group is None and self._group is None:
+                parent = (ones, j)
             else:
-                sub_rows = row_mask
-                sub_cols = cols[:frac] + cols[frac + 1:]
-                sub_ones = ones
-            if sub_rows == 0:
-                self._offer(sub_ones)
-                continue
-            if not sub_cols:
-                continue
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise NodeCapExceeded(
-                    f"branch and bound exceeded {self.node_cap} nodes",
-                    incumbent=self.best, root_bound=self.root_bound,
-                    nodes=self.nodes)
-            sub_frac = self.node(sub_rows, sub_cols, sub_ones)
-            if sub_frac is not None:
-                self.branch(sub_rows, sub_cols, sub_ones, sub_frac)
+                if group is None:
+                    group = self._dive_group(ones)
+                if len(group):
+                    if images is None:
+                        images = self._images(group, bits)
+                    orbit, sub_group = self._orbit(group, images), group
+        if len(orbit) == 1:
+            sub_cols = cols[:frac] + cols[frac + 1:]
+        else:
+            sub_cols = _without(cols, orbit)
+        self._search(row_mask, sub_cols, ones, sub_group, parent)
+
+    def _search(self, row_mask: int, cols, ones: list[int], group,
+                parent=None) -> None:
+        """Bound a child, and search its subtree if it must branch.
+
+        `parent` is (ones, j) for the x=0 child of a node on the first
+        dive while G is not built: G is built only once such a child
+        must branch, since one pruned or closed at once gains nothing
+        from it.  The rest of j's orbit under its parent's symmetries is
+        then fixed at zero below the child, whose bound, taken without
+        them, still holds; it is bounded again only if its branching
+        column is in that orbit."""
+        frac = self._bound(row_mask, cols, ones)
+        if frac is not None and parent is not None and self._symmetric():
+            group = self._dive_group(parent[0])
+            if len(group):
+                j = parent[1]
+                orbit = self._orbit(group, self._images(group, self.lp.columns[j]))
+                if len(orbit) > 1:
+                    k = cols[frac][0]
+                    cols = _without(cols, orbit - {j})
+                    if k in orbit:
+                        frac = self._bound(row_mask, cols, ones)
+                    else:
+                        frac = next(t for t, col in enumerate(cols) if col[0] == k)
+        if frac is not None:
+            self.branch(row_mask, cols, ones, frac, group)
+
+    def _bound(self, row_mask: int, cols, ones: list[int]) -> int | None:
+        """Count a child as a node and bound it (`node`), unless it has
+        no rows left (an integer solution) or no columns (infeasible)."""
+        if row_mask == 0:
+            self._offer(ones)
+            return None
+        if not cols:
+            return None
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            raise NodeCapExceeded(
+                f"branch and bound exceeded {self.node_cap} nodes",
+                incumbent=self.best, root_bound=self.root_bound,
+                nodes=self.nodes)
+        return self.node(row_mask, cols, ones)
 
     def node(self, row_mask: int, cols, ones: list[int]) -> int | None:
         """Bound a node on the HiGHS model.  Returns the position in
@@ -874,14 +995,15 @@ class _BranchAndBound:
         """
         vertex = None
         if self.model is not None:
-            vertex = _highs_node(self.model, *self._bounds(cols, ones))
+            ids = np.fromiter((k for k, _ in cols), dtype=np.intp, count=len(cols))
+            vertex = _highs_node(self.model, *self._bounds(ids, ones))
         if vertex is not None:
             x, duals = vertex
-            need = self._dual_bound(row_mask, cols, duals)
+            need = self._dual_bound(row_mask, ids, duals)
             if need is not None:
                 if self.best is not None and len(ones) + need >= self.best:
                     return None
-                xs = x[[k for k, _ in cols]]
+                xs = x[ids]
                 # Rounded, gaps that are equal in exact arithmetic tie,
                 # and argmin takes the first of them, as `_most_fractional`
                 # does; unrounded, float noise would pick among them.
@@ -911,41 +1033,46 @@ class _BranchAndBound:
             self.best = len(chosen)
             self.chosen = set(chosen)
 
-    def _bounds(self, cols, ones: list[int]):
+    def _bounds(self, ids, ones: list[int]):
         # Live columns free, the ones fixed at 1, every other column at 0.
         lower = np.zeros(self.lp.num_cols)
         upper = np.zeros(self.lp.num_cols)
-        upper[[k for k, _ in cols]] = np.inf
+        upper[ids] = np.inf
         lower[ones] = upper[ones] = 1
         return lower, upper
 
-    def _rows_of(self, bits: int) -> tuple[int, ...]:
-        rows = self._rows.get(bits)
-        if rows is None:
-            rows = self._rows[bits] = bit_indices(bits)
-        return rows
-
-    def _dual_bound(self, row_mask: int, cols, duals) -> int | None:
+    def _dual_bound(self, row_mask: int, ids, duals) -> int | None:
         """ceil(sum of y) over the node's rows for the rounded float row
         duals y, or None unless y is exactly feasible for the dual of the
         node's LP: every live column sums to at most 1 over the node's
         rows, and in a cover y >= 0.  By weak duality the node's optimum
-        is at least sum(y).  The check runs on Python integers."""
-        rows = self._rows_of(row_mask)
-        nums = [int(v) for v in np.rint(duals[list(rows)] * 2.0 ** _DUAL_BITS).tolist()]
-        if self.lp.sense == COVER and min(nums) < 0:
+        is at least sum(y).  With y zero off the node's rows, a root
+        column sums to what its live part does, so the check is one
+        integer sum per root column, in int64 while the sum of |y| is
+        below 2^62 and in Python integers otherwise."""
+        rows = list(bit_indices(row_mask))
+        nums = np.rint(duals[rows] * 2.0 ** _DUAL_BITS)
+        if self.lp.sense == COVER and (nums < 0).any():
             return None
-        y = [0] * self.lp.num_rows
-        for r, v in zip(rows, nums):
-            y[r] = v
-        getter = y.__getitem__
-        # y = nums * keep / limit, a shade below the float duals.
+        # Bounds every sum below; not finite when a dual is not.  (A sum,
+        # not numpy's max, whose code nothing else here pages in.)
+        top = float(np.abs(nums).sum())
+        if top < _INT64_GUARD:
+            y = np.zeros(self.lp.num_rows, dtype=np.int64)
+            y[rows] = nums
+        elif math.isfinite(top):
+            y = np.zeros(self.lp.num_rows, dtype=object)
+            y[rows] = [int(v) for v in nums.tolist()]
+        else:
+            return None
+        sums = np.add.reduceat(y[self.indices], self.indptr[:-1])
+        # y = nums * keep / limit, a shade below the float duals, and
+        # for an integer s, s * keep > limit exactly when s > limit // keep.
         keep = (1 << _SHRINK_BITS) - 1
         limit = 1 << (_DUAL_BITS + _SHRINK_BITS)
-        for _, bits in cols:
-            if sum(map(getter, self._rows_of(bits))) * keep > limit:
-                return None
-        return -(-sum(nums) * keep // limit)
+        if (sums[ids] > limit // keep).any():
+            return None
+        return -(-int(y.sum()) * keep // limit)
 
     def _fills(self, row_mask: int, picked) -> bool:
         """Whether the picked columns partition (or cover) the node's
@@ -957,15 +1084,135 @@ class _BranchAndBound:
             covered |= bits
         return covered == row_mask
 
+    # Symmetries -----------------------------------------------------------
+
+    def _symmetric(self) -> bool:
+        """Whether orbital branching can still save a node: there are
+        symmetries, and no incumbent meets the root bound's ceiling
+        (one that does is optimal, and nodes are pruned on bounds)."""
+        return self.symmetries is not None and (
+            self.best is None or self.best > self._target)
+
+    def _trim(self, group):
+        """`group`, or `_NO_GROUP` once only the identity is left."""
+        return group if len(group) > 1 else _NO_GROUP
+
+    def _images(self, group, bits: int) -> np.ndarray:
+        """Each map's image of the row bitset `bits`."""
+        return self._bit[group[:, list(bit_indices(bits))]].sum(axis=1)
+
+    def _orbit(self, group, images) -> set[int]:
+        """The column ids of `images`, the images of one column under
+        `group`.  When G is no group (its closure was cut at the cap),
+        the orbit is closed under `group`'s maps first, so that they
+        map it onto itself."""
+        orbit = self._ids(images)
+        frontier = orbit if not self._closed else ()
+        while frontier:
+            found = set()
+            for k in frontier:
+                found |= self._ids(self._images(group, self.lp.columns[k]))
+            frontier = found - orbit
+            orbit |= frontier
+        return orbit
+
+    def _ids(self, images) -> set[int]:
+        """The ids of the columns whose bitsets `images` holds."""
+        return {self._col_id[b] for b in set(images.tolist())}
+
+    def _dive_group(self, ones: list[int]):
+        """The maps of G that map `ones` onto itself: the symmetries of
+        a node on the first dive, whose fixed-at-zero columns are the
+        ones that `ones` rule out.  Builds G on first use."""
+        if self._group is None:
+            self._group = self._build_group()
+        group = self._group
+        fixed = {self.lp.columns[k] for k in ones}
+        for bits in fixed:
+            if len(group) < 2:
+                break
+            group = group[[b in fixed for b in self._images(group, bits).tolist()]]
+        return self._trim(group)
+
+    def _build_group(self) -> np.ndarray:
+        """G: the row maps `symmetries` returns, each checked to be a
+        permutation of the rows that sends every column onto a column,
+        closed under composition up to `symmetry._CLOSURE_CAP` elements,
+        the identity first."""
+        from .symmetry import _CLOSURE_CAP
+
+        m = self.lp.num_rows
+        self._bit = np.array([1 << r for r in range(m)],
+                             dtype=np.int64 if m <= 62 else object)
+        self._col_id = {bits: k for k, bits in enumerate(self.lp.columns)}
+        if len(self._col_id) != self.lp.num_cols:
+            raise ContractViolation("symmetric branching needs distinct columns")
+        rows = list(range(m))
+        dtype = np.int16 if m < 1 << 15 else np.int32
+        gens = []
+        for perm in self.symmetries():
+            # Compared in Python: numpy's sort and int16 comparisons would
+            # page in code used nowhere else, which shows in peak memory.
+            perm = list(perm)
+            if sorted(perm) != rows:
+                raise InvariantViolation("a row map is no permutation of the rows")
+            g = np.array(perm, dtype=dtype)
+            images = np.add.reduceat(self._bit[g[self.indices]], self.indptr[:-1])
+            if not all(b in self._col_id for b in images.tolist()):
+                raise InvariantViolation("a row map sends a column onto no column")
+            if perm != rows:
+                gens.append(g)
+        ident = np.array(rows, dtype=dtype)
+        group, self._closed = _closure(ident, gens, _CLOSURE_CAP)
+        return group
+
+
+def _closure(ident: np.ndarray, gens, cap: int) -> tuple[np.ndarray, bool]:
+    """The row maps generated by `gens`, one per row from the identity
+    on, and whether they are all of them: the closure stops at `cap`
+    maps.  Each generator's images of the newest maps are filtered
+    before the next generator's are made."""
+    seen = {ident.tobytes()}
+    found = [ident[None, :]]
+    frontier = found[0]
+    while len(frontier):
+        fresh = []
+        for g in gens:
+            images = g[frontier]
+            new = []
+            for t, h in enumerate(images):
+                key = h.tobytes()
+                if key not in seen:
+                    if len(seen) >= cap:
+                        return np.concatenate(found + fresh), False
+                    seen.add(key)
+                    new.append(t)
+            if new:
+                fresh.append(images[new])
+        found += fresh
+        frontier = np.concatenate(fresh) if fresh else fresh
+    return np.concatenate(found), True
+
+
+def _without(cols, orbit):
+    """`cols` less the columns whose ids are in `orbit`, every one of
+    which must be live."""
+    out = [col for col in cols if col[0] not in orbit]
+    if len(out) != len(cols) - len(orbit):
+        raise InvariantViolation("a symmetric image of a live column is not live")
+    return out
+
 
 def _node_model(lp: LinearProgram):
-    """The HiGHS model of `lp`, or None when HiGHS refuses it."""
+    """The root LP's columns in CSC form, (indptr, indices), and its
+    HiGHS model, or None in its place when HiGHS refuses it."""
     rows = [bit_indices(bits) for bits in lp.columns]
     indptr = np.zeros(lp.num_cols + 1, dtype=np.int32)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     indices = np.fromiter((r for col in rows for r in col), dtype=np.int32,
                           count=int(indptr[-1]))
-    return highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
+    model = highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
+    return indptr, indices, model
 
 
 def _highs_node(model, lower, upper):

@@ -21,9 +21,11 @@ because every later orbit costs one image per generator.
 A symmetry is a `Symmetry(rows, cols, transpose)`.  Without transpose
 it maps entry (i, j) to (rows[i], cols[j]); with it, to (rows[j],
 cols[i]), so `rows` is then indexed by column and `cols` by row.
-Nothing here is trusted for an answer: `edge_orbits` refuses a map that
-sends a one to a zero, and the orbit master checks that the orbits of
-its representatives cover every maximal biclique.
+Nothing here is trusted for an answer: `edge_permutations` refuses a
+map that sends a one to a zero, the orbit master checks that the orbits
+of its representatives cover every maximal biclique, and branch and
+bound (`lp.solve_integer`, which takes the edge maps of the base's own
+generators) checks that every map sends each column onto a column.
 """
 
 from __future__ import annotations
@@ -100,16 +102,15 @@ def base_automorphisms(a: BinaryMatrix) -> list[tuple[tuple, tuple]]:
     as (sigma, tau) pairs with a[sigma[i]][tau[j]] == a[i][j]."""
     flipped = a.num_rows > a.num_cols
     src = a.transpose() if flipped else a
-    found = _isomorphisms(src, src, first=False)
     # The row maps found, thinned greedily: keep one only if the ones
     # kept so far do not generate it.
     gens = []
     closure = {tuple(range(src.num_rows))}
-    for sigma, tau in found:
+    for sigma, sig in _isomorphisms(src, src):
         if sigma in closure or len(closure) >= _CLOSURE_CAP:
             continue
-        gens.append((sigma, tau))
-        closure = _closure(closure, [g for g, _ in gens])
+        gens.append((sigma, _pair_columns(src, sig)))
+        _grow(closure, [g for g, _ in gens])
     # Each row map fixes the column map only up to permuting equal
     # columns, so those permutations are generators of their own.
     ident = tuple(range(src.num_rows))
@@ -130,71 +131,79 @@ def transpose_map(a: BinaryMatrix) -> tuple[tuple, tuple] | None:
     base is not square or not its own transpose up to permutations."""
     if a.num_rows != a.num_cols:
         return None
-    found = _isomorphisms(a.transpose(), a, first=True)
-    return found[0] if found else None
+    src = a.transpose()
+    found = next(_isomorphisms(src, a), None)
+    if found is None:
+        return None
+    sigma, sig = found
+    return sigma, _pair_columns(src, sig)
 
 
-def _isomorphisms(src: BinaryMatrix, dst: BinaryMatrix, first: bool):
-    """(sigma, tau) with dst[sigma[i]][tau[j]] == src[i][j], by depth
-    first search over row maps in lexicographic order.  A partial row
-    map survives only while the columns of src, read on the rows mapped
-    so far, and the columns of dst, read on their images, agree as
-    multisets; a full one then pairs equal columns in index order.
-    Stops at the first map when `first`, and after _SEARCH_NODES nodes."""
+def _isomorphisms(src: BinaryMatrix, dst: BinaryMatrix):
+    """Yields each row map sigma for which some tau has
+    dst[sigma[i]][tau[j]] == src[i][j], in lexicographic order, with the
+    column signatures of dst on the rows sigma hits (`_pair_columns`
+    turns them into tau).  Depth first search: a partial row map
+    survives only while the columns of src, read on the rows mapped so
+    far, and the columns of dst, read on their images, agree as
+    multisets.  Stops after _SEARCH_NODES nodes."""
     m, n = src.num_rows, src.num_cols
     src_cols = [src.column_mask(j) for j in range(n)]
+    # src's sorted column signatures on rows 0..t, for each t.
+    src_sigs = [sorted(c & ((1 << (t + 1)) - 1) for c in src_cols) for t in range(m)]
+    src_degree = [r.bit_count() for r in src.rows]
     degree = [r.bit_count() for r in dst.rows]
-    found = []
-    sigma: list[int] = []
-    nodes = 0
-
-    def extend(t, used, dst_sig):
-        nonlocal nodes
-        if nodes >= _SEARCH_NODES or (first and found):
+    # Partial maps to visit as (sigma, rows used, dst's signatures),
+    # the next one last.
+    stack = [((), 0, [0] * n)]
+    for _ in range(_SEARCH_NODES):
+        if not stack:
             return
-        nodes += 1
+        sigma, used, dst_sig = stack.pop()
+        t = len(sigma)
         if t == m:
-            found.append((tuple(sigma), _pair_columns(src_cols, dst_sig)))
-            return
-        low = (1 << (t + 1)) - 1
-        src_sig = sorted(c & low for c in src_cols)
+            yield sigma, dst_sig
+            continue
+        src_sig, need = src_sigs[t], src_degree[t]
+        children = []
         for r in range(m):
-            if (used >> r) & 1 or degree[r] != src.rows[t].bit_count():
+            if (used >> r) & 1 or degree[r] != need:
                 continue
             row = dst.rows[r]
             sig = [s | (((row >> j) & 1) << t) for j, s in enumerate(dst_sig)]
             if sorted(sig) == src_sig:
-                sigma.append(r)
-                extend(t + 1, used | (1 << r), sig)
-                sigma.pop()
-
-    extend(0, 0, [0] * n)
-    return found
+                children.append((sigma + (r,), used | (1 << r), sig))
+        stack.extend(reversed(children))
 
 
-def _pair_columns(src_cols, dst_sig) -> tuple[int, ...]:
+def _pair_columns(src: BinaryMatrix, dst_sig) -> tuple[int, ...]:
     """tau sending each src column to the dst column of equal
     signature, equal columns paired in index order."""
+    src_cols = [src.column_mask(j) for j in range(src.num_cols)]
     free: dict[int, list[int]] = {}
     for j in reversed(range(len(dst_sig))):
         free.setdefault(dst_sig[j], []).append(j)
     return tuple(free[c].pop() for c in src_cols)
 
 
-def _closure(elements: set, gens) -> set:
-    """The row maps generated by `gens`, from `elements` on."""
-    out = set(elements)
-    frontier = list(out)
-    while frontier and len(out) < _CLOSURE_CAP:
+def _grow(closure: set, gens) -> None:
+    """Extend `closure`, the row maps that all but the last of `gens`
+    generate, to those all of them generate.  Only the last generator
+    needs applying to the maps already there, and every generator to
+    each new one.  Stops between rounds once `closure` holds
+    _CLOSURE_CAP maps."""
+    frontier = list(closure)
+    apply = gens[-1:]
+    while frontier and len(closure) < _CLOSURE_CAP:
         nxt = []
         for h in frontier:
-            for g in gens:
-                gh = tuple(g[i] for i in h)
-                if gh not in out:
-                    out.add(gh)
+            for g in apply:
+                gh = tuple(map(g.__getitem__, h))
+                if gh not in closure:
+                    closure.add(gh)
                     nxt.append(gh)
         frontier = nxt
-    return out
+        apply = gens
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +214,13 @@ def edge_orbits(a: BinaryMatrix, gens) -> list[np.ndarray]:
     """The orbits of G on the ones of `a`, as ascending edge-index
     arrays ordered by their smallest edge.
 
-    Each generator is first turned into a permutation of the edges;
-    one that is no bijection of the rows and of the columns, or that
-    sends some one to a zero, raises InvariantViolation.  The orbits
-    are the components of the generators' edge maps: every edge takes
+    Each generator is first turned into a permutation of the edges
+    (`edge_permutations`, which refuses a map that is no symmetry).  The
+    orbits are the components of the generators' edge maps: every edge takes
     the smallest label among its images and preimages, then its label's
     label, until a round changes nothing, which leaves each edge
     labelled by the smallest edge of its orbit."""
-    edges = np.array(a.edges, dtype=np.int64).reshape(-1, 2)
-    index = np.full((a.num_rows, a.num_cols), -1, dtype=np.int64)
-    index[edges[:, 0], edges[:, 1]] = np.arange(a.num_edges)
-    perms = [_edge_permutation(a, g, edges, index) for g in gens]
+    perms = edge_permutations(a, gens)
     labels = np.arange(a.num_edges)
     while True:
         new = labels.copy()
@@ -229,6 +234,17 @@ def edge_orbits(a: BinaryMatrix, gens) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order]))
     return np.split(order, starts + 1)
+
+
+def edge_permutations(a: BinaryMatrix, gens) -> list[np.ndarray]:
+    """Each generator as a permutation of the edges of `a`, in a's
+    edge-index order (the row order of `lp.build_master`); one that is
+    no bijection of the rows and of the columns, or that sends some one
+    to a zero, raises InvariantViolation."""
+    edges = np.array(a.edges, dtype=np.int64).reshape(-1, 2)
+    index = np.full((a.num_rows, a.num_cols), -1, dtype=np.int64)
+    index[edges[:, 0], edges[:, 1]] = np.arange(a.num_edges)
+    return [_edge_permutation(a, g, edges, index) for g in gens]
 
 
 def _edge_permutation(a: BinaryMatrix, g: Symmetry, edges, index) -> np.ndarray:

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,19 @@ def test_node_cap_refusal_exits_three():
     code, _, err = run_cli("bp", "domino", "--node-cap", "1")
     assert code == 3
     assert err
+
+
+def test_cli_import_loads_no_symmetry_module():
+    # Every command starts by importing fracbp.cli; symmetry and orbits
+    # load only when a power or a branch and bound needs them.
+    import fracbp
+
+    src = os.path.dirname(os.path.dirname(fracbp.__file__))
+    code = ("import sys, fracbp.cli; print([m for m in "
+            "('fracbp.symmetry', 'fracbp.orbits') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,56 @@ def test_integer_matches_brute_force(rng):
             assert_exact_selection(prog, res)
 
 
+def python_dual_bound(prog, row_mask, live, duals):
+    """`_BranchAndBound._dual_bound` as a loop over Python integers and
+    the live columns cut to the node's rows: its reference."""
+    rows = [r for r in range(prog.num_rows) if (row_mask >> r) & 1]
+    nums = [int(v) for v in np.rint(duals[rows] * 2.0 ** lp._DUAL_BITS).tolist()]
+    if prog.sense == COVER and min(nums) < 0:
+        return None
+    y = dict(zip(rows, nums))
+    keep = (1 << lp._SHRINK_BITS) - 1
+    limit = 1 << (lp._DUAL_BITS + lp._SHRINK_BITS)
+    for k in live:
+        bits = prog.columns[k] & row_mask
+        if sum(v for r, v in y.items() if (bits >> r) & 1) * keep > limit:
+            return None
+    return -(-sum(nums) * keep // limit)
+
+
+def test_dual_bound_matches_python_integers(d, crown5, rng):
+    # HiGHS's root duals and random ones, on random node rows and live
+    # columns; scaled by 2^30 every sum leaves int64's range.
+    for a in [d, crown5] + seeded_matrices(rng, 6):
+        for prog in integer_models(a):
+            search = lp._BranchAndBound(prog, lp.NODE_CAP, 1, None)
+            search.indptr, search.indices, model = lp._node_model(prog)
+            ids = np.arange(prog.num_cols)
+            root_duals = lp._highs_node(model, *search._bounds(ids, []))[1]
+            for t in range(12):
+                row_mask = rng.getrandbits(prog.num_rows) or 1
+                live = sorted(rng.sample(range(prog.num_cols),
+                                         rng.randint(1, prog.num_cols)))
+                duals = root_duals if t % 2 else np.array(
+                    [rng.uniform(-0.5, 1) for _ in range(prog.num_rows)])
+                for scale in (1.0, 2.0 ** 30):
+                    want = python_dual_bound(prog, row_mask, live, duals * scale)
+                    got = search._dual_bound(row_mask, np.array(live), duals * scale)
+                    assert got == want
+            duals = root_duals.copy()
+            duals[0] = np.nan
+            assert search._dual_bound(1, ids, duals) is None
+    # At the shrink's edge: a one-row column takes y = 1 + 2^-30, and
+    # refuses one step of 2^-40 more.
+    prog = LinearProgram(1, (1,), PARTITION)
+    search = lp._BranchAndBound(prog, lp.NODE_CAP, 1, None)
+    search.indptr, search.indices, _ = lp._node_model(prog)
+    for dual, want in ((1 + 2.0 ** -30, 1), (1 + 2.0 ** -30 + 2.0 ** -40, None)):
+        duals = np.array([dual])
+        assert search._dual_bound(1, np.array([0]), duals) == want
+        assert python_dual_bound(prog, 1, [0], duals) == want
+
+
 def test_branch_and_bound_floats_only_steer(d, crown5, rng, monkeypatch):
     progs = [prog for a in [d, crown5] + seeded_matrices(rng, 8)
              for prog in integer_models(a)]
