@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -75,7 +76,10 @@ def _support_entry(b: Biclique, weight) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call gets a fresh namespace."""
     parser = _Parser(prog="fracbp", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

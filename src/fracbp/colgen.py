@@ -6,12 +6,11 @@ number.  Since the full column set is astronomically large for Kronecker
 powers, the master is solved over a growing column set: solve, price the
 dual against every maximal biclique, add violated columns, repeat.
 
-Everything reported is exact.  The restricted master objective is an
-upper bound on the true optimum, objective/alpha a lower bound (alpha is
-the true pricing maximum), and the loop stops once alpha <= 1 + epsilon.
-In exact arithmetic the final master is certified against its own
-columns; global dual feasibility of the rescaled dual follows from the
-pricing maximum being exact.
+Everything reported is exact.  Each iteration's objective is the value
+of an exactly feasible partition, an upper bound on the optimum, and
+objective/alpha is a lower bound, since the dual priced exactly to its
+maximum alpha is globally dual feasible once divided by alpha.  The
+loop stops once alpha <= 1 + epsilon.
 
 The run keeps one column store: a float mirror of the master over
 every column met so far, namely the checkpointed ones, the init
@@ -19,32 +18,30 @@ strategy's, the stars and every priced candidate.  It holds them as
 sparse 0/1 columns (CSC: column starts and edge indices), and each
 float solve passes them to a fresh model of HiGHS's dual simplex
 through scipy's own binding.  Each iteration runs the mirror to a
-standstill and then builds the exact master afresh, listing each of
-its columns once: the stars, `carried` (the structural columns of the
-previous exact basis plus a few exact candidates), and the basic
-columns of HiGHS's final optimal basis.  That basis is crashed in
-whole, the artificials of its basic rows first, so the exact simplex
-only certifies it.  When a float solve fails or the crash is rejected,
-the exact master is instead the stars, `carried` and every column of
-the mirror, the strategy columns among them.  The floats only steer:
-the crash is kept only if exactly feasible, and alpha, the bounds,
-convergence and the certificate all come from the exact master's
-dual.  The previous exact optimum stays feasible in the next exact
-master, so the objective never rises.  When the exact dual equals the
-rounded float dual the mirror priced last, that pricing result is the
-exact one, and it is reused instead of priced again.
+standstill and then solves HiGHS's final optimal basis exactly with
+`lp.solve_basis`, the certifier the orbit master shares: HiGHS's
+rounded values when they solve the basis systems exactly, else
+Bareiss elimination.  The floats only steer: the basis is kept only
+if its exact solution is feasible, and alpha, the bounds, convergence
+and the certificate all come from its exact dual.  When the exact
+dual equals the rounded float dual the mirror priced last, that
+pricing result is the exact one, and it is reused instead of priced
+again.  When HiGHS fails, the basis is refused, or the previous
+iteration added no column to the mirror, the iteration instead solves
+the mirror exactly with `lp.solve` (plain exact column generation),
+whose optimal dual prices every mirror column at most one.
 
-`carried` can be checkpointed to JSON every iteration and resumed
-later: a resumed run seeds the float mirror with it and carries it all
-into its first exact master.
+`carried`, the certified basis's columns plus the iteration's
+candidates, can be checkpointed to JSON every iteration and resumed
+later: a resumed run seeds the float mirror with it.
 
 Kronecker powers (`solve_power`) with k >= 2 and the union strategy
 are solved by the orbit master: one LP over the orbits of the power's
 symmetry group G (see `symmetry`), with a row per edge orbit and a
 column per profile, priced over one maximal biclique per orbit.  Like
 `run`, it prices HiGHS's rounded duals until they bring nothing new,
-then solves HiGHS's basis exactly (checking the rounded values against
-it, else by Bareiss elimination), so floats only steer here too.  The
+then solves HiGHS's basis exactly with the same `lp.solve_basis`, so
+floats only steer here too.  The
 answer does not rest on the symmetry code: each generator is checked
 to map ones onto ones, the orbits of the representatives are checked
 to cover every maximal biclique, which makes their pricing maximum the
@@ -84,10 +81,9 @@ from .errors import (
     CheckpointError,
     ContractViolation,
     EmptyGraphError,
-    InvariantViolation,
     SizeCapExceeded,
 )
-from .lp import PARTITION, SimplexSolver, highs_model, highs_solution
+from .lp import PARTITION, build_master, highs_model, highs_solution, solve, solve_basis
 from .maximal import enumerate_maximal, lift_maximal_kronecker
 from .pricing import price_all
 
@@ -125,14 +121,13 @@ class ColGenConfig:
 class IterationRecord:
     """One iteration's bounds and the counts of the columns it carries.
 
-    `pool_size` counts `carried`, the columns this iteration hands to
-    the next exact master besides the stars and HiGHS's basis: the
-    structural columns of its optimal basis plus the candidates admitted
-    for the next one.  It is also what the checkpoint holds.  `added`
-    and `pruned` count the carried columns that the previous iteration
-    did not carry, and the reverse; a resumed checkpoint's columns count
-    as carried before the first iteration.  Columns of the float mirror
-    are not counted.
+    `pool_size` counts `carried`: the structural columns of the
+    iteration's certified basis (or, when it solved the mirror exactly,
+    of its support) plus the candidates its exact pricing found.  It is
+    what the checkpoint holds.  `added` and `pruned` count the carried
+    columns that the previous iteration did not carry, and the reverse;
+    a resumed checkpoint's columns count as carried before the first
+    iteration.  Columns of the float mirror are not counted.
 
     On the orbit master of `solve_power`, `pool_size` counts the orbit
     columns held after the iteration's pricing, `added` the new profiles
@@ -158,8 +153,9 @@ class ColGenReport:
     `timings` holds seconds by phase: "total", "master", "float" (the
     float mirror, its pricing rounds included) and "pricing", which
     counts only the exact pricing calls made, not the iterations that
-    reused the float mirror's last pricing.  "master" covers building
-    each exact master, the crash and the exact solve.  The records'
+    reused the float mirror's last pricing.  "master" covers the basis
+    certifier, building the basis matrix included, and any exact solve
+    of the mirror that replaces it.  The records'
     `pool_size`, `added` and `pruned` count each iteration's carried
     columns against the previous iteration's, not the float mirror's.
     From the orbit master "float" is the HiGHS solves, "master" the
@@ -268,8 +264,10 @@ def run(
     `maximals` may be supplied when already known (Kronecker lifting);
     otherwise they are enumerated.  `extra_initial` gives the union
     init its strategy columns in place of enumeration.  The strategy
-    columns seed the float mirror; the exact master of every iteration
-    starts from the stars, so it is feasible whatever else it holds.
+    columns and the stars seed the float mirror.  Each iteration solves
+    HiGHS's optimal basis exactly (`lp.solve_basis`), or the mirror by
+    `lp.solve` when HiGHS fails, the basis is refused or the previous
+    iteration stalled (see the module notes).
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -280,7 +278,6 @@ def run(
     mhash = matrix_hash(a)
     if maximals is None:
         maximals = enumerate_maximal(a)
-    stars = initial_stars(a)
 
     # The float mirror takes the checkpointed columns first, so HiGHS
     # sees every column in a fixed order.
@@ -296,14 +293,12 @@ def run(
             raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
     else:
         buffer.extend(_initial_bicliques(a, config, extra_initial))
-    buffer.extend(stars)
+    buffer.extend(initial_stars(a))
     held = set(carried)
 
     records: list[IterationRecord] = []
     best_lower = ZERO
-    prev_objective = None
-    final_alpha = None
-    converged = False
+    stalled = False
     t_master = 0.0
     t_pricing = 0.0
     t_float = 0.0
@@ -311,31 +306,28 @@ def run(
 
     while True:
         iteration += 1
+        size = len(buffer)
         # Vertex duals of a degenerate master jump between extreme points of
         # the optimal dual face, and columns priced on a single extreme point
         # often miss the ones the primal actually needs.  Candidates are
         # therefore collected in the float mirror first: its inner loop runs
-        # to a standstill, and the exact master takes the basic columns of
-        # its final optimal basis, with that basis crashed in.
+        # to a standstill, and its final optimal basis is solved exactly.
         t0 = time.perf_counter()
-        basic, basic_rows, priced = _float_phase(a, maximals, buffer, threshold)
+        steer = None if stalled else _float_phase(a, maximals, buffer, threshold)
         t1 = time.perf_counter()
-        solver, columns = _exact_master(a, stars, carried, basic, basic_rows, buffer)
-        solver.reoptimize()
+        exact = None if steer is None else _certify(a, *steer[:4])
+        if exact is None:
+            exact = _solve_mirror(a, buffer)
         t_float += t1 - t0
         t_master += time.perf_counter() - t1
-        objective = solver.objective()
-        if prev_objective is not None and objective > prev_objective:
-            raise InvariantViolation("master objective increased")
-        prev_objective = objective
-        x_by_cid = solver.primal_by_id()
-        dual = solver.duals()
+        basis, x, dual = exact
+        objective = sum(x, ZERO)
 
         # price_all depends only on maximals, dual and threshold, so when
-        # the crash reproduced the float mirror's last priced dual exactly,
-        # its result there is this dual's result.
-        if priced is not None and priced[0] == dual:
-            alpha, candidates = priced[1]
+        # the exact dual is the float mirror's last priced dual, its
+        # result there is this dual's result.
+        if steer is not None and steer[3] == dual:
+            alpha, candidates = steer[4]
         else:
             t0 = time.perf_counter()
             alpha, candidates = price_all(maximals, EdgeWeights(a, dual), threshold)
@@ -346,23 +338,19 @@ def run(
             best_lower = lower
         converged = alpha <= threshold
 
-        # The next exact master carries this one's basis, which keeps
-        # this optimum feasible, and enough of the true candidates to
-        # guarantee progress; all of them join the float mirror.
-        admit = []
-        if not converged:
-            admit = [pb.biclique for pb in candidates[:_TRUE_ADMIT]]
-            if not set(columns).isdisjoint(admit):
-                raise InvariantViolation(
-                    "pricing returned a column already in the master")
-            buffer.extend([pb.biclique for pb in candidates])
-        carried = [columns[cid] for cid in solver.basis if cid >= 0] + admit
+        # The candidates join the float mirror.  An iteration that adds
+        # no column to it would repeat itself: HiGHS's basis is then not
+        # exactly optimal over the mirror, and the next iteration solves
+        # the mirror exactly instead.
+        admit = [] if converged else [pb.biclique for pb in candidates]
+        buffer.extend(admit)
+        stalled = not converged and len(buffer) == size
+        carried = basis + admit
         now = set(carried)
         records.append(IterationRecord(
             iteration, objective, alpha, best_lower, len(carried),
             len(now - held), len(held - now)))
         held = now
-        final_alpha = alpha
         if progress is not None:
             progress(records[-1])
         if path:
@@ -370,13 +358,8 @@ def run(
         if converged or iteration >= config.max_iterations:
             break
 
-    support = sorted(
-        ((columns[cid], x) for cid, x in x_by_cid.items()),
-        key=lambda t: (t[0].row_set, t[0].col_set))
-    if converged and final_alpha > 1:
-        # Certified only relative to the master's columns; the rescaled
-        # dual is the global certificate.
-        _assert_rescaled_dual(solver, dual, final_alpha)
+    support = sorted(((b, v) for b, v in zip(basis, x) if v),
+                     key=lambda t: (t[0].row_set, t[0].col_set))
     timings = {
         "total": time.perf_counter() - t_start,
         "master": t_master,
@@ -384,42 +367,40 @@ def run(
         "float": t_float,
     }
     return ColGenReport(
-        matrix=a, matrix_hash=mhash, converged=converged, value=prev_objective,
-        best_lower_bound=best_lower, final_alpha=final_alpha,
-        support=tuple(support), dual=tuple(dual), records=records,
+        matrix=a, matrix_hash=mhash, converged=converged, value=objective,
+        best_lower_bound=best_lower, final_alpha=alpha,
+        support=tuple(support), dual=dual, records=records,
         timings=timings)
 
 
-def _exact_master(a, stars, carried, basic, basic_rows, buffer):
-    """One iteration's exact master, with HiGHS's optimal basis crashed in.
+def _certify(a, basic, rows, x, y):
+    """HiGHS's optimal basis solved exactly by `lp.solve_basis`, with
+    its rounded values `x` and dual `y` as the guesses: (basic
+    bicliques, their exact weights, the exact dual), or None when it is
+    refused.  The basis matrix holds each basic biclique's incidence
+    column, then a unit column for each row whose slack is basic."""
+    m = a.num_edges
+    n = len(basic)
+    if n + len(rows) != m:
+        return None
+    matrix = np.zeros((m, m), dtype=np.int64)
+    matrix[:, :n] = _unpack([incidence_column(a, b) for b in basic], m).T
+    matrix[rows, np.arange(n, m)] = 1
+    exact = solve_basis(matrix, n, [1] * m, x, y)
+    return None if exact is None else (basic, exact[0], tuple(exact[1]))
 
-    The master's columns are the stars, installed as the disjoint start,
-    then `carried`, then HiGHS's `basic` columns, each listed once in
-    that order.  The crash takes the artificials of `basic_rows` first,
-    then the basic columns: together they name a nonsingular basis, so
-    each takes at most one exchange and the crash rebuilds HiGHS's basis
-    exactly.  When there is no basis (the float solve failed) or the
-    crash is rejected, the master must find its own way, and carrying
-    only a basis and a few candidates could then cycle: it is built
-    instead over the stars, `carried` and every column of the float
-    mirror `buffer`, which is plain column generation.  Returns the
-    solver and its columns as a list of bicliques indexed by column id.
-    """
-    def build(bicliques):
-        solver = SimplexSolver(a.num_edges, PARTITION,
-                               [incidence_column(a, b) for b in bicliques])
-        solver.install_start(range(len(stars)))
-        return solver
 
-    if basic:
-        columns = list(dict.fromkeys([*stars, *carried, *basic]))
-        solver = build(columns)
-        ids = {b: cid for cid, b in enumerate(columns)}
-        codes = [solver.artificial(r) for r in basic_rows] + [ids[b] for b in basic]
-        if solver.crash(codes):
-            return solver, columns
-    columns = list(dict.fromkeys([*stars, *carried, *buffer.bicliques]))
-    return build(columns), columns
+def _solve_mirror(a, buffer):
+    """Exact column generation's master: `lp.solve` over the edge
+    singletons, which give it a start in closed form, and every column
+    of the float mirror `buffer`.  Returns (support bicliques, their
+    weights, the dual).  The dual is optimal over the mirror, so pricing
+    it brings new columns unless it converges."""
+    singletons = [Biclique(1 << i, 1 << j) for i, j in a.edges]
+    columns = list(dict.fromkeys([*singletons, *buffer.bicliques]))
+    sol = solve(build_master(a, columns, PARTITION))
+    support = [(b, v) for b, v in zip(columns, sol.primal) if v]
+    return [b for b, _ in support], [v for _, v in support], sol.dual
 
 
 class _FloatBuffer:
@@ -428,9 +409,8 @@ class _FloatBuffer:
 
     Columns here cost one float column each, so the buffer can afford
     every strategy column and the floods of near-duplicate candidates
-    that would drown the exact master, which each iteration rebuilds
-    from the stars, its last basis, a few candidates and the basic
-    columns of HiGHS's optimal basis.  Insertion order is fixed and
+    that would drown an exact simplex; only HiGHS's optimal basis is
+    solved exactly.  Insertion order is fixed and
     deduplication is by canonical biclique key, keeping the float solves
     deterministic.
 
@@ -557,11 +537,10 @@ def _unpack(masks, width: int) -> np.ndarray:
 # follows the columns' sizes, not the edge count times the columns.
 _INNER_ROUNDS = 40
 _BUFFER_CAP = 60_000
-_TRUE_ADMIT = 8
 
 # HiGHS's floats are read as the nearest fraction with a denominator up
-# to this, both to price them and, in the orbit master, to try them as
-# the exact solution of their basis.
+# to this, both to price them and to try them as the exact solution of
+# their basis in `lp.solve_basis`.
 _ROUNDING_DEN = 10 ** 9
 
 
@@ -575,24 +554,20 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
 
     Alternates float solves with pricing rounds against the float dual
     (snapshotted as exact rationals) until pricing stops producing new
-    columns.  Returns HiGHS's optimal basis at the final vertex: its
-    basic bicliques in buffer order, and the rows whose slack is basic,
-    ascending.  The third item is the last priced dual with its
-    `price_all` result, as (dual tuple, (alpha, candidates)), or None:
-    when the crash makes the exact dual equal that dual, the exact pass
-    reuses the result instead of pricing again.  Everything else is
-    advisory: the exact master crashes the basis in only if the result
-    is exactly feasible, and the true pricing pass still decides
-    convergence, so a float failure just returns an empty basis.
+    columns.  Returns HiGHS's optimal basis at the final vertex, or None
+    when a float solve fails, as (basic bicliques in buffer order, rows
+    whose slack is basic in ascending order, the basic columns' values
+    and the row duals, each rounded to nearby fractions, the duals'
+    `price_all` result (alpha, candidates)).  All of it only steers:
+    `lp.solve_basis` takes the basis only if it checks out exactly, and
+    the exact pricing of its dual decides convergence; `run` reuses the
+    pricing result only when the exact dual equals the rounded one.
     """
-    if len(buffer) == 0:
-        return [], [], None
-    priced = None
     for _ in range(_INNER_ROUNDS):
         vertex = buffer.solve()
         if vertex is None:
-            return [], [], None
-        _, duals, basic = vertex
+            return None
+        x, duals, basic = vertex
         # A degenerate vertex repeats few dual values, so each distinct
         # float is rounded once per solve.
         rounded = {}
@@ -602,14 +577,15 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
             if q is None:
                 q = rounded[v] = _nearest(v)
             smoothed.append(q)
-        alpha, found = price_all(maximals, EdgeWeights(a, smoothed), threshold)
-        priced = (tuple(smoothed), (alpha, found))
-        fresh = buffer.extend([pb.biclique for pb in found])
+        priced = price_all(maximals, EdgeWeights(a, smoothed), threshold)
+        fresh = buffer.extend([pb.biclique for pb in priced[1]])
         if not fresh or len(buffer) >= _BUFFER_CAP:
             break
     columns = np.sort(basic[basic >= 0])
     rows = np.sort(-1 - basic[basic < 0])
-    return [buffer.bicliques[j] for j in columns.tolist()], rows.tolist(), priced
+    values = [_nearest(v) for v in x[columns].tolist()]
+    return ([buffer.bicliques[j] for j in columns.tolist()], rows.tolist(), values,
+            tuple(smoothed), priced)
 
 
 def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
@@ -627,12 +603,6 @@ def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
         return enumerate_all_bicliques(a)
     except SizeCapExceeded:
         return []
-
-
-def _assert_rescaled_dual(solver: SimplexSolver, dual, alpha) -> None:
-    for _, rows in solver.columns:
-        if sum((dual[r] for r in rows), ZERO) / alpha > 1:
-            raise InvariantViolation("rescaled dual violates a master column")
 
 
 # ---------------------------------------------------------------------------

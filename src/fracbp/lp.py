@@ -13,22 +13,21 @@ sign.  Every reported objective, primal, and dual is a true rational
 number, not an approximation.
 
 Two entry points: `solve` is stateless and certifies its answer
-(strong duality, feasibility, or a Farkas ray).  `SimplexSolver` is the
-engine underneath, which column generation also drives directly: it
-takes every column when it is built, and each iteration builds one,
-crashes a float solver's optimal basis into it and reoptimizes.
+(strong duality, feasibility, or a Farkas ray), on `SimplexSolver`,
+the engine underneath.  `solve_basis` needs no simplex: it solves a
+float solver's optimal basis exactly, for both column generation
+masters (`colgen.run` and `orbits.orbit_master`).
 
 Design notes that matter for correctness:
 
 - Every solve that can starts feasible, from a basis whose inverse
-  has a closed form at determinant +-1 (`install_start`): column
-  generation's masters from the row stars, a stateless cover from a
-  minimal cover with surpluses on the other rows, a stateless
-  partition from its singleton columns.  Phase 1 from the
-  all-artificial basis (`solve_from_cold`) is only the fallback, and
-  the only source of Farkas rays.
-- Masters start with far fewer columns than rows, so the constraint
-  matrix is rank deficient.  Redundant rows keep an artificial variable
+  has a closed form at determinant +-1 (`install_start`): a cover
+  from a minimal cover with surpluses on the other rows, a partition
+  from its singleton columns.  Phase 1 from the all-artificial basis
+  (`solve_from_cold`) is only the fallback, and the only source of
+  Farkas rays.
+- The columns of a cold start can leave the constraint matrix rank
+  deficient.  Redundant rows keep an artificial variable
   pinned in the basis at value zero forever; the ratio test caps the
   step at zero whenever a pivot would move one, which is what makes the
   basis stay feasible without row deletion or Big-M terms.
@@ -56,15 +55,14 @@ Design notes that matter for correctness:
   and none can drift.  The lexicographic reference is never
   materialized; its entries are read off T and a snapshot of the reset
   basis only when a tie actually needs them.
-- Warm starts come from a float solver's optimal basis: `crash` pivots
-  its basic columns, and the artificials of its basic rows, into the
-  current basis without a ratio test, one exchange per code, then
-  checks exactly that the result is primal feasible and keeps it only
-  if so.  The float solver finds the basis and exact arithmetic only
-  certifies it: after a good crash, a warm-started master is one
-  certifying pricing scan with no basis exchange, and a bad suggestion
-  costs nothing but the crash.  Every basis inverse comes from the
-  same fraction-free pivots; there is no separate rational inversion.
+- A float solver's optimal basis is certified without a simplex and
+  without a basis inverse (`solve_basis`): its rounded values are
+  checked to solve the basis systems exactly, one integer product
+  each, and only when they do not is a system solved by fraction-free
+  elimination.  The float solver finds the basis and exact arithmetic
+  only certifies it; the caller prices the dual exactly, so weak
+  duality bounds the optimum from both sides (Applegate, Cook, Dash
+  and Espinoza, ORL 2007).
 - Branch and bound (`solve_integer`) solves its root with `solve` and
   every other node on one HiGHS model of the root LP, as a change of
   column bounds that HiGHS re-solves hot from its last basis.  HiGHS
@@ -203,8 +201,7 @@ class SimplexSolver:
     """Revised simplex over a column set fixed when it is built.
 
     `columns` are row bitsets, and a column's id is its position among
-    them.  Column generation builds a fresh solver for each iteration's
-    master.
+    them.  `solve` builds a fresh solver for each LP.
 
     The basis inverse lives in `self.T` (dense integer numpy array) and
     `self.delta` (positive int) with B^-1 = T/delta.  Basic values x_B
@@ -287,54 +284,6 @@ class SimplexSolver:
         self.basis = basis
         self._set_matrix(t, 1)
         self._feasible = True
-
-    def crash(self, codes) -> bool:
-        """Pivot `codes` into the basis in order, without a ratio test.
-
-        Meant for an optimal basis suggested by a float solver.  Codes
-        are distinct basis codes: structural column ids or row
-        variables, such as the `artificial` of each row whose slack the
-        float solver keeps basic.  Each code that is not basic takes the
-        first free row with a nonzero tableau entry, artificial rows
-        first, and is skipped when there is none; a row is free until
-        the code holding it has had its turn.  When the codes name a
-        nonsingular basis, each of them finds a free row in any order,
-        since a column whose tableau entries all sit on taken rows lies
-        in the span of the codes that took them; so a full basis is
-        rebuilt exactly, with at most one exchange per code.  The new
-        basis is kept only if it is exactly primal feasible with every
-        artificial at zero; otherwise the old basis, inverse and regime
-        are restored and False is returned.
-        """
-        saved = (list(self.basis), self.T, self.delta, self._objmode, self._tmax)
-        fixed = np.zeros(self.m, dtype=bool)
-        free = self.m
-        art = self._art_mask()
-        where = {code: i for i, code in enumerate(self.basis)}
-        for code in codes:
-            pos = where.get(code)
-            if pos is None:
-                t_nums = self._ftran_scaled(code)
-                rows = np.nonzero((t_nums != 0) & ~fixed)[0]
-                if not rows.size:
-                    continue
-                arts = rows[art[rows]]
-                pos = int(arts[0] if arts.size else rows[0])
-                del where[self.basis[pos]]
-                where[code] = pos
-                art[pos] = self._is_art(code)
-                self._exchange(code, pos, t_nums)
-            fixed[pos] = True
-            free -= 1
-            if not free:
-                # No later code can find a free row.
-                break
-        x = self._basic_numerators()
-        if all(int(v) >= 0 for v in x) and not any(int(v) for v in x[art]):
-            self._feasible = True
-            return True
-        self.basis, self.T, self.delta, self._objmode, self._tmax = saved
-        return False
 
     # -- solving --
 
@@ -432,10 +381,6 @@ class SimplexSolver:
         # any fixed order keeps the termination argument, so use the
         # cheapest-to-evaluate columns first.
         self._lexorder = sorted(range(self.m), key=lambda l: (len(ref[l][0]), l))
-
-    def _art_mask(self) -> np.ndarray:
-        return np.fromiter((self._is_art(code) for code in self.basis),
-                           dtype=bool, count=self.m)
 
     def _basic_numerators(self) -> np.ndarray:
         # x_B*delta; the RHS is all ones so this is just row sums of T.
@@ -668,8 +613,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     start = _start_columns(s)
     if start is not None:
         s.install_start(start)
-        # Not `reoptimize`: bench/tracer.py times that as colgen's master.
-        s._optimize(phase=2)
+        s.reoptimize()
     elif s.solve_from_cold() == "infeasible":
         ray = s.farkas_ray()
         _check_farkas(lp, s.columns, ray)
@@ -755,6 +699,84 @@ def _check_farkas(lp: LinearProgram, columns, y) -> None:
             raise InvariantViolation(f"Farkas ray violated by column {k}")
     if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover Farkas ray must be nonnegative")
+
+
+# ---------------------------------------------------------------------------
+# Exact basis solutions
+# ---------------------------------------------------------------------------
+
+def solve_basis(matrix: np.ndarray, num_cols: int, rhs, x, y):
+    """The exact solution (x, y) of a float solver's optimal basis, or
+    None when the basis is singular or its x is not feasible.
+
+    `matrix` is the square integer basis matrix: `num_cols` basic
+    columns of cost 1, then a unit column for each row whose slack is
+    basic, which stands for an artificial of cost 0.  The result's x
+    holds the basic columns' values, with matrix x = rhs, and y the row
+    duals, with y' matrix = the costs.  The arguments `x` and `y` are
+    the float solver's values rounded to nearby fractions: each is
+    returned when it solves its system exactly, which costs one product
+    with the basis, and is otherwise solved by Bareiss elimination.  x
+    is refused when a value is negative or an artificial is not zero.
+
+    x is then exactly feasible, so its sum is an upper bound on the
+    LP's optimum, and sum(y) equals it; y priced exactly to its maximum
+    alpha gives y / alpha, which is dual feasible: a lower bound.  No
+    basis inverse is needed (Applegate, Cook, Dash and Espinoza, ORL
+    2007).
+    """
+    n = len(matrix)
+    costs = [1] * num_cols + [0] * (n - num_cols)
+    x = list(x) + [ZERO] * (n - num_cols)
+    if not _solves(matrix, x, rhs):
+        x = _bareiss_solve(matrix.tolist(), rhs)
+    if x is None or min(x) < 0 or any(x[num_cols:]):
+        return None
+    if not _solves(matrix.T, y, costs):
+        y = _bareiss_solve(matrix.T.tolist(), costs)
+    if y is None:
+        return None
+    return x[:num_cols], y
+
+
+def _solves(matrix: np.ndarray, x, rhs) -> bool:
+    """Whether matrix x == rhs exactly, for an integer matrix and
+    rational x."""
+    den, nums = clear_denominators(x)
+    product = matrix.astype(object).dot(np.array(nums, dtype=object))
+    return product.tolist() == [b * den for b in rhs]
+
+
+def _bareiss_solve(matrix, rhs):
+    """x with matrix x = rhs for a square integer matrix, exactly, or
+    None when it is singular.  Fraction-free Gaussian elimination
+    (Bareiss): every division is exact, so entries stay integers, and
+    only the back substitution is rational."""
+    n = len(matrix)
+    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for p in range(n):
+        pick = next((i for i in range(p, n) if m[i][p]), None)
+        if pick is None:
+            return None
+        m[p], m[pick] = m[pick], m[p]
+        top = m[p]
+        pivot = top[p]
+        for row in m[p + 1:]:
+            f = row[p]
+            for j in range(p + 1, n + 1):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+            row[p] = 0
+        prev = pivot
+    # With det the last pivot, det * x is an integer vector (Cramer),
+    # so back substitution on it divides exactly too.
+    det = prev
+    scaled = [0] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        rest = sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = (row[n] * det - rest) // row[i]
+    return [rat(v, det) for v in scaled]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ orbits of its symmetry group.
 `colgen.solve_power` hands a power here when it has k >= 2 and the
 union strategy.  The LP has one row per edge orbit of the group G that
 `symmetry` derives, and one column per profile: a biclique's count of
-cells in each edge orbit.  It is solved like `colgen.run` solves the
-full master, HiGHS steering and exact arithmetic deciding, and its
-answer is expanded to a full-space partition and checked there.  It
+cells in each edge orbit.  It is solved as `colgen.run` solves the
+full master: HiGHS steers, and `lp.solve_basis`, the certifier both
+share, solves HiGHS's last optimal basis exactly.  Its answer is
+expanded to a full-space partition and checked there.  It
 calls HiGHS, pricing and checkpoint writes by their names in `colgen`,
 where the benchmark's tracer wraps them.
 """
@@ -19,8 +20,8 @@ from math import lcm
 
 import numpy as np
 
-from . import colgen
-from ._rational import ONE, ZERO, clear_denominators, rat
+from . import colgen, lp
+from ._rational import ONE, ZERO, rat
 from .colgen import ColGenReport, IterationRecord
 from .core import Biclique, BinaryMatrix, EdgeWeights, matrix_hash
 from .errors import CheckpointError, ContractViolation, InvariantViolation
@@ -54,9 +55,9 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
     float mirror of `colgen.run` does: HiGHS solves the LP (rows scaled
     by 1/|E|) and its duals, rounded, are priced until they bring no new
     profile.
-    Then HiGHS's last optimal basis is solved exactly, for z and the
-    dual w (y_e = w_E for e in E), and w is priced, which decides
-    convergence.  The run stops at alpha <= 1 + epsilon or after
+    Then `lp.solve_basis` solves HiGHS's last optimal basis exactly,
+    for z and the dual w (y_e = w_E for e in E), and w is priced, which
+    decides convergence.  The run stops at alpha <= 1 + epsilon or after
     `max_iterations`, writing the checkpoint, if any, after every
     iteration.  The support of the last basis is then expanded: each
     basic orbit column's z spread evenly over its G-orbit, then checked
@@ -207,41 +208,34 @@ class _OrbitColumns:
     def steering_dual(self, vertex):
         """w to price in a float round at HiGHS's optimal `vertex` (x,
         row duals, basic variables): its dual rounded to nearby fractions
-        when that is its basis's exact dual, and otherwise to multiples
-        of 2^-32, which keeps pricing's common denominator small."""
+        when that is its basis's exact dual (w . B_j is exactly 1 on
+        every basic column and 0 on every basic slack), and otherwise to
+        multiples of 2^-32, which keeps pricing's common denominator
+        small."""
+        w = self._rounded_dual(vertex[1])
         basis = self._basis(vertex[2])
-        w = None if basis is None else self._rounded_dual(vertex[1], basis)
-        if w is None:
-            w = [rat(round(v / size * _GRID), _GRID)
-                 for v, size in zip(vertex[1].tolist(), self.sizes)]
-        return w
+        if basis is not None:
+            cols, slack_rows, matrix = basis
+            if lp._solves(matrix.T, w, [1] * len(cols) + [0] * len(slack_rows)):
+                return w
+        return [rat(round(v / size * _GRID), _GRID)
+                for v, size in zip(vertex[1].tolist(), self.sizes)]
 
     def solve_basis(self, vertex):
         """The exact solution at HiGHS's optimal `vertex` of the scaled
         LP, in the unscaled LP: ({column: z}, w), or None when the basis
-        is singular or not feasible.  A basic row slack stands for an
-        artificial unit column of cost 0, which must be 0 in a feasible
-        solution.
-
-        Each of z and w is HiGHS's value rounded to nearby fractions
-        when that solves its system exactly, which costs one product
-        with the basis, and is otherwise solved by Bareiss elimination."""
+        is singular or not feasible, as `lp.solve_basis` finds it from
+        HiGHS's rounded values."""
         basis = self._basis(vertex[2])
         if basis is None:
             return None
-        cols, slack_rows, matrix = basis
-        n = len(cols)
+        cols, _, matrix = basis
         z = [colgen._nearest(v) for v in vertex[0][cols].tolist()]
-        z += [ZERO] * len(slack_rows)
-        if not _solves(matrix, z, self.sizes):
-            z = _bareiss_solve(matrix.tolist(), self.sizes)
-        if z is None or min(z) < 0 or any(z[n:]):
+        exact = lp.solve_basis(matrix, len(cols), self.sizes, z,
+                               self._rounded_dual(vertex[1]))
+        if exact is None:
             return None
-        w = self._rounded_dual(vertex[1], basis)
-        if w is None:
-            w = _bareiss_solve(matrix.T.tolist(), [1] * n + [0] * len(slack_rows))
-        if w is None:
-            return None
+        z, w = exact
         return dict(zip(cols, z)), w
 
     def _basis(self, basic):
@@ -261,59 +255,15 @@ class _OrbitColumns:
         matrix[slack_rows, np.arange(n, m)] = 1
         return cols, slack_rows, matrix
 
-    def _rounded_dual(self, duals, basis):
-        """w_E = row E's scaled dual over |E|, each rounded to a nearby
-        fraction, when w . B_j is exactly 1 on every basic column and 0
-        on every basic slack; else None."""
-        cols, slack_rows, matrix = basis
-        w = [colgen._nearest(v) / size for v, size in zip(duals.tolist(), self.sizes)]
-        costs = [1] * len(cols) + [0] * len(slack_rows)
-        return w if _solves(matrix.T, w, costs) else None
+    def _rounded_dual(self, duals):
+        """w_E = row E's scaled dual over |E|, rounded to a nearby
+        fraction."""
+        return [colgen._nearest(v) / size for v, size in zip(duals.tolist(), self.sizes)]
 
 
 # Float rounds that cannot recover the exact dual price HiGHS's dual
 # rounded to multiples of 1 / _GRID.
 _GRID = 1 << 32
-
-
-def _solves(matrix: np.ndarray, x, rhs) -> bool:
-    """Whether matrix x == rhs exactly, for an integer matrix and
-    rational x."""
-    den, nums = clear_denominators(x)
-    product = matrix.astype(object).dot(np.array(nums, dtype=object))
-    return product.tolist() == [b * den for b in rhs]
-
-
-def _bareiss_solve(matrix, rhs):
-    """x with matrix x = rhs for a square integer matrix, exactly, or
-    None when it is singular.  Fraction-free Gaussian elimination
-    (Bareiss): every division is exact, so entries stay integers, and
-    only the back substitution is rational."""
-    n = len(matrix)
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    prev = 1
-    for p in range(n):
-        pick = next((i for i in range(p, n) if m[i][p]), None)
-        if pick is None:
-            return None
-        m[p], m[pick] = m[pick], m[p]
-        top = m[p]
-        pivot = top[p]
-        for row in m[p + 1:]:
-            f = row[p]
-            for j in range(p + 1, n + 1):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-            row[p] = 0
-        prev = pivot
-    # With det the last pivot, det * x is an integer vector (Cramer),
-    # so back substitution on it divides exactly too.
-    det = prev
-    scaled = [0] * n
-    for i in reversed(range(n)):
-        row = m[i]
-        rest = sum(row[j] * scaled[j] for j in range(i + 1, n))
-        scaled[i] = (row[n] * det - rest) // row[i]
-    return [rat(v, det) for v in scaled]
 
 
 def _expand_orbits(a, gens, columns, value) -> list[tuple[Biclique, object]]:

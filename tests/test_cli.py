@@ -97,7 +97,7 @@ def test_bpf_reports_nonconvergence_with_exit_two(one_inner_round):
     assert code == 2
     payload = json.loads(out)
     assert payload["converged"] is False
-    # One float round leaves the first exact master above bp_f = 10/3.
+    # One float round leaves the first certified basis above bp_f = 10/3.
     assert as_rat(payload["value"]) == rat(5)
     assert as_rat(payload["lower_bound"]) <= rat(10, 3) <= as_rat(payload["value"])
 
@@ -347,3 +347,19 @@ def test_usage_errors_exit_sixty_four():
     with pytest.raises(SystemExit) as info:
         run_cli()
     assert info.value.code == 64
+
+
+def test_one_parser_serves_every_call_unchanged():
+    # The parser is built once per process.  A call that appends to a
+    # list option and one that ends in a usage error leave nothing
+    # behind: the next call prints what it prints in a fresh process.
+    argv = ("bounds", "domino", "--format", "json")
+    build_parser.cache_clear()
+    fresh = run_cli(*argv)
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli("bounds", "domino", "--upper", "2=6", "--format", "json")
+    assert code == 0 and out != fresh[1]
+    with pytest.raises(SystemExit) as info:
+        run_cli("bounds", "domino", "--upper", "2=6", "--kmax")
+    assert info.value.code == 64
+    assert run_cli(*argv) == fresh

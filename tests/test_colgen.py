@@ -39,7 +39,7 @@ from fracbp.errors import (
     InvariantViolation,
     SizeCapExceeded,
 )
-from fracbp.lp import PARTITION, SimplexSolver, build_master, solve
+from fracbp.lp import PARTITION, build_master, solve
 from fracbp.maximal import enumerate_maximal
 from fracbp.pricing import price_all
 
@@ -227,71 +227,43 @@ def test_timings_book_the_float_mirror_apart(d):
     assert report.timings["float"] > 0
 
 
-def test_float_vertex_leaves_the_exact_master_few_pivots(monkeypatch):
-    # The float mirror's optimal basis is crashed into the exact master,
-    # which then only certifies it in one pricing pass; from its last
-    # basis alone the master walks 1292 pivots here.
-    pivots = 0
-    reoptimize = SimplexSolver.reoptimize
+def fallback_calls(patch):
+    """Count the exact solves of the mirror, the fallback of `run`'s
+    basis certifier, as `lp.solve` calls that colgen makes."""
+    import fracbp.colgen as colgen
 
-    def counting(self):
-        nonlocal pivots
-        before = self.pivots
-        reoptimize(self)
-        pivots += self.pivots - before
+    calls = [0]
+    original = colgen.solve
 
-    monkeypatch.setattr(SimplexSolver, "reoptimize", counting)
-    report = run(kronecker(crown(3), crown(4)), ColGenConfig())
-    assert report.converged and report.value == 9
-    assert pivots <= 1
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    patch.setattr(colgen, "solve", counting)
+    return calls
 
 
-def test_crash_rebuilds_highs_basis_with_one_exchange_per_code(
-        d, crown5, rng, monkeypatch):
-    # The crash takes HiGHS's optimal basis, artificials of its basic
-    # rows first: at most m codes, each costing at most one tableau
-    # column, and the exact master it leaves is already optimal.
-    ftrans = 0
-    crashes = []
-    reopt_pivots = []
-    ftran, crash, reoptimize = (SimplexSolver._ftran_scaled,
-                                SimplexSolver.crash, SimplexSolver.reoptimize)
-
-    def counting_ftran(self, code):
-        nonlocal ftrans
-        ftrans += 1
-        return ftran(self, code)
-
-    def recording_crash(self, codes):
-        before = ftrans
-        accepted = crash(self, codes)
-        crashes.append((self.m, len(codes), ftrans - before, accepted))
-        return accepted
-
-    def counting_reoptimize(self):
-        before = self.pivots
-        reoptimize(self)
-        reopt_pivots.append(self.pivots - before)
-
-    monkeypatch.setattr(SimplexSolver, "_ftran_scaled", counting_ftran)
-    monkeypatch.setattr(SimplexSolver, "crash", recording_crash)
-    monkeypatch.setattr(SimplexSolver, "reoptimize", counting_reoptimize)
-    cases = [kronecker(crown(3), crown(4)), kronecker(d, d), crown5]
+def test_certified_basis_is_the_optimum_with_no_fallback(d, crown5, rng, monkeypatch):
+    # HiGHS's optimal basis, solved exactly, is optimal over all
+    # bicliques on every matrix here, and the exact solve of the mirror
+    # never runs.  crown(3) x crown(4) has 1824 bicliques, over which
+    # `solve` takes seconds; its value is 9.
+    cases = [(kronecker(crown(3), crown(4)), rat(9)), (kronecker(d, d), None),
+             (crown5, None)]
     while len(cases) < 43:
         m, n = rng.randint(4, 7), rng.randint(4, 7)
         rows = tuple(rng.getrandbits(n) for _ in range(m))
         if any(rows):
-            cases.append(BinaryMatrix(m, n, rows))
-    for a in cases:
-        crashes.clear()
-        reopt_pivots.clear()
+            cases.append((BinaryMatrix(m, n, rows), None))
+    optima = [value or solve(build_master(
+        a, enumerate_all_bicliques(a), PARTITION)).objective for a, value in cases]
+    calls = fallback_calls(monkeypatch)
+    for (a, _), optimum in zip(cases, optima):
         report = run(a, ColGenConfig())
-        assert report.converged
-        assert crashes and len(crashes) == len(reopt_pivots)
-        for m, codes, ftran_calls, accepted in crashes:
-            assert accepted and codes <= m and ftran_calls <= m
-        # One pricing pass per exact master, no basis exchange.
-        assert reopt_pivots == [1] * len(reopt_pivots)
+        assert report.converged and report.value == optimum
+        assert_is_fractional_partition(a, report.support)
+        assert sum((w for _, w in report.support), rat(0)) == report.value
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +471,7 @@ def test_orbit_master_checkpoints_and_resumes(d, monkeypatch, tmp_path):
 
 def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
     import fracbp.colgen as colgen
+    import fracbp.lp as lp
     import fracbp.orbits as orbits
 
     runs = []
@@ -519,8 +492,8 @@ def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
     def singular(patch):
         # HiGHS's rounded values fail the check and elimination finds
         # the basis singular.
-        patch.setattr(orbits, "_solves", lambda matrix, x, rhs: False)
-        patch.setattr(orbits, "_bareiss_solve", lambda matrix, rhs: None)
+        patch.setattr(lp, "_solves", lambda matrix, x, rhs: False)
+        patch.setattr(lp, "_bareiss_solve", lambda matrix, rhs: None)
 
     fallbacks = [
         ("HiGHS fails", lambda patch: patch.setattr(
@@ -575,7 +548,7 @@ def test_orbit_master_refuses_representatives_that_miss_a_maximal(d, monkeypatch
 
 
 def test_bareiss_solve_is_exact(rng):
-    from fracbp.orbits import _bareiss_solve
+    from fracbp.lp import _bareiss_solve
 
     assert _bareiss_solve([[1, 2], [2, 4]], [1, 2]) is None
     for _ in range(50):
@@ -611,89 +584,78 @@ def test_exact_pass_reuses_the_float_pricing(monkeypatch):
     report = solve_power(triangle, 3, ColGenConfig())
     assert report.converged and report.value == 8
     # One iteration per level: the float mirror prices once, and the
-    # crashed exact dual equals its dual, so the exact pass reuses it.
+    # certified exact dual equals its dual, so the exact pass reuses it.
     assert len(report.records) == 1
     assert calls[0] == 3
 
 
-def test_rejected_crash_prices_the_exact_dual_anew(monkeypatch, crown5):
-    calls = counted_pricing(monkeypatch)
-    report = run(crown5, ColGenConfig())
-    assert report.value == rat(10, 3) and calls[0] == 1
-    # From its own basis the exact master reaches another optimal dual
-    # than the float mirror's, which must then be priced by itself.
-    monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
-    calls[0] = 0
-    report = run(crown5, ColGenConfig())
-    assert report.converged and report.value == rat(10, 3)
-    assert calls[0] == 2
+def test_bareiss_path_gives_the_rounded_answers(crown5, m5, monkeypatch, one_inner_round):
+    import fracbp.lp as lp
+
+    # With the rounded values refused, every basis is solved by
+    # elimination, which must find the same exact solution.
+    cases = [(crown5, ColGenConfig()), (m5, ColGenConfig(init_strategy="stars"))]
+    expected = [run(a, config) for a, config in cases]
+    assert len(expected[1].records) == 3
+    eliminations = [0]
+    bareiss = lp._bareiss_solve
+
+    def counting(matrix, rhs):
+        eliminations[0] += 1
+        return bareiss(matrix, rhs)
+
+    monkeypatch.setattr(lp, "_solves", lambda matrix, x, rhs: False)
+    monkeypatch.setattr(lp, "_bareiss_solve", counting)
+    calls = fallback_calls(monkeypatch)
+    for (a, config), want in zip(cases, expected):
+        got = run(a, config)
+        assert got.converged and got.value == want.value
+        assert got.support == want.support and got.dual == want.dual
+        assert got.records == want.records
+    assert eliminations[0] == 2 * (1 + 3) and calls[0] == 0
 
 
-def recorded_exact_masters(monkeypatch):
-    """Record each float phase as (basic columns, buffered columns after
-    it) and each exact master as (matrix, carried, solver, columns)."""
+def test_exact_fallback_converges_to_the_same_value(d, crown5, m5, monkeypatch,
+                                                   one_inner_round):
     import fracbp.colgen as colgen
 
-    floats, masters = [], []
-    float_phase, exact_master = colgen._float_phase, colgen._exact_master
+    # From the stars with one float round, each matrix takes several
+    # iterations.
+    cases = [d, m5, crown5]
+    config = ColGenConfig(init_strategy="stars")
+    expected = [run(a, config) for a in cases]
+    assert all(len(r.records) > 1 for r in expected)
+    float_phase = colgen._float_phase
 
-    def recording_float_phase(a, maximals, buffer, threshold):
-        result = float_phase(a, maximals, buffer, threshold)
-        floats.append((result[0], list(buffer.bicliques)))
-        return result
+    def stale(a, maximals, buffer, threshold):
+        # The second float phase returns the first one's basis again:
+        # its dual prices only columns the mirror holds, so the
+        # iteration adds none, and the next one must solve the mirror.
+        if len(phases) == 1:
+            phases.append(phases[0])
+        else:
+            phases.append(float_phase(a, maximals, buffer, threshold))
+        return phases[-1]
 
-    def recording_exact_master(a, stars, carried, *rest):
-        solver, columns = exact_master(a, stars, carried, *rest)
-        masters.append((a, list(carried), solver, columns))
-        return solver, columns
-
-    monkeypatch.setattr(colgen, "_float_phase", recording_float_phase)
-    monkeypatch.setattr(colgen, "_exact_master", recording_exact_master)
-    return floats, masters
-
-
-def assert_masters_take_every_buffered_column(floats, masters):
-    """Each exact master is the stars, the carried columns and every
-    column the float mirror held, in that order."""
-    assert masters and len(floats) == len(masters)
-    for (_, buffered), (a, carried, _, columns) in zip(floats, masters):
-        assert columns == list(dict.fromkeys([*initial_stars(a), *carried, *buffered]))
-
-
-def test_exact_master_holds_only_the_columns_the_float_vertex_names(monkeypatch):
-    # The union init offers all 1824 bicliques; they seed the float
-    # mirror, and the exact master takes only the stars, the carried
-    # columns and the basic columns of HiGHS's optimal basis.
-    floats, masters = recorded_exact_masters(monkeypatch)
-    a = kronecker(crown(3), crown(4))
-    report = run(a, ColGenConfig())
-    assert report.converged and report.value == 9
-    assert_is_fractional_partition(a, report.support)
-    assert len(floats) == len(masters) == report.iterations
-    stars = initial_stars(a)
-    for (basic, _), (_, carried, solver, columns) in zip(floats, masters):
-        assert set(columns) <= {*stars, *carried, *basic}
-        assert len(solver.columns) == len(columns)
-
-
-def test_rejected_crash_gives_the_exact_master_every_strategy_column(
-        monkeypatch, crown5, d):
-    floats, masters = recorded_exact_masters(monkeypatch)
-    monkeypatch.setattr(SimplexSolver, "crash", lambda self, codes: False)
-    report = run(crown5, ColGenConfig())
-    assert report.converged and report.value == rat(10, 3)
-    _, _, solver, columns = masters[0]
-    every = enumerate_all_bicliques(crown5)
-    assert len(every) == 180 and set(every) <= set(columns)
-    assert [bits for bits, _ in solver.columns] == [
-        incidence_column(crown5, b) for b in columns]
-    assert_masters_take_every_buffered_column(floats, masters)
-    floats.clear()
-    masters.clear()
-    on_the_ladder(monkeypatch)
-    report = solve_power(d, 2, ColGenConfig())
-    assert report.converged and report.value == SIX
-    assert_masters_take_every_buffered_column(floats, masters)
+    scenarios = [
+        ("refused", lambda patch: patch.setattr(colgen, "solve_basis",
+                                                lambda *args: None)),
+        ("stalled", lambda patch: patch.setattr(colgen, "_float_phase", stale)),
+    ]
+    for name, patching in scenarios:
+        for a, want in zip(cases, expected):
+            phases = []
+            with monkeypatch.context() as patch:
+                patching(patch)
+                calls = fallback_calls(patch)
+                report = run(a, config)
+            assert report.converged and report.value == want.value, name
+            assert_is_fractional_partition(a, report.support)
+            assert sum(report.dual, rat(0)) == report.value
+            if name == "refused":
+                assert calls[0] == report.iterations
+            else:
+                assert calls[0] >= 1 and report.iterations >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +751,11 @@ def test_float_failure_only_loses_steering(d, m5, monkeypatch):
     import fracbp.colgen as colgen
 
     # Every float solve reports no optimum (append returns None), and
-    # each exact master falls back to every buffered column.
+    # each iteration solves the mirror exactly instead.
     calls = []
     monkeypatch.setattr(colgen, "_linprog",
                         lambda *, A_eq: calls.append(A_eq.shape))
-    floats, masters = recorded_exact_masters(monkeypatch)
+    fallbacks = fallback_calls(monkeypatch)
     report = run(d, ColGenConfig())
     assert report.converged and report.value == FIVE_HALVES
     assert_is_fractional_partition(d, report.support)
@@ -802,9 +764,7 @@ def test_float_failure_only_loses_steering(d, m5, monkeypatch):
     assert_is_fractional_partition(m5, report.support)
     report = solve_power(d, 2, ColGenConfig())
     assert report.converged and report.value == SIX
-    assert calls
-    assert all(basic == [] for basic, _ in floats)
-    assert_masters_take_every_buffered_column(floats, masters)
+    assert calls and fallbacks[0] > 0
 
 
 def test_float_buffer_refuses_what_is_no_biclique(d):

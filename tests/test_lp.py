@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import fracbp.lp as lp
-from fracbp.colgen import ColGenConfig, initial_stars, run
-from fracbp.core import (
-    Biclique,
-    BinaryMatrix,
-    enumerate_all_bicliques,
-    incidence_column,
-    kronecker,
-)
+from fracbp.colgen import initial_stars
+from fracbp.core import BinaryMatrix, enumerate_all_bicliques, incidence_column
 from fracbp.errors import ContractViolation, InvariantViolation, NodeCapExceeded
 from fracbp.lp import (
     COVER,
@@ -255,16 +249,6 @@ def test_solve_is_deterministic(rng):
         assert solve(prog) == solve(prog)
 
 
-def star_started_solver(a, bicliques):
-    """Solver over the row stars plus `bicliques`, on the stars' basis;
-    returns it with the ids of `bicliques`."""
-    stars = initial_stars(a)
-    solver = SimplexSolver(a.num_edges, PARTITION,
-                           [incidence_column(a, b) for b in stars + list(bicliques)])
-    solver.install_start(range(len(stars)))
-    return solver, list(range(len(stars), len(stars) + len(bicliques)))
-
-
 def test_warm_reoptimize_monotone(d):
     # A fresh solver for each growing prefix of the non-star columns,
     # every one reoptimized from the stars' basis.
@@ -272,7 +256,9 @@ def test_warm_reoptimize_monotone(d):
     rest = [b for b in enumerate_all_bicliques(d) if b not in stars]
     seen = []
     for k in range(len(rest) + 1):
-        solver, _ = star_started_solver(d, rest[:k])
+        solver = SimplexSolver(d.num_edges, PARTITION,
+                               [incidence_column(d, b) for b in stars + rest[:k]])
+        solver.install_start(range(len(stars)))
         solver.reoptimize()
         seen.append(solver.objective())
     assert seen[0] == rat(3)  # one star per row
@@ -400,41 +386,7 @@ def test_cover_missing_a_row_returns_a_farkas_ray():
         assert sum(y[r] for r in range(prog.num_rows) if (bits >> r) & 1) <= 0
 
 
-def test_crash_installs_an_optimal_basis(d):
-    bs = enumerate_all_bicliques(d)
-    optimum = solve(build_master(d, bs, PARTITION))
-    support = [bs[k] for k, v in enumerate(optimum.primal) if v]
-    solver, ids = star_started_solver(d, support)
-    assert solver.crash(ids)
-    assert set(ids) <= set(solver.basis)
-    before = solver.pivots
-    solver.reoptimize()
-    assert solver.pivots - before == 1  # one pricing pass, no pivot
-    assert solver.objective() == rat(5, 2)
-
-
-def test_crash_rejects_an_infeasible_basis(d):
-    # Row 1's edges in columns 0 and 1, and the 2x2 block on rows 0, 1:
-    # with row 0's star already basic, the exact solution of the crashed
-    # basis needs a negative weight.
-    bad = [Biclique(0b10, 0b11), Biclique(0b11, 0b11)]
-    rest = [b for b in enumerate_all_bicliques(d) if b not in bad]
-    solver, ids = star_started_solver(d, bad + rest)
-    twin, _ = star_started_solver(d, bad + rest)
-    basis, t, delta = list(solver.basis), solver.T.copy(), solver.delta
-    assert not solver.crash(ids[:2])
-    assert solver.basis == basis
-    assert solver.T.dtype == t.dtype and np.array_equal(solver.T, t)
-    assert solver.delta == delta
-    solver.reoptimize()
-    twin.reoptimize()
-    assert solver.objective() == twin.objective() == rat(5, 2)
-    assert solver.primal_by_id() == twin.primal_by_id()
-    assert solver.duals() == twin.duals()
-
-
-def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch,
-                                                  one_inner_round):
+def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
     partition = build_master(d, enumerate_all_bicliques(d), PARTITION)
     cover = build_master(crown5, enumerate_maximal(crown5), COVER)
     expected = [solve(partition), solve(cover)]
@@ -450,15 +402,6 @@ def test_python_int_regime_gives_the_same_answers(d, crown5, m5, monkeypatch,
     monkeypatch.setattr(lp, "_INT64_GUARD", 1 << 4)
     assert [solve(partition), solve(cover)] == expected
     assert promotions >= 2
-    # The default init only crashes in this regime; M5 from the stars
-    # runs three iterations with one float round each, each iteration
-    # with its own exact master.
-    report = run(kronecker(d, d), ColGenConfig())
-    assert report.converged and report.value == rat(6)
-    promotions = 0
-    report = run(m5, ColGenConfig(init_strategy="stars"))
-    assert report.converged and report.value == rat(4)
-    assert report.iterations == 3 and promotions >= 1
 
 
 def test_primal_by_id_matches_solution(d):
