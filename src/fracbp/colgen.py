@@ -76,6 +76,7 @@ from .core import (
     kronecker,
     kronecker_biclique,
     matrix_hash,
+    unpack_masks,
 )
 from .errors import (
     CheckpointError,
@@ -292,7 +293,7 @@ def run(
         except ContractViolation as exc:
             raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
     else:
-        buffer.extend(_initial_bicliques(a, config, extra_initial))
+        buffer.extend(_initial_bicliques(a, config, maximals, extra_initial))
     buffer.extend(initial_stars(a))
     held = set(carried)
 
@@ -384,7 +385,7 @@ def _certify(a, basic, rows, x, y):
     if n + len(rows) != m:
         return None
     matrix = np.zeros((m, m), dtype=np.int64)
-    matrix[:, :n] = _unpack([incidence_column(a, b) for b in basic], m).T
+    matrix[:, :n] = unpack_masks([incidence_column(a, b) for b in basic], m).T
     matrix[rows, np.arange(n, m)] = 1
     exact = solve_basis(matrix, n, [1] * m, x, y)
     return None if exact is None else (basic, exact[0], tuple(exact[1]))
@@ -455,8 +456,8 @@ class _FloatBuffer:
         col_masks = [c for _, c in new]
         if max(row_masks) >> a.num_rows or max(col_masks) >> a.num_cols:
             raise ContractViolation("biclique index ranges exceed matrix dimensions")
-        row_bits = _unpack(row_masks, a.num_rows)
-        col_bits = _unpack(col_masks, a.num_cols)
+        row_bits = unpack_masks(row_masks, a.num_rows)
+        col_bits = unpack_masks(col_masks, a.num_cols)
         block = row_bits[:, self._edge_rows] & col_bits[:, self._edge_cols]
         sizes = (row_bits.sum(axis=1, dtype=np.int64)
                  * col_bits.sum(axis=1, dtype=np.int64))
@@ -520,15 +521,6 @@ def _linprog(*, A_eq: _Csc):
     return np.array(solution.col_value), np.array(solution.row_dual), basic
 
 
-def _unpack(masks, width: int) -> np.ndarray:
-    """Bits 0..width-1 of each mask, one uint8 row per mask."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(
-        b"".join(x.to_bytes(nbytes, "little") for x in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
-                         count=width, bitorder="little")
-
-
 # A float phase prices new columns into the mirror for at most
 # _INNER_ROUNDS solves and stops early once the mirror holds _BUFFER_CAP
 # columns.  The cap is soft: a phase can pass it by one round's
@@ -588,19 +580,19 @@ def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
             tuple(smoothed), priced)
 
 
-def _initial_bicliques(a, config, extra_initial) -> list[Biclique]:
+def _initial_bicliques(a, config, maximals, extra_initial) -> list[Biclique]:
     strategy = config.init_strategy
     if strategy == "stars":
         return []
     if strategy == "all":
-        return enumerate_all_bicliques(a)
+        return enumerate_all_bicliques(a, maximals=maximals)
     # union takes whatever the caller lifted, else falls back to the
     # densest pool that fits (all bicliques, else just the stars).
     extra = list(extra_initial)
     if extra:
         return extra
     try:
-        return enumerate_all_bicliques(a)
+        return enumerate_all_bicliques(a, maximals=maximals)
     except SizeCapExceeded:
         return []
 

@@ -18,6 +18,8 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     ContractViolation,
     InvariantViolation,
@@ -41,6 +43,15 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def unpack_masks(masks, width: int) -> np.ndarray:
+    """Bits 0..width-1 of each mask, one uint8 row per mask."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(x.to_bytes(nbytes, "little") for x in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1,
+                         count=width, bitorder="little")
 
 
 def iter_submasks(mask: int):
@@ -344,15 +355,21 @@ def maximal_biclique_masks(a: BinaryMatrix) -> list[tuple[int, int]]:
     return sorted((r, c) for c, r in seen.items())
 
 
-def enumerate_all_bicliques(a: BinaryMatrix, size_cap: int = DEFAULT_ENUM_CAP) -> list[Biclique]:
+def enumerate_all_bicliques(a: BinaryMatrix, size_cap: int = DEFAULT_ENUM_CAP,
+                            maximals=None) -> list[Biclique]:
     """Every biclique of `a`, canonically sorted.
 
     Counts first: each maximal biclique with r rows and c columns
     contributes at most (2^r - 1)(2^c - 1) sub-bicliques, and every
     biclique lies under some maximal one.  If the total bound exceeds
     `size_cap` the call refuses outright rather than truncating.
+    `maximals`, when given, are a's maximal bicliques as `Biclique`s,
+    which spares enumerating them again.
     """
-    maximals = maximal_biclique_masks(a)
+    if maximals is None:
+        maximals = maximal_biclique_masks(a)
+    else:
+        maximals = [(b.row_set, b.col_set) for b in maximals]
     bound = 0
     for rmask, cmask in maximals:
         bound += ((1 << rmask.bit_count()) - 1) * ((1 << cmask.bit_count()) - 1)
@@ -404,10 +421,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
 def format_matrix(a: BinaryMatrix) -> str:
     """Canonical text form; parse(format(a)) == a, byte for byte stable."""
-    lines = []
-    for bits in a.rows:
-        lines.append("".join("1" if (bits >> j) & 1 else "0" for j in range(a.num_cols)))
-    return "\n".join(lines) + "\n"
+    spec = f"0{a.num_cols}b"
+    return "".join(format(bits, spec)[::-1] + "\n" for bits in a.rows)
 
 
 def matrix_hash(a: BinaryMatrix) -> str:

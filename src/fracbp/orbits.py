@@ -23,11 +23,12 @@ import numpy as np
 from . import colgen, lp
 from ._rational import ONE, ZERO, rat
 from .colgen import ColGenReport, IterationRecord
-from .core import Biclique, BinaryMatrix, EdgeWeights, matrix_hash
+from .core import Biclique, BinaryMatrix, EdgeWeights, matrix_hash, unpack_masks
 from .errors import CheckpointError, ContractViolation, InvariantViolation
 from .symmetry import (
-    biclique_orbit,
     edge_orbits,
+    gather_table,
+    orbit_closure,
     orbit_representatives,
     power_generators,
 )
@@ -70,7 +71,9 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
     mhash = matrix_hash(a)
     gens = power_generators(base, k)
     orbits = edge_orbits(a, gens)
-    reps, covered = orbit_representatives(maximals, gens)
+    # One gather table serves the representatives and the expansion.
+    table = gather_table(gens, a.num_rows, a.num_cols)
+    reps, covered = orbit_representatives(maximals, table)
     if not covered.issuperset((b.row_set, b.col_set) for b in maximals):
         raise InvariantViolation(
             "the orbits of the representatives miss a maximal biclique")
@@ -143,7 +146,7 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
             return None
 
     support = _expand_orbits(
-        a, gens, [(pool.bicliques[j], x) for j, x in z.items() if x], objective)
+        a, table, [(pool.bicliques[j], x) for j, x in z.items() if x], objective)
     timings = {
         "total": time.perf_counter() - t_start,
         "master": t_master,
@@ -266,39 +269,51 @@ class _OrbitColumns:
 _GRID = 1 << 32
 
 
-def _expand_orbits(a, gens, columns, value) -> list[tuple[Biclique, object]]:
+def _expand_orbits(a, table, columns, value) -> list[tuple[Biclique, object]]:
     """The full-space support of orbit columns [(representative, z)]:
-    every biclique of a representative's G-orbit O gets z / |O|.
+    every biclique of a representative's G-orbit O gets z / |O|.  One
+    `orbit_closure` of the representatives under `table`, their gather
+    table, finds every orbit, with the bit rows its bicliques' keys were
+    packed from.
 
-    It is checked here in integers, without the symmetry code: the
-    weights are positive and sum to `value`, and with den their common
-    denominator, every one of `a` is covered by total weight exactly
-    den / den and every zero by none.  Raises InvariantViolation
-    otherwise."""
-    weights: dict[Biclique, object] = {}
+    It is checked here in integers, on those bit rows: the weights are
+    positive and sum to `value`, and with den their common denominator,
+    every one of `a` is covered by total weight exactly den / den and
+    every zero by none.  Raises InvariantViolation otherwise."""
+    m = a.num_rows
+    z_of: dict[int, object] = {}
     for b, z in columns:
-        orbit = biclique_orbit(b, gens)
-        share = z / len(orbit)
-        for c in orbit:
-            weights[c] = weights.get(c, ZERO) + share
-    support = sorted(weights.items(), key=lambda t: (t[0].row_set, t[0].col_set))
-    den = lcm(*(w.denominator for _, w in support))
-    groups: dict[int, list[Biclique]] = {}
-    for b, w in support:
-        groups.setdefault(w.numerator * (den // w.denominator), []).append(b)
-    total_num = sum(num * len(bs) for num, bs in groups.items())
+        key = b.row_set | b.col_set << m
+        z_of[key] = z_of.get(key, ZERO) + z
+    keys, bits, labels = orbit_closure(list(z_of), table)
+    labels = labels.tolist()
+    share: dict[int, object] = {}
+    for label, z in zip(labels, z_of.values()):
+        share[label] = share.get(label, ZERO) + z
+    sizes = np.bincount(labels).tolist()
+    share = {label: z / sizes[label] for label, z in share.items()}
+    low = (1 << m) - 1
+    pairs = [(k & low, k >> m) for k in keys]
+    order = sorted(range(len(keys)), key=pairs.__getitem__)
+    support = [(Biclique(*pairs[t]), share[labels[t]]) for t in order]
+    den = lcm(*(w.denominator for w in share.values()))
+    groups: dict[int, list[int]] = {}
+    for t, label in enumerate(labels):
+        w = share[label]
+        groups.setdefault(w.numerator * (den // w.denominator), []).append(t)
+    total_num = sum(num * len(ts) for num, ts in groups.items())
     if min(groups) <= 0 or total_num != value * den:
         raise InvariantViolation("expanded support weights do not sum to the value")
     # Each cell's total is at most the summed numerators, so int64 holds
     # it when those fit.
     dtype = np.int64 if total_num < 1 << 62 else object
     total = np.zeros((a.num_rows, a.num_cols), dtype=dtype)
-    for num, bs in groups.items():
-        rows = colgen._unpack([b.row_set for b in bs], a.num_rows).astype(np.float64)
-        cols = colgen._unpack([b.col_set for b in bs], a.num_cols).astype(np.float64)
-        # Float counts are exact: each is at most len(bs) < 2^53.
+    for num, ts in groups.items():
+        rows = bits[ts, :m].astype(np.float64)
+        cols = bits[ts, m:].astype(np.float64)
+        # Float counts are exact: each is at most len(ts) < 2^53.
         total += np.rint(rows.T @ cols).astype(np.int64).astype(dtype) * num
-    ones = colgen._unpack(a.rows, a.num_cols).astype(bool)
+    ones = unpack_masks(a.rows, a.num_cols).astype(bool)
     if (total[ones] != den).any() or total[~ones].any():
         raise InvariantViolation("expanded support is not a fractional partition")
     return support

@@ -21,6 +21,17 @@ because every later orbit costs one image per generator.
 A symmetry is a `Symmetry(rows, cols, transpose)`.  Without transpose
 it maps entry (i, j) to (rows[i], cols[j]); with it, to (rows[j],
 cols[i]), so `rows` is then indexed by column and `cols` by row.
+
+Orbits are found by labelling, never by walking one element at a time.
+Each generator becomes a permutation of the things it moves, and every
+element is labelled by the smallest element of its orbit
+(`_min_labels`).  On edges the permutations come straight from the
+maps.  On bicliques, each biclique is one uint8 bit row, its row bits
+then its column bits, and the generators are one table of gathers
+(`gather_table`; a transpose swaps the two halves).  `orbit_closure`
+closes a set of bicliques under G breadth first: a level is one gather
+of the new bit rows under every generator at once and one pass over
+their packed keys, so the Python work is per image, not per bit.
 Nothing here is trusted for an answer: `edge_permutations` refuses a
 map that sends a one to a zero, the orbit master checks that the orbits
 of its representatives cover every maximal biclique, and branch and
@@ -30,12 +41,13 @@ generators) checks that every map sends each column onto a column.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Biclique, BinaryMatrix
-from .errors import InvariantViolation
+from .core import Biclique, BinaryMatrix, unpack_masks
+from .errors import ContractViolation, InvariantViolation
 
 # The base automorphism search visits at most this many partial row
 # maps, and the thinning to a small generating set stops once the row
@@ -215,13 +227,21 @@ def edge_orbits(a: BinaryMatrix, gens) -> list[np.ndarray]:
     arrays ordered by their smallest edge.
 
     Each generator is first turned into a permutation of the edges
-    (`edge_permutations`, which refuses a map that is no symmetry).  The
-    orbits are the components of the generators' edge maps: every edge takes
-    the smallest label among its images and preimages, then its label's
-    label, until a round changes nothing, which leaves each edge
-    labelled by the smallest edge of its orbit."""
-    perms = edge_permutations(a, gens)
-    labels = np.arange(a.num_edges)
+    (`edge_permutations`, which refuses a map that is no symmetry), and
+    `_min_labels` labels every edge by the smallest edge of its orbit."""
+    labels = _min_labels(a.num_edges, edge_permutations(a, gens))
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order]))
+    return np.split(order, starts + 1)
+
+
+def _min_labels(size: int, perms) -> np.ndarray:
+    """Each of 0 .. size-1 labelled by the smallest element of its
+    orbit under the permutations `perms`: the orbits are the components
+    of their maps, so every element takes the smallest label among its
+    images and preimages, then its label's label, until a round changes
+    nothing."""
+    labels = np.arange(size)
     while True:
         new = labels.copy()
         for perm in perms:
@@ -229,11 +249,8 @@ def edge_orbits(a: BinaryMatrix, gens) -> list[np.ndarray]:
             new[perm] = np.minimum(new[perm], new)
         new = new[new]
         if (new == labels).all():
-            break
+            return labels
         labels = new
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order]))
-    return np.split(order, starts + 1)
 
 
 def edge_permutations(a: BinaryMatrix, gens) -> list[np.ndarray]:
@@ -250,11 +267,7 @@ def edge_permutations(a: BinaryMatrix, gens) -> list[np.ndarray]:
 def _edge_permutation(a: BinaryMatrix, g: Symmetry, edges, index) -> np.ndarray:
     """Edge e's image under g, for every e; `index` maps a cell to its
     edge index, or to -1 at a zero."""
-    if g.transpose and a.num_rows != a.num_cols:
-        raise InvariantViolation("a transposing symmetry needs a square matrix")
-    if (sorted(g.rows) != list(range(a.num_rows))
-            or sorted(g.cols) != list(range(a.num_cols))):
-        raise InvariantViolation("symmetry is not a bijection of rows and columns")
+    _check_bijection(g, a.num_rows, a.num_cols)
     rows, cols = np.asarray(g.rows), np.asarray(g.cols)
     er, ec = edges[:, 0], edges[:, 1]
     image = index[rows[ec], cols[er]] if g.transpose else index[rows[er], cols[ec]]
@@ -263,46 +276,136 @@ def _edge_permutation(a: BinaryMatrix, g: Symmetry, edges, index) -> np.ndarray:
     return image
 
 
-def _map_bits(mask: int, perm) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _check_bijection(g: Symmetry, num_rows: int, num_cols: int) -> None:
+    """Raise InvariantViolation unless g permutes the rows and the
+    columns of a num_rows x num_cols matrix."""
+    if g.transpose and num_rows != num_cols:
+        raise InvariantViolation("a transposing symmetry needs a square matrix")
+    if (sorted(g.rows) != list(range(num_rows))
+            or sorted(g.cols) != list(range(num_cols))):
+        raise InvariantViolation("symmetry is not a bijection of rows and columns")
 
 
-def _orbit(start: tuple[int, int], gens) -> set[tuple[int, int]]:
-    """The G-orbit of a (row mask, column mask) pair."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for r, c in frontier:
-            for rows, cols, flip in gens:
-                d = ((_map_bits(c, rows), _map_bits(r, cols)) if flip
-                     else (_map_bits(r, rows), _map_bits(c, cols)))
-                if d not in seen:
-                    seen.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    return seen
+class GatherTable(NamedTuple):
+    """The generators as gathers on biclique bit rows.  A biclique's bit
+    row is the bits of row_set | col_set << num_rows: its row bits, then
+    its column bits.  Generator t maps bit row x onto x[index[t]]."""
+
+    index: np.ndarray
+    num_rows: int
+
+
+def gather_table(gens, num_rows: int, num_cols: int) -> GatherTable:
+    """The GatherTable of `gens` on a num_rows x num_cols matrix.  A map
+    that is no bijection of the rows and of the columns, or a transpose
+    of a non-square matrix, raises InvariantViolation."""
+    m, n = num_rows, num_cols
+    row_bits, col_bits = np.arange(m), np.arange(m, m + n)
+    index = np.empty((len(gens), m + n), dtype=np.intp)
+    for t, g in enumerate(gens):
+        _check_bijection(g, m, n)
+        # Bit rows[i] of an image is bit i of its source, which a
+        # transpose reads on the other side.
+        index[t, np.asarray(g.rows)] = col_bits if g.transpose else row_bits
+        index[t, m + np.asarray(g.cols)] = row_bits if g.transpose else col_bits
+    return GatherTable(index, m)
+
+
+# One closure step gathers at most this many bytes of images at once.
+_GATHER_BYTES = 1 << 20
+
+
+def orbit_closure(seeds, table: GatherTable):
+    """The union V of the G-orbits of the bicliques with keys `seeds`
+    (row_set | col_set << num_rows, distinct), as (keys, bits, labels):
+    V's keys, the seeds first and in order, then the images in the
+    order found; their bit rows; and each one's label, the position in
+    V of the first biclique of its orbit.
+
+    A breadth-first search: each level gathers the bit rows of the
+    previous level's new bicliques under every generator at once, and
+    one pass over the images' packed keys keeps those not seen yet.
+    Every generator then permutes V, and `_min_labels` finds the orbits
+    from those permutations."""
+    index = table.index
+    width = index.shape[1]
+    nbytes = (width + 7) // 8
+    keys = list(seeds)
+    seen = {k.to_bytes(nbytes, "little"): t for t, k in enumerate(keys)}
+    frontier = unpack_masks(keys, width)
+    levels = [frontier]
+    images = []
+    block = max(1, _GATHER_BYTES // max(1, index.size))
+    while len(frontier):
+        new_rows = []
+        for lo in range(0, len(frontier), block):
+            gathered = frontier[lo:lo + block, index].reshape(-1, width)
+            packed = np.packbits(gathered, axis=1, bitorder="little").tobytes()
+            found = [packed[at:at + nbytes] for at in range(0, len(packed), nbytes)]
+            ids = list(map(seen.get, found, repeat(-1)))
+            fresh = []
+            for at in [at for at, t in enumerate(ids) if t < 0]:
+                key = found[at]
+                t = seen.get(key)
+                if t is None:
+                    t = seen[key] = len(keys)
+                    keys.append(int.from_bytes(key, "little"))
+                    fresh.append(at)
+                ids[at] = t
+            images.extend(ids)
+            new_rows.append(gathered[fresh])
+        frontier = np.concatenate(new_rows)
+        levels.append(frontier)
+    perms = np.array(images, dtype=np.intp).reshape(len(keys), len(index)).T
+    return keys, np.concatenate(levels), _min_labels(len(keys), perms)
+
+
+def _gather_table_of(gens, bicliques) -> GatherTable:
+    """`gens` when it is a GatherTable already, else theirs, on the
+    shape the generators permute (with none, the smallest that holds
+    `bicliques`).  A biclique outside that shape raises
+    ContractViolation."""
+    if isinstance(gens, GatherTable):
+        table = gens
+    else:
+        if gens:
+            g = gens[0]
+            m, n = (len(g.cols), len(g.rows)) if g.transpose else (len(g.rows), len(g.cols))
+        else:
+            m = max((b.row_set.bit_length() for b in bicliques), default=1)
+            n = max((b.col_set.bit_length() for b in bicliques), default=1)
+        table = gather_table(gens, m, n)
+    m = table.num_rows
+    n = table.index.shape[1] - m
+    if any(b.row_set >> m or b.col_set >> n for b in bicliques):
+        raise ContractViolation("biclique lies outside the generators' matrix")
+    return table
 
 
 def biclique_orbit(b: Biclique, gens) -> list[Biclique]:
-    """Every image of `b` under G, canonically sorted."""
-    return [Biclique(r, c) for r, c in sorted(_orbit((b.row_set, b.col_set), gens))]
+    """Every image of `b` under G, canonically sorted.  `gens` are the
+    generators or their `gather_table`."""
+    table = _gather_table_of(gens, [b])
+    m = table.num_rows
+    keys, _, _ = orbit_closure([b.row_set | b.col_set << m], table)
+    low = (1 << m) - 1
+    return sorted(Biclique(k & low, k >> m) for k in keys)
 
 
 def orbit_representatives(bicliques, gens):
     """(reps, covered): the first of `bicliques`, in input order, from
     each G-orbit, and the union of their orbits as (row mask, column
-    mask) pairs."""
-    covered: set[tuple[int, int]] = set()
-    reps = []
+    mask) pairs.  `gens` are the generators or their `gather_table`.
+    One `orbit_closure` of all the bicliques finds both."""
+    bicliques = list(bicliques)
+    table = _gather_table_of(gens, bicliques)
+    m = table.num_rows
+    first: dict[int, Biclique] = {}
     for b in bicliques:
-        key = (b.row_set, b.col_set)
-        if key not in covered:
-            reps.append(b)
-            covered |= _orbit(key, gens)
-    return reps, covered
+        first.setdefault(b.row_set | b.col_set << m, b)
+    keys, _, labels = orbit_closure(list(first), table)
+    seeds = list(first.values())
+    reps = [seeds[t] for t, label in enumerate(labels[:len(seeds)].tolist())
+            if label == t]
+    low = (1 << m) - 1
+    return reps, {(k & low, k >> m) for k in keys}

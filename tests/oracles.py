@@ -247,3 +247,45 @@ def masks(pairs) -> set[tuple[int, int]]:
 
 def biclique_set(pairs) -> set[Biclique]:
     return {Biclique(r, c) for r, c in pairs}
+
+
+def map_bits(mask: int, perm) -> int:
+    """The mask with each bit i moved to bit perm[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def walk_orbit(start: tuple[int, int], gens) -> set[tuple[int, int]]:
+    """The orbit of a (row mask, column mask) pair under the group that
+    the `symmetry.Symmetry` maps `gens` generate, one pair and one
+    generator at a time, bit by bit."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for r, c in frontier:
+            for rows, cols, flip in gens:
+                d = ((map_bits(c, rows), map_bits(r, cols)) if flip
+                     else (map_bits(r, rows), map_bits(c, cols)))
+                if d not in seen:
+                    seen.add(d)
+                    nxt.append(d)
+        frontier = nxt
+    return seen
+
+
+def walk_representatives(bicliques, gens):
+    """(reps, covered): the first of `bicliques` from each orbit, in
+    input order, and the union of their orbits, by `walk_orbit`."""
+    covered: set[tuple[int, int]] = set()
+    reps = []
+    for b in bicliques:
+        key = (b.row_set, b.col_set)
+        if key not in covered:
+            reps.append(b)
+            covered |= walk_orbit(key, gens)
+    return reps, covered

@@ -6,20 +6,21 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fracbp.core import BinaryMatrix, crown, domino, kronecker_power
-from fracbp.errors import InvariantViolation
+from fracbp.core import Biclique, BinaryMatrix, crown, domino, kronecker_power
+from fracbp.errors import ContractViolation, InvariantViolation
 from fracbp.maximal import enumerate_maximal
 from fracbp.symmetry import (
     Symmetry,
     base_automorphisms,
     biclique_orbit,
     edge_orbits,
+    gather_table,
     orbit_representatives,
     power_generators,
     transpose_map,
 )
 
-from oracles import random_binary_matrix
+from oracles import random_binary_matrix, walk_orbit, walk_representatives
 
 TRIANGLE = BinaryMatrix.from_dense([[1, 1], [0, 1]])
 
@@ -157,3 +158,71 @@ def test_edge_orbits_refuse_a_map_that_is_no_symmetry():
         edge_orbits(rect, [Symmetry(tuple(range(4)), tuple(range(9)), True)])
     assert np.concatenate(edge_orbits(a, [Symmetry(ident, ident)])).tolist() == list(
         range(a.num_edges))
+
+
+RECT = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+
+
+def sub_bicliques(rng, maximals, count):
+    """`count` random nonempty sub-bicliques of random maximals."""
+    out = []
+    for _ in range(count):
+        b = rng.choice(maximals)
+        r = b.row_set & rng.getrandbits(b.row_set.bit_length())
+        c = b.col_set & rng.getrandbits(b.col_set.bit_length())
+        out.append(Biclique(r or b.row_set & -b.row_set, c or b.col_set & -b.col_set))
+    return out
+
+
+@pytest.mark.parametrize("base, k", [(domino(), 2), (TRIANGLE, 4), (RECT, 2), (domino(), 4)],
+                         ids=["domino^2", "triangle^4", "2x3^2", "domino^4"])
+def test_orbit_closure_matches_the_per_bit_walk(base, k, rng):
+    # A square base brings a transpose, the 2x3 one none; D^4's masks
+    # are 81 bits wide, past one machine word.
+    a = kronecker_power(base, k)
+    gens = power_generators(base, k)
+    assert any(g.transpose for g in gens) == (base is not RECT)
+    table = gather_table(gens, a.num_rows, a.num_cols)
+    maximals = enumerate_maximal(a)
+    seeds = sub_bicliques(rng, maximals, 10)
+    for b in seeds:
+        walked = sorted(Biclique(r, c) for r, c in walk_orbit((b.row_set, b.col_set), gens))
+        assert biclique_orbit(b, gens) == biclique_orbit(b, table) == walked
+    # Repeated seeds, and several seeds in one orbit, led by an image
+    # of a later seed: the first in input order represents its orbit.
+    b = max(seeds, key=lambda b: len(biclique_orbit(b, table)))
+    lead = next(c for c in biclique_orbit(b, table) if c != b)
+    bicliques = [lead, *seeds, b, *maximals[::-1], *seeds]
+    expected = walk_representatives(bicliques, gens)
+    assert expected[0][0] == lead and b not in expected[0]
+    assert orbit_representatives(bicliques, gens) == expected
+    assert orbit_representatives(iter(bicliques), table) == expected
+
+
+def test_without_generators_every_orbit_is_its_seed():
+    bs = [Biclique(1, 3), Biclique(2, 1), Biclique(1, 3)]
+    assert biclique_orbit(bs[0], []) == [bs[0]]
+    assert orbit_representatives(bs, []) == (bs[:2], {(1, 3), (2, 1)})
+    assert orbit_representatives([], []) == ([], set())
+
+
+def test_gather_tables_refuse_maps_that_are_no_symmetry():
+    ident = (0, 1, 2)
+    for bad in (Symmetry((0, 0, 2), ident), Symmetry(ident, (2, 1, 1)),
+                Symmetry((0, 1), ident), Symmetry(ident, (0, 1, 2, 3))):
+        with pytest.raises(InvariantViolation):
+            gather_table([Symmetry(ident, ident), bad], 3, 3)
+        with pytest.raises(InvariantViolation):
+            orbit_representatives([Biclique(1, 1)], [Symmetry(ident, ident), bad])
+        with pytest.raises(InvariantViolation):
+            biclique_orbit(Biclique(1, 1), [Symmetry(ident, ident), bad])
+    # A transpose needs a square matrix; its rows are indexed by column.
+    with pytest.raises(InvariantViolation):
+        gather_table([Symmetry((0, 1, 2), (1, 2, 0), True)], 3, 4)
+    flip = Symmetry((0, 1, 0), (0, 1), True)
+    with pytest.raises(InvariantViolation):
+        gather_table([flip], 2, 3)
+    with pytest.raises(InvariantViolation):
+        biclique_orbit(Biclique(1, 1), [flip])
+    with pytest.raises(ContractViolation):
+        biclique_orbit(Biclique(8, 1), [Symmetry(ident, ident)])
