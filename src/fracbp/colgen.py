@@ -58,7 +58,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -537,8 +536,28 @@ _ROUNDING_DEN = 10 ** 9
 
 
 def _nearest(v: float):
-    f = Fraction(v).limit_denominator(_ROUNDING_DEN)
-    return rat(f.numerator, f.denominator)
+    """Fraction(v).limit_denominator(_ROUNDING_DEN) on plain ints: the
+    continued-fraction loop of CPython 3.11's `limit_denominator`, and
+    its tie rule, which prefers the last convergent p1/q1 to the
+    semiconvergent p/q."""
+    n, d = v.as_integer_ratio()
+    if d <= _ROUNDING_DEN:
+        return rat(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > _ROUNDING_DEN:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (_ROUNDING_DEN - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p/q - n/d|, both sides times d * q1 * q.
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return rat(p1, q1)
+    return rat(p, q)
 
 
 def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):

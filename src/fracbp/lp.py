@@ -741,9 +741,14 @@ def solve_basis(matrix: np.ndarray, num_cols: int, rhs, x, y):
 
 def _solves(matrix: np.ndarray, x, rhs) -> bool:
     """Whether matrix x == rhs exactly, for an integer matrix and
-    rational x."""
+    rational x.  Every entry of the product is at most max|entry| times
+    the numerators' absolute sum, so int64 holds it below
+    _INT64_GUARD; Python ints take the rest."""
     den, nums = clear_denominators(x)
-    product = matrix.astype(object).dot(np.array(nums, dtype=object))
+    if int(np.abs(matrix).max(initial=0)) * sum(map(abs, nums)) < _INT64_GUARD:
+        product = matrix.dot(np.array(nums, dtype=np.int64))
+    else:
+        product = matrix.astype(object).dot(np.array(nums, dtype=object))
     return product.tolist() == [b * den for b in rhs]
 
 

@@ -110,7 +110,7 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
                 return None
             w = pool.steering_dual(vertex)
             steer = tuple(w[t] for t in orbit_of)
-            priced = (steer, colgen.price_all(reps, EdgeWeights(a, steer), threshold))
+            priced = (w, colgen.price_all(reps, EdgeWeights(a, steer), threshold))
             if not pool.extend([pb.biclique for pb in priced[1][1]]):
                 break
         t1 = time.perf_counter()
@@ -124,8 +124,8 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
         objective = sum(z.values(), ZERO)
         dual = tuple(w[t] for t in orbit_of)
         # As in `colgen.run`: the float rounds' last pricing is this dual's
-        # when that round steered by the exact dual.
-        if dual == priced[0]:
+        # when that round steered by the exact orbit values.
+        if w == priced[0]:
             alpha, candidates = priced[1]
         else:
             alpha, candidates = colgen.price_all(reps, EdgeWeights(a, dual), threshold)
@@ -179,17 +179,32 @@ class _OrbitColumns:
         return len(self.bicliques)
 
     def extend(self, bicliques) -> int:
-        """Add the bicliques whose profiles are new; returns how many."""
-        before = len(self)
+        """Add the bicliques whose profiles are new; returns how many.
+        Every profile comes from one bincount over all the bicliques'
+        cells, each cell's row and column read off the bit rows."""
+        bicliques = list(bicliques)
         num_rows, num_cols = self._orbit_at.shape
-        for b in bicliques:
-            if b.row_set >> num_rows or b.col_set >> num_cols:
-                raise ContractViolation("biclique lies outside the matrix")
-            cells = self._orbit_at[np.ix_(b.row_indices(), b.col_indices())]
-            if (cells < 0).any():
-                raise ContractViolation(
-                    "biclique is not an all-ones submatrix of the matrix")
-            profile = np.bincount(cells.ravel(), minlength=len(self.sizes))
+        if any(b.row_set >> num_rows or b.col_set >> num_cols for b in bicliques):
+            raise ContractViolation("biclique lies outside the matrix")
+        if not bicliques:
+            return 0
+        owner, rows = np.nonzero(unpack_masks([b.row_set for b in bicliques], num_rows))
+        col_owner, cols = np.nonzero(unpack_masks([b.col_set for b in bicliques], num_cols))
+        widths = np.bincount(col_owner, minlength=len(bicliques))
+        # Cells run biclique by biclique, row by row: each of a
+        # biclique's rows meets each of its columns.
+        repeats = widths[owner]
+        firsts = np.repeat(np.cumsum(repeats) - repeats, repeats)
+        offsets = np.arange(len(firsts)) - firsts
+        owner = np.repeat(owner, repeats)
+        col_starts = np.cumsum(widths) - widths
+        cells = self._orbit_at[np.repeat(rows, repeats), cols[col_starts[owner] + offsets]]
+        if (cells < 0).any():
+            raise ContractViolation("biclique is not an all-ones submatrix of the matrix")
+        size = len(self.sizes)
+        profiles = np.bincount(owner * size + cells, minlength=len(bicliques) * size)
+        before = len(self)
+        for b, profile in zip(bicliques, profiles.reshape(len(bicliques), size)):
             key = profile.tobytes()
             if key not in self._seen:
                 self._seen.add(key)

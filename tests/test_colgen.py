@@ -589,6 +589,135 @@ def test_exact_pass_reuses_the_float_pricing(monkeypatch):
     assert calls[0] == 3
 
 
+def test_orbit_exact_pass_reuses_the_float_pricing(d, monkeypatch):
+    # Each HiGHS solve of the orbit LP is priced once; the exact pass
+    # finds its orbit values equal to the last round's and reuses that
+    # pricing rather than pricing again.
+    import fracbp.colgen as colgen
+
+    calls = counted_pricing(monkeypatch)
+    solves = [0]
+    linprog = colgen._linprog
+
+    def counting(**kwargs):
+        solves[0] += 1
+        return linprog(**kwargs)
+
+    monkeypatch.setattr(colgen, "_linprog", counting)
+    for base, k, value in ((BinaryMatrix.from_dense([[1, 1], [0, 1]]), 3, 8),
+                           (d, 2, 6), (d, 3, rat(2059, 149))):
+        calls[0] = solves[0] = 0
+        report = solve_power(base, k, ColGenConfig())
+        assert report.converged and report.value == value
+        assert calls[0] == solves[0] > 0
+
+
+def test_orbit_columns_count_each_cell_once(d, rng):
+    # The batched profiles equal a cell-by-cell count, duplicates of a
+    # profile are dropped, and both refusals stand.
+    from fracbp.orbits import _OrbitColumns
+    from fracbp.symmetry import edge_orbits, power_generators
+
+    a = kronecker_power(d, 2)
+    orbits = edge_orbits(a, power_generators(d, 2))
+    orbit_of = {}
+    for t, orbit in enumerate(orbits):
+        for e in orbit:
+            orbit_of[a.edges[int(e)]] = t
+    bicliques = []
+    for b in enumerate_maximal(a):
+        for _ in range(4):
+            rows = [i for i in bit_indices(b.row_set) if rng.random() < 0.7]
+            cols = [j for j in bit_indices(b.col_set) if rng.random() < 0.7]
+            if rows and cols:
+                bicliques.append(Biclique(sum(1 << i for i in rows), sum(1 << j for j in cols)))
+    pool = _OrbitColumns(a, orbits)
+    added = pool.extend(bicliques + bicliques[:5])
+    expected = {}
+    for b in bicliques:
+        profile = [0] * len(orbits)
+        for i in bit_indices(b.row_set):
+            for j in bit_indices(b.col_set):
+                profile[orbit_of[(i, j)]] += 1
+        expected.setdefault(tuple(profile), b)
+    assert added == len(pool) == len(expected)
+    assert pool.bicliques == list(expected.values())
+    assert [tuple(p.tolist()) for p in pool.profiles] == list(expected)
+    assert pool.extend([]) == 0 and pool.extend(bicliques) == 0
+    with pytest.raises(ContractViolation):
+        pool.extend([Biclique(1, 1 << a.num_cols)])
+    zero = next((i, j) for i in range(a.num_rows) for j in range(a.num_cols)
+                if not (a.rows[i] >> j) & 1)
+    with pytest.raises(ContractViolation):
+        pool.extend([Biclique(1 << zero[0], 1 << zero[1])])
+    assert len(pool) == added
+
+
+def test_nearest_is_limit_denominator(monkeypatch):
+    # The integer loop rounds every float as Fraction.limit_denominator
+    # does: negatives, subnormals, integers, halves, and values past
+    # 2^53, where every float is an integer.
+    import math
+    import random
+    import struct
+    from fractions import Fraction
+
+    import fracbp.colgen as colgen
+    from fracbp.colgen import _ROUNDING_DEN, _nearest
+
+    gen = random.Random(11)
+    values = [0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 2.0 ** 53 + 2, 1e300]
+    for _ in range(10_000):
+        kind = gen.randrange(7)
+        if kind == 0:
+            v = gen.uniform(-2, 2)
+        elif kind == 1:
+            v = float(gen.randint(-10 ** 12, 10 ** 12))
+        elif kind == 2:
+            v = gen.randint(-10 ** 6, 10 ** 6) + 0.5
+        elif kind == 3:
+            v = math.ldexp(gen.random(), gen.randint(-1074, -1022))
+        elif kind == 4:
+            v = gen.choice((-1, 1)) * math.ldexp(gen.random(), gen.randint(54, 1000))
+        elif kind == 5:
+            v = gen.randint(-10 ** 9, 10 ** 9) / gen.randint(1, 10 ** 9)
+        else:
+            v = struct.unpack("<d", struct.pack("<Q", gen.getrandbits(64)))[0]
+        if math.isfinite(v):
+            values.append(v)
+    for v in values:
+        got = _nearest(v)
+        assert type(got) is Fraction
+        assert got == Fraction(v).limit_denominator(_ROUNDING_DEN), v
+    # A float never lies midway between the two candidates under 10^9;
+    # under a power of two it can, and the convergent must win the tie.
+    for den in (1, 2, 1 << 10):
+        monkeypatch.setattr(colgen, "_ROUNDING_DEN", den)
+        for v in values[:2000] + [n + s / (2 * den) for n in range(-3, 4) for s in (1, -1)]:
+            assert _nearest(v) == Fraction(v).limit_denominator(den), (v, den)
+
+
+def test_solves_in_int64_and_in_python_ints(rng):
+    # The product check agrees with rational arithmetic on both sides of
+    # the int64 bound.
+    from fractions import Fraction
+
+    from fracbp.lp import _solves
+
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        big = 1 << rng.choice((0, 20, 40, 61))
+        matrix = np.array([[rng.randint(-3, 3) * big for _ in range(n)] for _ in range(n)],
+                          dtype=np.int64 if big < 1 << 61 else object)
+        x = [Fraction(rng.randint(-9, 9) * (1 << rng.choice((0, 30))), rng.randint(1, 7))
+             for _ in range(n)]
+        rhs = [sum((int(c) * v for c, v in zip(row, x)), Fraction(0)) for row in matrix]
+        assert _solves(matrix, x, rhs)
+        if trial % 2:
+            rhs[rng.randrange(n)] += Fraction(1, 7)
+            assert not _solves(matrix, x, rhs)
+
+
 def test_bareiss_path_gives_the_rounded_answers(crown5, m5, monkeypatch, one_inner_round):
     import fracbp.lp as lp
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,129 @@ def test_zero_sum_rows_are_left_out(d):
     assert best.value == 3
     # rows {0, 1} x col {0} also sums to 3 but carries a dead edge.
     assert best.biclique == Biclique(0b001, 0b001)
+
+
+def dense_cases(rng):
+    # All-ones blocks, so the smaller side reaches six rows, then dense
+    # random matrices with their maximal bicliques.
+    for m, n in ((6, 6), (5, 7), (7, 4)):
+        a = BinaryMatrix(m, n, ((1 << n) - 1,) * m)
+        yield a, random_rationals(rng, a.num_edges, (1, 6), (-5, 4))
+    for _ in range(12):
+        m, n = rng.randint(4, 7), rng.randint(4, 7)
+        a = BinaryMatrix(m, n, tuple(
+            sum(1 << j for j in range(n) if rng.random() < 0.8) for _ in range(m)))
+        if a.num_edges:
+            yield a, random_rationals(rng, a.num_edges, (1, 6), (-5, 4))
+
+
+@pytest.mark.parametrize("block, slack", [(8, 0), (24, 4), (1 << 16, 0)])
+def test_blocked_and_batched_scans_match_naive_oracle(rng, monkeypatch, block, slack):
+    # A small block splits a maximal over many blocks of fixed high
+    # rows, and a small slack splits the maximals over many batches.
+    import fracbp.pricing as pricing
+
+    monkeypatch.setattr(pricing, "_BLOCK", block)
+    monkeypatch.setattr(pricing, "_SLACK", slack)
+    for a, values in dense_cases(rng):
+        maximals = enumerate_maximal(a)
+        w = weights_for(a, values)
+        for threshold in (Fraction(-1, 2), Fraction(1, 3), Fraction(3)):
+            for per_cap, global_cap in ((64, 4096), (3, 4096), (2, 5)):
+                alpha, cands = price_all(maximals, w, threshold,
+                                         per_cap=per_cap, global_cap=global_cap)
+                expected = naive_price_all(a, maximals, values, threshold,
+                                           per_cap, global_cap)
+                assert (alpha, [(pb.biclique, pb.value) for pb in cands]) == expected
+
+
+def test_price_maximal_is_blocking_invariant(rng, monkeypatch):
+    import fracbp.pricing as pricing
+
+    cases = list(dense_cases(rng))
+    unblocked = [[price_maximal(b, weights_for(a, values), Fraction(1, 2), cap=5)
+                  for b in enumerate_maximal(a)] for a, values in cases]
+    monkeypatch.setattr(pricing, "_BLOCK", 8)
+    blocked = [[price_maximal(b, weights_for(a, values), Fraction(1, 2), cap=5)
+                for b in enumerate_maximal(a)] for a, values in cases]
+    assert blocked == unblocked
+    for (a, values), priced in zip(cases, blocked):
+        maximals = enumerate_maximal(a)
+        alpha, _ = naive_price_all(a, maximals, values, Fraction(1, 2))
+        assert max(best.value for best, _ in priced) == alpha
+
+
+def test_a_blocked_scan_holds_one_block_at_a_time(monkeypatch):
+    # A 16 x 16 all-ones block has 2^16 row subsets: 8 MB of int64
+    # column sums at once, but a few blocks of 2^12 cells when blocked.
+    import tracemalloc
+
+    import fracbp.pricing as pricing
+
+    rng = random.Random(7)
+    a = BinaryMatrix(16, 16, ((1 << 16) - 1,) * 16)
+    w = weights_for(a, random_rationals(rng, a.num_edges, (1, 4), (-3, 4)))
+    b = Biclique((1 << 16) - 1, (1 << 16) - 1)
+
+    def peak(block):
+        monkeypatch.setattr(pricing, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            result = price_maximal(b, w, Fraction(0))
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    small, blocked = peak(1 << 12)
+    large, whole = peak(1 << 20)
+    assert blocked == whole
+    assert len(blocked[1]) == 64
+    assert small < 1 << 20 < 8 << 20 < large
+
+
+def test_wide_weights_take_python_ints(rng, monkeypatch):
+    # Integer weights whose absolute sum reaches 2^62 are scanned on
+    # object arrays, and just below it on int64; both agree with the
+    # oracle.
+    import fracbp.pricing as pricing
+
+    dtypes = []
+    scan_batch = pricing._scan_batch
+
+    def spying(grid, *args):
+        dtypes.append(grid.dtype)
+        return scan_batch(grid, *args)
+
+    monkeypatch.setattr(pricing, "_scan_batch", spying)
+    for a, _ in list(dense_cases(rng))[:6]:
+        maximals = enumerate_maximal(a)
+        values = random_rationals(rng, a.num_edges, (1, 1), (-5, 4))
+        total = sum(abs(v) for v in values)
+        for scale, wide in (((1 << 62) - 1) // total, False), (-(-(1 << 62) // total), True):
+            scaled = [v * scale for v in values]
+            assert (sum(abs(v) for v in scaled) >= 1 << 62) == wide
+            dtypes.clear()
+            for threshold in (Fraction(0), Fraction(scale)):
+                alpha, cands = price_all(maximals, weights_for(a, scaled), threshold,
+                                         per_cap=3)
+                expected = naive_price_all(a, maximals, scaled, threshold, 3)
+                assert (alpha, [(pb.biclique, pb.value) for pb in cands]) == expected
+            assert {dt.kind for dt in dtypes} == ({"O"} if wide else {"i"})
+
+
+def test_subset_limit_refuses_before_any_array(d, monkeypatch):
+    # The refusal comes from the size check alone: numpy is never
+    # reached, not even for the small maximal listed first.
+    import fracbp.pricing as pricing
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the refusal")
+
+    w = weights_for(d, [Fraction(1)] * 7)
+    monkeypatch.setattr(pricing, "np", NoNumpy())
+    with pytest.raises(SizeCapExceeded):
+        price_all([Biclique(0b001, 0b011), Biclique(0b011, 0b011)], w, Fraction(0),
+                  subset_limit=2)
+    with pytest.raises(SizeCapExceeded):
+        price_maximal(Biclique(0b011, 0b011), w, Fraction(0), subset_limit=3)
