@@ -38,6 +38,13 @@ def rat_ceil(value) -> int:
 
 def clear_denominators(values) -> tuple[int, list[int]]:
     """(den, nums) with den the lcm of the denominators and
-    values[i] == nums[i] / den."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    values[i] == nums[i] / den.
+
+    Edge weights repeat a few rationals many times over, mostly as one
+    object, so each distinct object is cleared once; they are told
+    apart by identity, since hashing a Fraction costs more than
+    clearing it."""
+    distinct = {id(v): v for v in values}
+    den = lcm(*(v.denominator for v in distinct.values()))
+    nums = {key: v.numerator * (den // v.denominator) for key, v in distinct.items()}
+    return den, [nums[id(v)] for v in values]

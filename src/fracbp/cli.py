@@ -96,9 +96,10 @@ def build_parser() -> _Parser:
                    help="pricing convergence tolerance (exact rational)")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--init", choices=colgen.INIT_STRATEGIES, default="union",
-                   help="columns that seed the master; with union and -k 2 "
-                        "or more, the power is solved over the orbits of its "
-                        "symmetries")
+                   help="columns that seed the master; with union, a power "
+                        "with -k 2 or more, or a matrix whose symmetries leave "
+                        "at most a quarter as many edge orbits as ones, is "
+                        "solved over those orbits")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored; pricing "
                         "runs serially")

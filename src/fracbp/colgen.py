@@ -35,10 +35,15 @@ whose optimal dual prices every mirror column at most one.
 candidates, can be checkpointed to JSON every iteration and resumed
 later: a resumed run seeds the float mirror with it.
 
-Kronecker powers (`solve_power`) with k >= 2 and the union strategy
-are solved by the orbit master: one LP over the orbits of the power's
-symmetry group G (see `symmetry`), with a row per edge orbit and a
-column per profile, priced over one maximal biclique per orbit.  Like
+Symmetric matrices are solved by the orbit master (module `orbits`):
+one LP over the orbits of a symmetry group G (see `symmetry`), with a
+row per edge orbit and a column per profile, priced over one maximal
+biclique per orbit.  Kronecker powers (`solve_power`) with k >= 2 and
+the union strategy take it with the group of the power.  `run` takes
+it, with the union strategy and no lifted columns, when the matrix's
+own symmetries leave at most a quarter as many edge orbits as edges;
+a colour refinement bounds the orbits from below first, so most
+matrices are refused before any search for generators.  Like
 `run`, it prices HiGHS's rounded duals until they bring nothing new,
 then solves HiGHS's basis exactly with the same `lp.solve_basis`, so
 floats only steer here too.  The
@@ -47,8 +52,9 @@ to map ones onto ones, the orbits of the representatives are checked
 to cover every maximal biclique, which makes their pricing maximum the
 global alpha, and the orbit solution is expanded to a full-space
 partition that is checked edge by edge.  It checkpoints its columns in
-the same format as `run`.  The union ladder, which runs `run` on every
-level, is the fallback when the orbit master cannot finish.
+the same format as `run`.  When it cannot finish, `run` goes on in the
+full space as above, and `solve_power` falls back to the union ladder,
+which runs `run` on every level.
 """
 
 from __future__ import annotations
@@ -129,10 +135,11 @@ class IterationRecord:
     a resumed checkpoint's columns count as carried before the first
     iteration.  Columns of the float mirror are not counted.
 
-    On the orbit master of `solve_power`, `pool_size` counts the orbit
-    columns held after the iteration's pricing, `added` the new profiles
-    that its float rounds and its exact pricing brought in, and `pruned`
-    is always 0: no orbit column is ever dropped.
+    On the orbit master, which `solve_power` and `run` both use,
+    `pool_size` counts the orbit columns held after the iteration's
+    pricing, `added` the new profiles that its float rounds and its
+    exact pricing brought in, and `pruned` is always 0: no orbit column
+    is ever dropped.
     """
 
     iteration: int
@@ -263,11 +270,19 @@ def run(
 
     `maximals` may be supplied when already known (Kronecker lifting);
     otherwise they are enumerated.  `extra_initial` gives the union
-    init its strategy columns in place of enumeration.  The strategy
-    columns and the stars seed the float mirror.  Each iteration solves
-    HiGHS's optimal basis exactly (`lp.solve_basis`), or the mirror by
-    `lp.solve` when HiGHS fails, the basis is refused or the previous
-    iteration stalled (see the module notes).
+    init its strategy columns in place of enumeration.
+
+    With the union strategy and no `extra_initial`, a matrix whose
+    edge orbits under its own symmetries (`symmetry.power_generators`
+    at k = 1) number at most a quarter of its edges is solved by
+    `orbits.orbit_master`, whose report has its meaning of the records
+    and timings (see `IterationRecord` and `ColGenReport`); its records
+    go to `progress` once it has finished.  When it falls back, or the
+    matrix has fewer symmetries, the run is in the full space: the
+    strategy columns and the stars seed the float mirror, and each
+    iteration solves HiGHS's optimal basis exactly (`lp.solve_basis`),
+    or the mirror by `lp.solve` when HiGHS fails, the basis is refused
+    or the previous iteration stalled (see the module notes).
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -275,9 +290,13 @@ def run(
     t_start = time.perf_counter()
     if a.num_edges == 0:
         raise EmptyGraphError("matrix has no ones")
-    mhash = matrix_hash(a)
     if maximals is None:
         maximals = enumerate_maximal(a)
+    if config.init_strategy == "union" and not extra_initial:
+        report = _orbit_report(a, maximals, config)
+        if report is not None:
+            return _replayed(report, progress)
+    mhash = matrix_hash(a)
 
     # The float mirror takes the checkpointed columns first, so HiGHS
     # sees every column in a fixed order.
@@ -371,6 +390,39 @@ def run(
         best_lower_bound=best_lower, final_alpha=alpha,
         support=tuple(support), dual=dual, records=records,
         timings=timings)
+
+
+# `run` solves a matrix by the orbit master when its edge orbits number
+# at most 1 / _ORBIT_SHARE of its edges.  At 1/2, seeded random 6 x 6
+# matrices qualified and ran slower than in the full space.
+_ORBIT_SHARE = 4
+
+
+def _orbit_report(a, maximals, config) -> ColGenReport | None:
+    """The orbit master's report on `a`, or None when `a` has too few
+    symmetries for it or it falls back.  The colour refinement's bounds
+    on the edge orbits refuse most matrices, at the first round that
+    shows it, before any generator is searched for; the generators
+    found are handed on, so that the search runs once."""
+    from .symmetry import edge_orbit_bounds, edge_orbits, power_generators
+
+    if any(bound * _ORBIT_SHARE > a.num_edges for bound in edge_orbit_bounds(a)):
+        return None
+    gens = power_generators(a, 1)
+    if len(edge_orbits(a, gens)) * _ORBIT_SHARE > a.num_edges:
+        return None
+    # Imported here because `orbits` imports this module.
+    from .orbits import orbit_master
+
+    return orbit_master(a, 1, a, maximals, config, gens)
+
+
+def _replayed(report: ColGenReport, progress) -> ColGenReport:
+    """`report`, after passing its records to `progress`, if any."""
+    if progress is not None:
+        for record in report.records:
+            progress(record)
+    return report
 
 
 def _certify(a, basic, rows, x, y):
@@ -669,10 +721,7 @@ def solve_power(
 
         report = orbit_master(base, k, *levels[-1], config)
         if report is not None:
-            if progress is not None:
-                for record in report.records:
-                    progress(record)
-            return report
+            return _replayed(report, progress)
 
     resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     ladder = config.init_strategy == "union" and not resuming

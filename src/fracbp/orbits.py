@@ -1,15 +1,18 @@
-"""The orbit master: column generation on a Kronecker power over the
+"""The orbit master: column generation on a symmetric matrix over the
 orbits of its symmetry group.
 
-`colgen.solve_power` hands a power here when it has k >= 2 and the
-union strategy.  The LP has one row per edge orbit of the group G that
-`symmetry` derives, and one column per profile: a biclique's count of
-cells in each edge orbit.  It is solved as `colgen.run` solves the
-full master: HiGHS steers, and `lp.solve_basis`, the certifier both
-share, solves HiGHS's last optimal basis exactly.  Its answer is
-expanded to a full-space partition and checked there.  It
-calls HiGHS, pricing and checkpoint writes by their names in `colgen`,
-where the benchmark's tracer wraps them.
+`colgen.solve_power` hands a Kronecker power here when it has k >= 2
+and the union strategy, and `colgen.run` hands any matrix here as its
+own first power (k = 1), with the generators it has found, when its
+edge orbits number at most a quarter of its edges.  The LP has one row
+per edge orbit of the group G that `symmetry` derives, and one column
+per profile: a biclique's count of cells in each edge orbit.  It is
+solved as `colgen.run` solves the full master: HiGHS steers, and
+`lp.solve_basis`, the certifier both share, solves HiGHS's last
+optimal basis exactly.  Its answer is expanded to a full-space
+partition and checked there.  It calls HiGHS, pricing and checkpoint
+writes by their names in `colgen`, where the benchmark's tracer wraps
+them.
 """
 
 from __future__ import annotations
@@ -34,9 +37,12 @@ from .symmetry import (
 )
 
 
-def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
+def orbit_master(base, k, a, maximals, config, gens=None) -> ColGenReport | None:
     """Column generation on the k-th power `a` of `base` over the orbits
     of its symmetry group G, or None when the caller should fall back.
+    `gens` are G's generators when the caller has them already, as
+    `power_generators(base, k)` finds them; they are checked all the
+    same.
 
     Averaging an optimum over G keeps it optimal, so some optimum gives
     every biclique of one G-orbit the same weight, and some optimal
@@ -69,7 +75,8 @@ def orbit_master(base, k, a, maximals, config) -> ColGenReport | None:
     """
     t_start = time.perf_counter()
     mhash = matrix_hash(a)
-    gens = power_generators(base, k)
+    if gens is None:
+        gens = power_generators(base, k)
     orbits = edge_orbits(a, gens)
     # One gather table serves the representatives and the expansion.
     table = gather_table(gens, a.num_rows, a.num_cols)

@@ -13,10 +13,27 @@ kinds of map generate a group G:
 - a transpose, when the base equals its own transpose up to a
   permutation of rows and one of columns.
 
-Any subgroup of the true symmetry group would do, since its orbits are
-only finer, so the search for base automorphisms stops after a fixed
-number of search nodes, and the generators are thinned to a small set
-because every later orbit costs one image per generator.
+`power_generators(a, 1)` gives the symmetries of any matrix `a` this
+way; `colgen.run` and branch and bound use them so.
+
+The base automorphisms come from one search over row maps.  Rows and
+columns are first refined to an equitable colouring, from their
+degrees (`_refinements`), and a partial row map survives only while it
+keeps colours and the columns read on the rows mapped so far agree
+with those read on their images.  The search follows the identity
+path, as nauty's does (McKay, "Practical graph isomorphism", 1981):
+at depth t it tries an image r of row t only when r is outside t's
+orbit under the maps found so far, all of which fix rows 0..t-1, and
+the first complete map below is a new generator.  So it visits one
+leaf per new orbit point of the stabiliser chain, not one per group
+element, and every generator lies outside the group of those before
+it.  Any subgroup of the true symmetry group would do, since its
+orbits are only finer, so the search stops after a fixed number of
+nodes with what it has found.
+
+The refinement also bounds the number of edge orbits from below
+without any search (`edge_orbit_bounds`), which lets `colgen.run`
+refuse most matrices before it looks for generators.
 
 A symmetry is a `Symmetry(rows, cols, transpose)`.  Without transpose
 it maps entry (i, j) to (rows[i], cols[j]); with it, to (rows[j],
@@ -50,9 +67,11 @@ from .core import Biclique, BinaryMatrix, unpack_masks
 from .errors import ContractViolation, InvariantViolation
 
 # The base automorphism search visits at most this many partial row
-# maps, and the thinning to a small generating set stops once the row
-# maps generated so far number this many; both only shrink the group.
+# maps; a spent budget only shrinks the group.  crown(10), 90 rows in
+# branch and bound's largest case, takes 54.
 _SEARCH_NODES = 20_000
+# Branch and bound closes the group it prunes with up to this many row
+# maps (`lp._BranchAndBound`); a cut only weakens the pruning.
 _CLOSURE_CAP = 5_040
 
 
@@ -110,19 +129,14 @@ def _swap(digits, place, t) -> tuple[int, ...]:
 
 
 def base_automorphisms(a: BinaryMatrix) -> list[tuple[tuple, tuple]]:
-    """A small generating set of the (row, column) automorphisms of `a`,
-    as (sigma, tau) pairs with a[sigma[i]][tau[j]] == a[i][j]."""
+    """A generating set of the (row, column) automorphisms of `a`, as
+    (sigma, tau) pairs with a[sigma[i]][tau[j]] == a[i][j]: one per new
+    orbit point of the row maps' stabiliser chain (`_RowMaps.generators`),
+    then a transposition per pair of equal columns."""
     flipped = a.num_rows > a.num_cols
     src = a.transpose() if flipped else a
-    # The row maps found, thinned greedily: keep one only if the ones
-    # kept so far do not generate it.
-    gens = []
-    closure = {tuple(range(src.num_rows))}
-    for sigma, sig in _isomorphisms(src, src):
-        if sigma in closure or len(closure) >= _CLOSURE_CAP:
-            continue
-        gens.append((sigma, _pair_columns(src, sig)))
-        _grow(closure, [g for g, _ in gens])
+    gens = [(sigma, _pair_columns(src, sig))
+            for sigma, sig in _RowMaps(src, src).generators()]
     # Each row map fixes the column map only up to permuting equal
     # columns, so those permutations are generators of their own.
     ident = tuple(range(src.num_rows))
@@ -144,48 +158,176 @@ def transpose_map(a: BinaryMatrix) -> tuple[tuple, tuple] | None:
     if a.num_rows != a.num_cols:
         return None
     src = a.transpose()
-    found = next(_isomorphisms(src, a), None)
+    found = _RowMaps(src, a).first()
     if found is None:
         return None
     sigma, sig = found
     return sigma, _pair_columns(src, sig)
 
 
-def _isomorphisms(src: BinaryMatrix, dst: BinaryMatrix):
-    """Yields each row map sigma for which some tau has
-    dst[sigma[i]][tau[j]] == src[i][j], in lexicographic order, with the
-    column signatures of dst on the rows sigma hits (`_pair_columns`
-    turns them into tau).  Depth first search: a partial row map
-    survives only while the columns of src, read on the rows mapped so
-    far, and the columns of dst, read on their images, agree as
-    multisets.  Stops after _SEARCH_NODES nodes."""
-    m, n = src.num_rows, src.num_cols
-    src_cols = [src.column_mask(j) for j in range(n)]
-    # src's sorted column signatures on rows 0..t, for each t.
-    src_sigs = [sorted(c & ((1 << (t + 1)) - 1) for c in src_cols) for t in range(m)]
-    src_degree = [r.bit_count() for r in src.rows]
-    degree = [r.bit_count() for r in dst.rows]
-    # Partial maps to visit as (sigma, rows used, dst's signatures),
-    # the next one last.
-    stack = [((), 0, [0] * n)]
-    for _ in range(_SEARCH_NODES):
-        if not stack:
+def _refinements(a: BinaryMatrix):
+    """Yields colourings of the rows and the columns of `a`, as (row
+    colours, column colours), each finer than the last, ending at an
+    equitable one: rows of one colour have equally many ones in the
+    columns of each colour, and so do columns of one colour in the rows
+    of each colour.  The first colours are the degrees; each round then
+    splits every class by its members' neighbours' colours, until no
+    class splits.  A round names its colours by rank among the sorted
+    distinct (colour, neighbours' colours) keys, so no colouring
+    depends on the order of rows and columns: every automorphism keeps
+    each row's and each column's colour, and an isomorphism maps each
+    row and column to one of the same colour in the other matrix."""
+    rows = [r.bit_count() for r in a.rows]
+    cols = [0] * a.num_cols
+    for _, j in a.edges:
+        cols[j] += 1
+    yield rows, cols
+    row_nbrs: list[list[int]] = [[] for _ in range(a.num_rows)]
+    col_nbrs: list[list[int]] = [[] for _ in range(a.num_cols)]
+    for i, j in a.edges:
+        row_nbrs[i].append(j)
+        col_nbrs[j].append(i)
+    counts = (len(set(rows)), len(set(cols)))
+    while counts != (a.num_rows, a.num_cols):
+        rows, split_rows = _recolour(rows, row_nbrs, cols)
+        cols, split_cols = _recolour(cols, col_nbrs, rows)
+        if (split_rows, split_cols) == counts:
             return
-        sigma, used, dst_sig = stack.pop()
+        counts = split_rows, split_cols
+        yield rows, cols
+
+
+def _refine(a: BinaryMatrix) -> tuple[list[int], list[int]]:
+    """The equitable colouring that `_refinements` ends at."""
+    for colouring in _refinements(a):
+        pass
+    return colouring
+
+
+def _recolour(own, nbrs, other):
+    """(colours, how many): each element keyed by its colour in `own`
+    and the sorted colours in `other` of its neighbours `nbrs`, and
+    named by its key's rank."""
+    keys = [(c, tuple(sorted([other[y] for y in ys]))) for c, ys in zip(own, nbrs)]
+    names = {key: t for t, key in enumerate(sorted(set(keys)))}
+    return [names[key] for key in keys], len(names)
+
+
+def edge_orbit_bounds(a: BinaryMatrix):
+    """Yields lower bounds on the number of edge orbits of the group
+    that `power_generators(a, 1)` generates, one per colouring of
+    `_refinements`, never falling.  Row and column automorphisms keep
+    both colours, so each of their edge orbits lies in one class of
+    ones of equal (row colour, column colour).  A transpose can join
+    two classes, and there is one only when the rows' degrees are the
+    columns' up to order; then half the classes, rounded up, is the
+    bound."""
+    transposable = None
+    for rows, cols in _refinements(a):
+        if transposable is None:
+            # The first colours are the degrees.
+            transposable = sorted(rows) == sorted(cols)
+        classes = len({(rows[i], cols[j]) for i, j in a.edges})
+        yield (classes + 1) // 2 if transposable else classes
+
+
+class _RowMaps:
+    """Depth-first search over the row maps sigma from `src` to `dst`,
+    of one shape, for which some tau has dst[sigma[i]][tau[j]] ==
+    src[i][j].
+
+    A node maps rows 0..t-1 and holds dst's column signatures on their
+    images: bit s of column j's is dst[sigma[s]][j].  Its children map
+    row t onto each unused row of dst of t's colour (`_refine`), in
+    ascending order, and a child survives only while the columns of src
+    on rows 0..t and the columns of dst on their images agree as
+    multisets of (colour, signature).  A map that extends to an
+    isomorphism keeps colours and carries columns onto columns, so no
+    such map is pruned, and a leaf, all m rows mapped, has its tau
+    (`_pair_columns`).  All searches on one instance share a budget of
+    _SEARCH_NODES nodes; once it is spent they find nothing more.
+    """
+
+    def __init__(self, src: BinaryMatrix, dst: BinaryMatrix):
+        m, n = src.num_rows, src.num_cols
+        self.m = m
+        src_rows, src_cols = _refine(src)
+        dst_rows, dst_cols = (src_rows, src_cols) if dst is src else _refine(dst)
+        self.src_rows, self.dst_rows = src_rows, dst_rows
+        self.dst = dst.rows
+        self.dst_cols = [dst.column_mask(j) for j in range(n)]
+        # A column's colour sits above its m signature bits.
+        self.dst_keys = [c << m for c in dst_cols]
+        src_masks = [src.column_mask(j) for j in range(n)]
+        self.src_keys = [
+            sorted(c << m | mask & ((2 << t) - 1) for c, mask in zip(src_cols, src_masks))
+            for t in range(m)]
+        self.budget = _SEARCH_NODES
+
+    def children(self, node) -> list:
+        sigma, used, sig = node
         t = len(sigma)
-        if t == m:
-            yield sigma, dst_sig
-            continue
-        src_sig, need = src_sigs[t], src_degree[t]
-        children = []
-        for r in range(m):
-            if (used >> r) & 1 or degree[r] != need:
+        colour, want = self.src_rows[t], self.src_keys[t]
+        out = []
+        for r, row in enumerate(self.dst):
+            if (used >> r) & 1 or self.dst_rows[r] != colour:
                 continue
-            row = dst.rows[r]
-            sig = [s | (((row >> j) & 1) << t) for j, s in enumerate(dst_sig)]
-            if sorted(sig) == src_sig:
-                children.append((sigma + (r,), used | (1 << r), sig))
-        stack.extend(reversed(children))
+            new = [s | ((row >> j) & 1) << t for j, s in enumerate(sig)]
+            if sorted([k | s for k, s in zip(self.dst_keys, new)]) == want:
+                out.append((sigma + (r,), used | 1 << r, new))
+        return out
+
+    def first(self, start=None):
+        """The first leaf at or below the node `start` (the root when
+        None) in lexicographic order, as (sigma, dst's signatures), or
+        None when there is none or the budget is spent."""
+        stack = [start or ((), 0, [0] * len(self.dst_cols))]
+        while stack and self.budget > 0:
+            self.budget -= 1
+            node = stack.pop()
+            if len(node[0]) == self.m:
+                return node[0], node[2]
+            stack.extend(reversed(self.children(node)))
+        return None
+
+    def generators(self) -> list:
+        """Row maps, with their leaves' signatures, that generate every
+        automorphism's row map, when src is dst.
+
+        The search follows the identity path, from its deepest node up.
+        At depth t every map found so far fixes rows 0..t-1, and row t
+        is sent to each candidate r outside t's orbit under those maps;
+        the first leaf below the child, if any, is a new generator, and
+        t's orbit grows by it.  Once depth t is done, the maps found
+        generate the stabiliser of rows 0..t-1 (Schreier-Sims: its
+        orbit of t is complete and the stabiliser of rows 0..t is
+        generated already), so depth 0 ends with the whole group.  The
+        search visits one leaf per new orbit point, not one per group
+        element, and a spent budget leaves a subgroup."""
+        m = self.m
+        orbit = list(range(m))  # union-find over rows, by orbit
+
+        def find(x):
+            while orbit[x] != x:
+                orbit[x] = x = orbit[orbit[x]]
+            return x
+
+        gens = []
+        for t in reversed(range(m)):
+            low = (1 << t) - 1
+            path = (tuple(range(t)), low, [c & low for c in self.dst_cols])
+            for child in self.children(path):
+                if find(child[0][-1]) == find(t):
+                    continue
+                leaf = self.first(child)
+                if leaf is None:
+                    if self.budget <= 0:
+                        return gens
+                    continue
+                gens.append(leaf)
+                for i, g in enumerate(leaf[0]):
+                    orbit[find(i)] = find(g)
+        return gens
 
 
 def _pair_columns(src: BinaryMatrix, dst_sig) -> tuple[int, ...]:
@@ -196,26 +338,6 @@ def _pair_columns(src: BinaryMatrix, dst_sig) -> tuple[int, ...]:
     for j in reversed(range(len(dst_sig))):
         free.setdefault(dst_sig[j], []).append(j)
     return tuple(free[c].pop() for c in src_cols)
-
-
-def _grow(closure: set, gens) -> None:
-    """Extend `closure`, the row maps that all but the last of `gens`
-    generate, to those all of them generate.  Only the last generator
-    needs applying to the maps already there, and every generator to
-    each new one.  Stops between rounds once `closure` holds
-    _CLOSURE_CAP maps."""
-    frontier = list(closure)
-    apply = gens[-1:]
-    while frontier and len(closure) < _CLOSURE_CAP:
-        nxt = []
-        for h in frontier:
-            for g in apply:
-                gh = tuple(map(g.__getitem__, h))
-                if gh not in closure:
-                    closure.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-        apply = gens
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ evidence rather than a tautology.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy.optimize import linprog
@@ -289,3 +289,52 @@ def walk_representatives(bicliques, gens):
             reps.append(b)
             covered |= walk_orbit(key, gens)
     return reps, covered
+
+
+def every_leaf_row_maps(a: BinaryMatrix):
+    """Every row map sigma for which some tau has a[sigma[i]][tau[j]] ==
+    a[i][j], in lexicographic order, by a depth first search that visits
+    every leaf: a partial row map survives only while the columns of `a`
+    on the rows mapped so far and the columns on their images agree as
+    multisets.  Yields (sigma, the columns' signatures on the images)."""
+    m, n = a.num_rows, a.num_cols
+    cols = [a.column_mask(j) for j in range(n)]
+    want = [sorted(c & ((1 << (t + 1)) - 1) for c in cols) for t in range(m)]
+    degree = [r.bit_count() for r in a.rows]
+    stack = [((), 0, [0] * n)]
+    while stack:
+        sigma, used, sig = stack.pop()
+        t = len(sigma)
+        if t == m:
+            yield sigma, sig
+            continue
+        children = []
+        for r in range(m):
+            if (used >> r) & 1 or degree[r] != degree[t]:
+                continue
+            new = [s | (((a.rows[r] >> j) & 1) << t) for j, s in enumerate(sig)]
+            if sorted(new) == want[t]:
+                children.append((sigma + (r,), used | (1 << r), new))
+        stack.extend(reversed(children))
+
+
+def every_automorphism(a: BinaryMatrix) -> set:
+    """Every (sigma, tau) with a[sigma[i]][tau[j]] == a[i][j]: each leaf
+    of `every_leaf_row_maps` with each tau that sends column j onto a
+    column whose signature on the images is column j itself."""
+    classes: dict[int, list[int]] = {}
+    for j in range(a.num_cols):
+        classes.setdefault(a.column_mask(j), []).append(j)
+    out = set()
+    for sigma, sig in every_leaf_row_maps(a):
+        # Equal columns may go to the columns of their signature on the
+        # images in any order.
+        choices = [(js, [j2 for j2 in range(a.num_cols) if sig[j2] == c])
+                   for c, js in classes.items()]
+        for images in product(*(permutations(dst) for _, dst in choices)):
+            tau = [0] * a.num_cols
+            for (src, _), dst in zip(choices, images):
+                for j, j2 in zip(src, dst):
+                    tau[j] = j2
+            out.add((sigma, tuple(tau)))
+    return out

@@ -60,7 +60,7 @@ def test_tracer_reaches_every_layer(tmp_path):
                      for argv in (["bcf", "crown5", "--format", "json"],
                                   ["bp", "domino", "--format", "json"],
                                   ["bounds", "domino", "--format", "json"],
-                                  ["bpf", "crown5", "--checkpoint", checkpoint],
+                                  ["bpf", "crown5", "--init", "all", "--checkpoint", checkpoint],
                                   ["kron", "domino", "-k", "2"])]
     finally:
         tracer_mod.uninstall(undo)

@@ -2,6 +2,7 @@
 the float mirror, checkpoint/resume, and determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -545,6 +546,79 @@ def test_orbit_master_refuses_representatives_that_miss_a_maximal(d, monkeypatch
     monkeypatch.setattr(orbits, "orbit_representatives", dropping_the_first)
     with pytest.raises(InvariantViolation):
         solve_power(d, 2, ColGenConfig())
+
+
+# The refinement gives this matrix three classes of ones, (rows 0-1,
+# column 0), (rows 0-1, columns 1-2) and (row 2, columns 1-2), and its
+# transpose joins the first and the last: 2 edge orbits, a quarter of
+# its 8 ones, which only the halved bound lets through.
+JOINED_BY_TRANSPOSE = BinaryMatrix.from_dense([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+
+
+def spied(patch):
+    """Count the calls of `symmetry.power_generators` and of
+    `orbits.orbit_master`, which still run."""
+    import fracbp.orbits as orbits
+    import fracbp.symmetry as symmetry
+
+    calls = {}
+    for module, name in ((symmetry, "power_generators"), (orbits, "orbit_master")):
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        patch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("a", [kronecker(crown(3), crown(4)), crown(5),
+                               kronecker(crown(3), crown(3)), JOINED_BY_TRANSPOSE],
+                         ids=["crown3xcrown4", "crown5", "crown3xcrown3", "joined"])
+def test_symmetric_matrices_take_the_orbit_master(a, monkeypatch):
+    full = run(a, ColGenConfig(init_strategy="all"))
+    calls = spied(monkeypatch)
+    seen = []
+    report = run(a, ColGenConfig(), progress=seen.append)
+    assert calls == {"power_generators": 1, "orbit_master": 1}
+    assert report.converged and report.value == full.value
+    assert seen == report.records
+    assert_is_fractional_partition(a, report.support)
+    assert sum((w for _, w in report.support), rat(0)) == report.value
+    assert sum(report.dual, rat(0)) == report.value
+    alpha, _ = price_all(enumerate_maximal(a), EdgeWeights(a, report.dual), rat(2))
+    assert alpha == report.final_alpha <= 1 + ColGenConfig().epsilon
+    # Only the union strategy, without lifted columns, takes it.
+    run(a, ColGenConfig(init_strategy="stars"))
+    run(a, ColGenConfig(), extra_initial=initial_stars(a))
+    assert calls == {"power_generators": 1, "orbit_master": 1}
+
+
+def random6(seed):
+    """The seeded random 6 x 6 matrices of 22 ones that the benchmark's
+    random6_sweep solves."""
+    rng = random.Random(seed)
+    mats = []
+    for _ in range(64):
+        rows = [0] * 6
+        for cell in rng.sample(range(36), 22):
+            rows[cell // 6] |= 1 << (cell % 6)
+        mats.append(BinaryMatrix(6, 6, tuple(rows)))
+    return mats
+
+
+def test_matrices_with_few_symmetries_stay_in_the_full_space(d, m5, monkeypatch):
+    calls = spied(monkeypatch)
+    for a in (d, m5):
+        run(a, ColGenConfig())
+    assert calls == {"power_generators": 0, "orbit_master": 0}
+    # Their refinement refuses all but one of these before any search,
+    # and no edge orbits come to a quarter of the ones; half of them
+    # would let some through.
+    for a in random6(1) + random6(2):
+        run(a, ColGenConfig())
+    assert calls == {"power_generators": 1, "orbit_master": 0}
 
 
 def test_bareiss_solve_is_exact(rng):

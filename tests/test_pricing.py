@@ -296,3 +296,36 @@ def test_subset_limit_refuses_before_any_array(d, monkeypatch):
                   subset_limit=2)
     with pytest.raises(SizeCapExceeded):
         price_maximal(Biclique(0b011, 0b011), w, Fraction(0), subset_limit=3)
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the reads of its numerator."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        CountedFraction.reads += 1
+        return super().numerator
+
+
+def test_weights_are_cleared_once_per_distinct_object(rng):
+    from math import lcm
+
+    from fracbp._rational import clear_denominators
+
+    distinct = [CountedFraction(v) for v in random_rationals(rng, 20)]
+    shared = [rng.choice(distinct) for _ in range(500)]
+    copies = [CountedFraction(v) for v in shared]
+    for values, reads in ((shared, 20), (copies, 500), ([CountedFraction(0)], 1)):
+        den = lcm(*(v.denominator for v in values))
+        expected = [Fraction(v).numerator * (den // v.denominator) for v in values]
+        CountedFraction.reads = 0
+        assert clear_denominators(values) == (den, expected)
+        assert CountedFraction.reads == reads
+    # Sharing objects changes nothing that pricing returns.
+    a = BinaryMatrix.from_dense([[1] * 5] * 5)
+    values = [rng.choice(distinct[:4]) for _ in range(a.num_edges)]
+    maximals = enumerate_maximal(a)
+    assert price_all(maximals, EdgeWeights(a, values), Fraction(1)) == price_all(
+        maximals, EdgeWeights(a, [Fraction(v) for v in values]), Fraction(1))

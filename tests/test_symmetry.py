@@ -6,13 +6,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fracbp.core import Biclique, BinaryMatrix, crown, domino, kronecker_power
+from fracbp.core import Biclique, BinaryMatrix, crown, domino, kronecker, kronecker_power
 from fracbp.errors import ContractViolation, InvariantViolation
 from fracbp.maximal import enumerate_maximal
 from fracbp.symmetry import (
     Symmetry,
     base_automorphisms,
     biclique_orbit,
+    edge_orbit_bounds,
     edge_orbits,
     gather_table,
     orbit_representatives,
@@ -20,7 +21,13 @@ from fracbp.symmetry import (
     transpose_map,
 )
 
-from oracles import random_binary_matrix, walk_orbit, walk_representatives
+from oracles import (
+    every_automorphism,
+    every_leaf_row_maps,
+    random_binary_matrix,
+    walk_orbit,
+    walk_representatives,
+)
 
 TRIANGLE = BinaryMatrix.from_dense([[1, 1], [0, 1]])
 
@@ -64,6 +71,59 @@ def test_base_automorphisms_generate_the_whole_group(rng):
         identity = (tuple(range(a.num_rows)), tuple(range(a.num_cols)))
         assert generated(gens, identity) == every
     assert len(base_automorphisms(crown(4))) == 3
+
+
+def twinned_matrix(rng, m, n):
+    """A random m x n matrix, some of whose rows and columns are copies
+    of others."""
+    rows = [rng.getrandbits(n) for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        rows[rng.randrange(m)] = rows[rng.randrange(m)]
+    for _ in range(rng.randint(0, 2)):
+        j, j2 = rng.randrange(n), rng.randrange(n)
+        rows = [r & ~(1 << j2) | ((r >> j) & 1) << j2 for r in rows]
+    return BinaryMatrix(m, n, tuple(rows))
+
+
+def test_the_orbit_search_generates_the_every_leaf_group(rng):
+    # The full search visits one leaf per row map, 144 of them on
+    # crown(3) x crown(4); the orbit search one per new orbit point.
+    cases = [kronecker(crown(3), crown(4)), crown(5), kronecker_power(domino(), 2)]
+    cases += [twinned_matrix(rng, rng.randint(5, 7), rng.randint(5, 7))
+              for _ in range(48)]
+    assert len(list(every_leaf_row_maps(cases[0]))) == 144
+    twins = 0
+    for a in cases:
+        every = every_automorphism(a)
+        identity = (tuple(range(a.num_rows)), tuple(range(a.num_cols)))
+        assert generated(base_automorphisms(a), identity) == every
+        twins += len(set(a.rows)) < a.num_rows and len(set(a.transpose().rows)) < a.num_cols
+    assert twins >= 10
+
+
+def test_crown9_has_one_edge_orbit():
+    # S_9 on the rows and columns at once is transitive on the ones,
+    # and its chain takes one generator per depth.
+    a = crown(9)
+    assert len(base_automorphisms(a)) == 8
+    assert len(edge_orbits(a, power_generators(a, 1))) == 1
+
+
+def test_edge_orbit_bounds_never_pass_the_edge_orbits(rng):
+    cases = [crown(5), kronecker(crown(3), crown(4)), kronecker_power(domino(), 2),
+             kronecker_power(TRIANGLE, 3), RECT]
+    cases += [twinned_matrix(rng, rng.randint(2, 6), rng.randint(2, 6)) for _ in range(40)]
+    for a in cases:
+        if a.num_edges:
+            bounds = list(edge_orbit_bounds(a))
+            assert bounds == sorted(bounds)
+            assert bounds[-1] <= len(edge_orbits(a, power_generators(a, 1)))
+    assert list(edge_orbit_bounds(kronecker(crown(3), crown(4)))) == [1]
+    # The triangle's three classes of ones, (0, 0), (0, 1) and (1, 1),
+    # are two orbits, since its transpose joins (0, 0) and (1, 1).
+    assert list(edge_orbit_bounds(TRIANGLE)) == [2]
+    assert len(edge_orbits(TRIANGLE, power_generators(TRIANGLE, 1))) == 2
+    assert list(edge_orbit_bounds(RECT)) == [2]
 
 
 def test_transpose_map_exists_exactly_when_brute_force_finds_one(rng):
