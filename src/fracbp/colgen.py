@@ -157,7 +157,8 @@ class ColGenReport:
     `converged`, at which point it is the optimum over the full LP
     whenever the final alpha is at most one.
 
-    `timings` holds seconds by phase: "total", "master", "float" (the
+    `timings` holds seconds by phase: "total" (the whole call of `run`
+    or `solve_power`, from its entry), "master", "float" (the
     float mirror, its pricing rounds included) and "pricing", which
     counts only the exact pricing calls made, not the iterations that
     reused the float mirror's last pricing.  "master" covers the basis
@@ -295,7 +296,7 @@ def run(
     if config.init_strategy == "union" and not extra_initial:
         report = _orbit_report(a, maximals, config)
         if report is not None:
-            return _replayed(report, progress)
+            return _replayed(_timed_from(report, t_start), progress)
     mhash = matrix_hash(a)
 
     # The float mirror takes the checkpointed columns first, so HiGHS
@@ -403,18 +404,29 @@ def _orbit_report(a, maximals, config) -> ColGenReport | None:
     symmetries for it or it falls back.  The colour refinement's bounds
     on the edge orbits refuse most matrices, at the first round that
     shows it, before any generator is searched for; the generators
-    found are handed on, so that the search runs once."""
+    found and their edge orbits are handed on, so that the search and
+    the orbit count run once."""
     from .symmetry import edge_orbit_bounds, edge_orbits, power_generators
 
     if any(bound * _ORBIT_SHARE > a.num_edges for bound in edge_orbit_bounds(a)):
         return None
     gens = power_generators(a, 1)
-    if len(edge_orbits(a, gens)) * _ORBIT_SHARE > a.num_edges:
+    orbits = edge_orbits(a, gens)
+    if len(orbits) * _ORBIT_SHARE > a.num_edges:
         return None
     # Imported here because `orbits` imports this module.
     from .orbits import orbit_master
 
-    return orbit_master(a, 1, a, maximals, config, gens)
+    return orbit_master(a, 1, a, maximals, config, gens, orbits)
+
+
+def _timed_from(report: ColGenReport, t_start: float) -> ColGenReport:
+    """`report`, its "total" timing counted from `t_start`, the entry
+    of the call that returns it, so that it covers the work done before
+    the solve it reports: enumeration, level building, the symmetry
+    search and any solve given up on."""
+    report.timings["total"] = time.perf_counter() - t_start
+    return report
 
 
 def _replayed(report: ColGenReport, progress) -> ColGenReport:
@@ -704,6 +716,7 @@ def solve_power(
     level is solved, by `run`.  Only the top level checkpoints and
     reports progress.
     """
+    t_start = time.perf_counter()
     if k < 1:
         raise ContractViolation("power must be at least 1")
     check_power_size(base, k)
@@ -721,7 +734,7 @@ def solve_power(
 
         report = orbit_master(base, k, *levels[-1], config)
         if report is not None:
-            return _replayed(report, progress)
+            return _replayed(_timed_from(report, t_start), progress)
 
     resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     ladder = config.init_strategy == "union" and not resuming
@@ -737,4 +750,4 @@ def solve_power(
             support = [b for b, _ in report.support]
             if level == 1:
                 base_support = support
-    return report
+    return _timed_from(report, t_start)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -129,15 +130,22 @@ class BinaryMatrix:
         return (self.rows[i] >> j) & 1
 
     def column_mask(self, j: int) -> int:
-        """Bitset of rows that have a one in column j."""
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r >> j) & 1) << i
-        return bits
+        """Bitset of rows that have a one in column j.  All columns are
+        built in one pass over `edges` on the first call and kept."""
+        return self._column_masks[j]
+
+    @cached_property
+    def _column_masks(self) -> tuple[int, ...]:
+        # Not in __post_init__: most matrices (the levels of a ladder)
+        # never ask for a column.  Equality and hashing use the fields
+        # only, so the cached masks do not enter them.
+        cols = [0] * self.num_cols
+        for i, j in self.edges:
+            cols[j] |= 1 << i
+        return tuple(cols)
 
     def transpose(self) -> "BinaryMatrix":
-        cols = tuple(self.column_mask(j) for j in range(self.num_cols))
-        return BinaryMatrix(self.num_cols, self.num_rows, cols)
+        return BinaryMatrix(self.num_cols, self.num_rows, self._column_masks)
 
 
 @dataclass(frozen=True, order=True)
@@ -311,48 +319,51 @@ def kronecker_biclique(b1: Biclique, b2: Biclique, inner_shape: tuple[int, int])
 # ---------------------------------------------------------------------------
 
 def maximal_biclique_masks(a: BinaryMatrix) -> list[tuple[int, int]]:
-    """All inclusion-maximal bicliques of `a`, as (row mask, col mask) pairs.
+    """All inclusion-maximal bicliques of `a`, as (row mask, col mask)
+    pairs, sorted.
 
-    Maximal bicliques are exactly the closed pairs of the Galois
-    connection between row sets and column sets: R is all rows whose
-    support contains C, and C is the common support of R.  Breadth-first
-    search over column-set closures, seeded with single columns, visits
-    every closed pair with both sides nonempty.
+    A biclique (R, C) with both sides nonempty is maximal exactly when
+    C is the common support of R and R is every row whose support
+    contains C: the closed pairs of the Galois connection between row
+    sets and column sets (the concepts of the formal context `a`).  So
+    the closed column sets are the nonempty intersections of nonempty
+    rows.  Such an intersection c = r1 & ... & rt is closed, since the
+    rows containing c include r1..rt and meet in c again; and a closed
+    C is the intersection of its own rows.
+
+    The closure starts from the distinct nonempty rows as its frontier
+    and intersects every frontier set f with every distinct row r; a
+    nonempty f & r not seen before joins the next frontier, so an
+    intersection of t rows is found by round t, and the closure ends at
+    the first round that finds nothing new.  Every set is on the
+    frontier once, and f & r == f there exactly when r contains f, so
+    the same pass collects f's row mask (twin rows share one entry).
+
+    Each step is one AND of whole row bitsets: about |maximals| x rows
+    of them, at any width, and no per-bit loop.
     """
-    n = a.num_cols
-    colmasks = [a.column_mask(j) for j in range(n)]
-    full_rows = (1 << a.num_rows) - 1
-
-    def close(cmask: int) -> tuple[int, int]:
-        rmask = full_rows
-        for j in bit_indices(cmask):
-            rmask &= colmasks[j]
-        if not rmask:
-            return 0, 0
-        common = (1 << n) - 1
-        for i in bit_indices(rmask):
-            common &= a.rows[i]
-        return rmask, common
-
-    seen: dict[int, int] = {}
-    queue = []
-    for j in range(n):
-        if not colmasks[j]:
-            continue
-        rmask, cmask = close(1 << j)
-        if cmask and cmask not in seen:
-            seen[cmask] = rmask
-            queue.append(cmask)
-    while queue:
-        cmask = queue.pop()
-        for j in range(n):
-            if (cmask >> j) & 1:
-                continue
-            rmask2, cmask2 = close(cmask | (1 << j))
-            if rmask2 and cmask2 not in seen:
-                seen[cmask2] = rmask2
-                queue.append(cmask2)
-    return sorted((r, c) for c, r in seen.items())
+    row_bits: dict[int, int] = {}
+    for i, r in enumerate(a.rows):
+        if r:
+            row_bits[r] = row_bits.get(r, 0) | 1 << i
+    rows = row_bits.items()
+    closed: dict[int, int] = {}
+    frontier = list(row_bits)
+    seen = set(frontier)
+    while frontier:
+        found = []
+        for f in frontier:
+            rmask = 0
+            for r, bits in rows:
+                g = f & r
+                if g == f:
+                    rmask |= bits
+                elif g and g not in seen:
+                    seen.add(g)
+                    found.append(g)
+            closed[f] = rmask
+        frontier = found
+    return sorted((r, c) for c, r in closed.items())
 
 
 def enumerate_all_bicliques(a: BinaryMatrix, size_cap: int = DEFAULT_ENUM_CAP,

@@ -37,12 +37,15 @@ from .symmetry import (
 )
 
 
-def orbit_master(base, k, a, maximals, config, gens=None) -> ColGenReport | None:
+def orbit_master(base, k, a, maximals, config, gens=None,
+                 orbits=None) -> ColGenReport | None:
     """Column generation on the k-th power `a` of `base` over the orbits
     of its symmetry group G, or None when the caller should fall back.
     `gens` are G's generators when the caller has them already, as
-    `power_generators(base, k)` finds them; they are checked all the
-    same.
+    `power_generators(base, k)` finds them, and `orbits` G's edge
+    orbits when the caller has counted them by `symmetry.edge_orbits`,
+    which checks every generator; without `orbits` the generators are
+    checked here.
 
     Averaging an optimum over G keeps it optimal, so some optimum gives
     every biclique of one G-orbit the same weight, and some optimal
@@ -77,7 +80,8 @@ def orbit_master(base, k, a, maximals, config, gens=None) -> ColGenReport | None
     mhash = matrix_hash(a)
     if gens is None:
         gens = power_generators(base, k)
-    orbits = edge_orbits(a, gens)
+    if orbits is None:
+        orbits = edge_orbits(a, gens)
     # One gather table serves the representatives and the expansion.
     table = gather_table(gens, a.num_rows, a.num_cols)
     reps, covered = orbit_representatives(maximals, table)

@@ -53,6 +53,50 @@ def brute_maximal_bicliques(a: BinaryMatrix) -> set[tuple[int, int]]:
     return out
 
 
+def closed_pairs(a: BinaryMatrix) -> list[tuple[int, int]]:
+    """The maximal bicliques of `a` by the Galois connection, sorted:
+    for every nonempty row subset R, c = the columns common to R and r =
+    every row whose ones include c, kept when c is nonempty.  Exponential
+    in the number of rows only, so it reaches widths past 64 bits."""
+    found = set()
+    for subset in range(1, 1 << a.num_rows):
+        c = (1 << a.num_cols) - 1
+        for i in range(a.num_rows):
+            if (subset >> i) & 1:
+                c &= a.rows[i]
+        if not c:
+            continue
+        r = 0
+        for i in range(a.num_rows):
+            if all((a.rows[i] >> j) & 1 for j in range(a.num_cols) if (c >> j) & 1):
+                r |= 1 << i
+        found.add((r, c))
+    return sorted(found)
+
+
+def random_context(rng, max_rows=8, max_cols=70) -> BinaryMatrix:
+    """A random matrix that may carry twin rows, twin columns, zero rows
+    and zero columns, each placed at random."""
+    m = rng.randint(1, max_rows)
+    n = rng.randint(1, max_cols)
+    density = rng.choice((0.3, 0.6, 0.85))
+    grid = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        src, dst = rng.sample(range(m), 2)
+        grid[dst] = list(grid[src])
+    if n > 1 and rng.random() < 0.5:
+        src, dst = rng.sample(range(n), 2)
+        for row in grid:
+            row[dst] = row[src]
+    if rng.random() < 0.3:
+        grid[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in grid:
+            row[j] = 0
+    return BinaryMatrix.from_dense(grid)
+
+
 def brute_price(a: BinaryMatrix, values) -> Fraction:
     """Max edge-weight sum over every biclique, straight from the
     definition."""

@@ -228,6 +228,57 @@ def test_timings_book_the_float_mirror_apart(d):
     assert report.timings["float"] > 0
 
 
+def test_total_counts_from_the_entry_of_the_call(d, monkeypatch):
+    import time
+
+    import fracbp.colgen as colgen
+
+    pause = 0.05
+
+    def slowed(original):
+        def wrapper(*args, **kwargs):
+            time.sleep(pause)
+            return original(*args, **kwargs)
+        return wrapper
+
+    calls = spied(monkeypatch)
+    monkeypatch.setattr(colgen, "enumerate_maximal", slowed(colgen.enumerate_maximal))
+    report = run(kronecker(crown(3), crown(4)), ColGenConfig())
+    # The matrix is dispatched to the orbit master, and the report's
+    # total still holds run's own enumeration.
+    assert calls["orbit_master"] == 1
+    assert report.timings["total"] >= pause
+    # solve_power's total holds its level building.
+    monkeypatch.setattr(colgen, "lift_maximal_kronecker",
+                        slowed(colgen.lift_maximal_kronecker))
+    report = solve_power(d, 2, ColGenConfig())
+    assert calls["orbit_master"] == 2
+    assert report.timings["total"] >= 2 * pause
+
+
+def test_a_dispatch_counts_the_edge_orbits_once(monkeypatch):
+    import fracbp.orbits as orbits
+    import fracbp.symmetry as symmetry
+
+    calls = {"edge_orbits": 0, "edge_permutations": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    orbit_count = counting("edge_orbits", symmetry.edge_orbits)
+    monkeypatch.setattr(symmetry, "edge_orbits", orbit_count)
+    monkeypatch.setattr(orbits, "edge_orbits", orbit_count)
+    monkeypatch.setattr(symmetry, "edge_permutations",
+                        counting("edge_permutations", symmetry.edge_permutations))
+    report = run(kronecker(crown(3), crown(4)), ColGenConfig())
+    assert report.converged and report.value == 9
+    # The generators are still checked, once.
+    assert calls == {"edge_orbits": 1, "edge_permutations": 1}
+
+
 def fallback_calls(patch):
     """Count the exact solves of the mirror, the fallback of `run`'s
     basis certifier, as `lp.solve` calls that colgen makes."""

@@ -71,6 +71,28 @@ def test_transpose_round_trip(rng):
                 assert a.entry(i, j) == t.entry(j, i)
 
 
+def test_column_masks_match_the_rows(rng):
+    for width in (1, 5, 63, 64, 65, 130):
+        for _ in range(4):
+            m = rng.randint(1, 9)
+            a = BinaryMatrix(m, width, tuple(rng.getrandbits(width) for _ in range(m)))
+            for j in range(width):
+                expect = 0
+                for i in range(m):
+                    expect |= ((a.rows[i] >> j) & 1) << i
+                assert a.column_mask(j) == expect
+            assert a.transpose().transpose() == a
+
+
+def test_cached_column_masks_leave_equality_and_hash_alone(rng):
+    for _ in range(10):
+        a = random_binary_matrix(rng, 6, 70)
+        a.column_mask(0)
+        fresh = BinaryMatrix(a.num_rows, a.num_cols, a.rows)
+        assert a == fresh and hash(a) == hash(fresh)
+        assert {a: 1}[fresh] == 1
+
+
 def test_from_dense_matches_parse():
     a = BinaryMatrix.from_dense([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert a == domino()

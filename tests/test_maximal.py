@@ -1,10 +1,24 @@
 import pytest
 
-from fracbp.core import Biclique, crown, domino, is_valid_biclique, kronecker
+from fracbp.core import (
+    Biclique,
+    crown,
+    domino,
+    is_valid_biclique,
+    kronecker,
+    kronecker_power,
+    maximal_biclique_masks,
+)
 from fracbp.errors import EmptyGraphError
 from fracbp.maximal import enumerate_maximal, lift_maximal_kronecker
 
-from oracles import brute_maximal_bicliques, masks, random_binary_matrix
+from oracles import (
+    brute_maximal_bicliques,
+    closed_pairs,
+    masks,
+    random_binary_matrix,
+    random_context,
+)
 
 
 def test_domino_maximals(d):
@@ -33,6 +47,28 @@ def test_maximals_match_brute_force(rng):
     for _ in range(40):
         a = random_binary_matrix(rng, 4, 4)
         assert masks(enumerate_maximal(a)) == brute_maximal_bicliques(a)
+
+
+def test_row_closure_matches_the_galois_connection(rng):
+    wide = twins = zeros = 0
+    for _ in range(120):
+        a = random_context(rng)
+        assert maximal_biclique_masks(a) == closed_pairs(a)
+        cols = [sum(((r >> j) & 1) << i for i, r in enumerate(a.rows))
+                for j in range(a.num_cols)]
+        wide += a.num_cols > 64
+        twins += len(set(a.rows)) < a.num_rows or len(set(cols)) < a.num_cols
+        zeros += 0 in a.rows or 0 in cols
+    # The seeds reach masks past one machine word, twins and zero lines.
+    assert wide and twins and zeros
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_domino_powers_enumerate_to_their_lift(d, k):
+    power = kronecker_power(d, k)
+    lifted = lift_maximal_kronecker(enumerate_maximal(d), k, (3, 3))
+    assert enumerate_maximal(power) == lifted
+    assert len(lifted) == 4 ** k
 
 
 def test_maximals_cover_every_edge(rng):
