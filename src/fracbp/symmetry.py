@@ -18,18 +18,22 @@ way; `colgen.run` and branch and bound use them so.
 
 The base automorphisms come from one search over row maps.  Rows and
 columns are first refined to an equitable colouring, from their
-degrees (`_refinements`), and a partial row map survives only while it
-keeps colours and the columns read on the rows mapped so far agree
-with those read on their images.  The search follows the identity
-path, as nauty's does (McKay, "Practical graph isomorphism", 1981):
-at depth t it tries an image r of row t only when r is outside t's
-orbit under the maps found so far, all of which fix rows 0..t-1, and
-the first complete map below is a new generator.  So it visits one
-leaf per new orbit point of the stabiliser chain, not one per group
-element, and every generator lies outside the group of those before
-it.  Any subgroup of the true symmetry group would do, since its
-orbits are only finer, so the search stops after a fixed number of
-nodes with what it has found.
+degrees (`_refinements`).  Each node of the search carries the columns
+as an ordered partition, a list of cells that are pairs of column bit
+masks, one in the source and one in the image (McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  A partial row map survives
+only while it keeps colours and every cell holds as many ones on the
+newly mapped row as on its image; a survivor splits each cell by that
+row.  A dive finds a node's survivors lazily, only as far as it needs
+them.  The search follows the identity path, as nauty's does (McKay,
+"Practical graph isomorphism", 1981): at depth t it tries an image r
+of row t only when r is outside t's orbit under the maps found so far,
+all of which fix rows 0..t-1, and the first complete map below is a
+new generator.  So it visits one leaf per new orbit point of the
+stabiliser chain, not one per group element, and every generator lies
+outside the group of those before it.  Any subgroup of the true
+symmetry group would do, since its orbits are only finer, so the
+search stops after a fixed number of nodes with what it has found.
 
 The refinement also bounds the number of edge orbits from below
 without any search (`edge_orbit_bounds`), which lets `colgen.run`
@@ -63,12 +67,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Biclique, BinaryMatrix, unpack_masks
+from .core import Biclique, BinaryMatrix, bit_indices, unpack_masks
 from .errors import ContractViolation, InvariantViolation
 
 # The base automorphism search visits at most this many partial row
-# maps; a spent budget only shrinks the group.  crown(10), 90 rows in
-# branch and bound's largest case, takes 54.
+# maps, each a node with its cells; a lazy dive counts only the nodes it
+# reaches, not the siblings it never tried.  A spent budget only shrinks
+# the group.  crown(10), 90 rows in branch and bound's largest case,
+# takes 54.
 _SEARCH_NODES = 20_000
 # Branch and bound closes the group it prunes with up to this many row
 # maps (`lp._BranchAndBound`); a cut only weakens the pruning.
@@ -99,15 +105,17 @@ def power_generators(base: BinaryMatrix, k: int) -> list[Symmetry]:
         return tuple((out @ place).tolist())
 
     ident_rows, ident_cols = tuple(range(m)), tuple(range(n))
+    # One refinement serves both searches on a square base.
+    colouring = _refine(base) if m == n else None
     gens = []
-    for sigma, tau in base_automorphisms(base):
+    for sigma, tau in _automorphisms(base, colouring):
         gens.append(Symmetry(
             relabel(row_digits, row_place, [ident_rows] * (k - 1) + [sigma]),
             relabel(col_digits, col_place, [ident_cols] * (k - 1) + [tau])))
     for t in range(k - 1):
         gens.append(Symmetry(_swap(row_digits, row_place, t),
                              _swap(col_digits, col_place, t)))
-    flip = transpose_map(base)
+    flip = _transpose_map(base, colouring)
     if flip is not None:
         pi, rho = flip
         gens.append(Symmetry(relabel(col_digits, row_place, [pi] * k),
@@ -133,10 +141,17 @@ def base_automorphisms(a: BinaryMatrix) -> list[tuple[tuple, tuple]]:
     (sigma, tau) pairs with a[sigma[i]][tau[j]] == a[i][j]: one per new
     orbit point of the row maps' stabiliser chain (`_RowMaps.generators`),
     then a transposition per pair of equal columns."""
+    return _automorphisms(a, None)
+
+
+def _automorphisms(a: BinaryMatrix, colouring) -> list[tuple[tuple, tuple]]:
+    """`base_automorphisms(a)`, given `_refine(a)` as `colouring` when a
+    has no more rows than columns, or None to refine here."""
     flipped = a.num_rows > a.num_cols
     src = a.transpose() if flipped else a
-    gens = [(sigma, _pair_columns(src, sig))
-            for sigma, sig in _RowMaps(src, src).generators()]
+    if colouring is None:
+        colouring = _refine(src)
+    gens = _RowMaps(src, src, colouring, colouring).generators()
     # Each row map fixes the column map only up to permuting equal
     # columns, so those permutations are generators of their own.
     ident = tuple(range(src.num_rows))
@@ -155,14 +170,22 @@ def transpose_map(a: BinaryMatrix) -> tuple[tuple, tuple] | None:
     """(pi, rho) with a[pi[j]][rho[i]] == a[i][j] for every entry, so
     that (i, j) -> (pi[j], rho[i]) maps ones onto ones; None when the
     base is not square or not its own transpose up to permutations."""
+    return _transpose_map(a, None)
+
+
+def _transpose_map(a: BinaryMatrix, colouring) -> tuple[tuple, tuple] | None:
+    """`transpose_map(a)`, given `_refine(a)` as `colouring`, or None
+    to refine here."""
     if a.num_rows != a.num_cols:
         return None
-    src = a.transpose()
-    found = _RowMaps(src, a).first()
-    if found is None:
+    # A transpose carries rows onto columns, so their degrees agree.
+    if (sorted(r.bit_count() for r in a.rows)
+            != sorted(a.column_mask(j).bit_count() for j in range(a.num_cols))):
         return None
-    sigma, sig = found
-    return sigma, _pair_columns(src, sig)
+    src = a.transpose()
+    if colouring is None:
+        colouring = _refine(a)
+    return _RowMaps(src, a, _refine(src), colouring).first()
 
 
 def _refinements(a: BinaryMatrix):
@@ -234,64 +257,83 @@ def edge_orbit_bounds(a: BinaryMatrix):
 class _RowMaps:
     """Depth-first search over the row maps sigma from `src` to `dst`,
     of one shape, for which some tau has dst[sigma[i]][tau[j]] ==
-    src[i][j].
+    src[i][j], given the colourings `_refine` gives each.
 
-    A node maps rows 0..t-1 and holds dst's column signatures on their
-    images: bit s of column j's is dst[sigma[s]][j].  Its children map
-    row t onto each unused row of dst of t's colour (`_refine`), in
-    ascending order, and a child survives only while the columns of src
-    on rows 0..t and the columns of dst on their images agree as
-    multisets of (colour, signature).  A map that extends to an
-    isomorphism keeps colours and carries columns onto columns, so no
-    such map is pruned, and a leaf, all m rows mapped, has its tau
-    (`_pair_columns`).  All searches on one instance share a budget of
-    _SEARCH_NODES nodes; once it is spent they find nothing more.
+    A node maps rows 0..t-1 and carries the columns as an ordered
+    partition: a list of cells (src_mask, dst_mask), bit masks of
+    columns of equal colour whose bits on rows 0..t-1 of src agree, and
+    agree with those of the dst columns on their images.  The root has
+    one cell per column colour and exists only when the colours are
+    equally common in src and dst.  Its children map row t onto each
+    unused row r of dst of t's colour, in ascending order, and a child
+    survives only when every cell holds as many ones on r in dst as on
+    t in src; it keeps the nonempty halves of each cell.  So a child
+    survives exactly when the columns of src on rows 0..t and those of
+    dst on their images agree as multisets of (colour, bits), and a map
+    that extends to an isomorphism keeps colours and carries columns
+    onto columns, so none is pruned.  A leaf, all m rows mapped, has
+    its tau in its cells: each cell's src columns go onto its dst
+    columns in ascending order, so equal columns pair in index order.
+
+    Dives are lazy: the stack holds child iterators, so a node's
+    survivors are found only as far as the dive needs them.  All
+    searches on one instance share a budget of _SEARCH_NODES visited
+    nodes; once it is spent they find nothing more.
     """
 
-    def __init__(self, src: BinaryMatrix, dst: BinaryMatrix):
-        m, n = src.num_rows, src.num_cols
-        self.m = m
-        src_rows, src_cols = _refine(src)
-        dst_rows, dst_cols = (src_rows, src_cols) if dst is src else _refine(dst)
-        self.src_rows, self.dst_rows = src_rows, dst_rows
-        self.dst = dst.rows
-        self.dst_cols = [dst.column_mask(j) for j in range(n)]
-        # A column's colour sits above its m signature bits.
-        self.dst_keys = [c << m for c in dst_cols]
-        src_masks = [src.column_mask(j) for j in range(n)]
-        self.src_keys = [
-            sorted(c << m | mask & ((2 << t) - 1) for c, mask in zip(src_cols, src_masks))
-            for t in range(m)]
+    def __init__(self, src: BinaryMatrix, dst: BinaryMatrix, src_colouring, dst_colouring):
+        (src_rows, src_cols), (dst_rows, dst_cols) = src_colouring, dst_colouring
+        self.m, self.n = src.num_rows, src.num_cols
+        self.src, self.dst = src.rows, dst.rows
+        self.src_rows = src_rows
+        self.candidates: dict[int, list[int]] = {}
+        for r, c in enumerate(dst_rows):
+            self.candidates.setdefault(c, []).append(r)
+        cells: dict[int, list[int]] = {}
+        for j, c in enumerate(src_cols):
+            cells.setdefault(c, [0, 0])[0] |= 1 << j
+        for j, c in enumerate(dst_cols):
+            cells.setdefault(c, [0, 0])[1] |= 1 << j
+        self.root = None
+        if all(s.bit_count() == d.bit_count() for s, d in cells.values()):
+            self.root = ((), 0, list(map(tuple, cells.values())))
         self.budget = _SEARCH_NODES
 
-    def children(self, node) -> list:
-        sigma, used, sig = node
+    def children(self, node):
+        """The surviving children of `node`, lazily, by ascending image."""
+        sigma, used, cells = node
         t = len(sigma)
-        colour, want = self.src_rows[t], self.src_keys[t]
-        out = []
-        for r, row in enumerate(self.dst):
-            if (used >> r) & 1 or self.dst_rows[r] != colour:
+        row = self.src[t]
+        want = [(s & row).bit_count() for s, _ in cells]
+        for r in self.candidates.get(self.src_rows[t], ()):
+            if (used >> r) & 1:
                 continue
-            new = [s | ((row >> j) & 1) << t for j, s in enumerate(sig)]
-            if sorted([k | s for k, s in zip(self.dst_keys, new)]) == want:
-                out.append((sigma + (r,), used | 1 << r, new))
-        return out
+            image = self.dst[r]
+            for (_, d), w in zip(cells, want):
+                if (d & image).bit_count() != w:
+                    break
+            else:
+                yield sigma + (r,), used | 1 << r, _split(cells, row, image)
 
     def first(self, start=None):
         """The first leaf at or below the node `start` (the root when
-        None) in lexicographic order, as (sigma, dst's signatures), or
-        None when there is none or the budget is spent."""
-        stack = [start or ((), 0, [0] * len(self.dst_cols))]
-        while stack and self.budget > 0:
+        None) in lexicographic order, as (sigma, tau), or None when
+        there is none or the budget is spent."""
+        node, stack = start or self.root, []
+        while node is not None and self.budget > 0:
             self.budget -= 1
-            node = stack.pop()
             if len(node[0]) == self.m:
-                return node[0], node[2]
-            stack.extend(reversed(self.children(node)))
+                return node[0], _pair_cells(node[2], self.n)
+            stack.append(self.children(node))
+            node = None
+            while stack and node is None:
+                node = next(stack[-1], None)
+                if node is None:
+                    stack.pop()
         return None
 
     def generators(self) -> list:
-        """Row maps, with their leaves' signatures, that generate every
+        """(sigma, tau) pairs whose row maps generate every
         automorphism's row map, when src is dst.
 
         The search follows the identity path, from its deepest node up.
@@ -312,11 +354,13 @@ class _RowMaps:
                 orbit[x] = x = orbit[orbit[x]]
             return x
 
+        # The identity path's cells at each depth.
+        path = [self.root[2]]
+        for t in range(m - 1):
+            path.append(_split(path[-1], self.src[t], self.src[t]))
         gens = []
         for t in reversed(range(m)):
-            low = (1 << t) - 1
-            path = (tuple(range(t)), low, [c & low for c in self.dst_cols])
-            for child in self.children(path):
+            for child in self.children((tuple(range(t)), (1 << t) - 1, path[t])):
                 if find(child[0][-1]) == find(t):
                     continue
                 leaf = self.first(child)
@@ -330,14 +374,29 @@ class _RowMaps:
         return gens
 
 
-def _pair_columns(src: BinaryMatrix, dst_sig) -> tuple[int, ...]:
-    """tau sending each src column to the dst column of equal
-    signature, equal columns paired in index order."""
-    src_cols = [src.column_mask(j) for j in range(src.num_cols)]
-    free: dict[int, list[int]] = {}
-    for j in reversed(range(len(dst_sig))):
-        free.setdefault(dst_sig[j], []).append(j)
-    return tuple(free[c].pop() for c in src_cols)
+def _split(cells, row: int, image: int) -> list:
+    """Each cell split into its columns on `row` in src and on `image`
+    in dst, and the rest; only nonempty halves are kept, so a cell that
+    does not split stays whole."""
+    out = []
+    for s, d in cells:
+        ones = s & row
+        if ones and ones != s:
+            out.append((ones, d & image))
+            out.append((s ^ ones, d & ~image))
+        else:
+            out.append((s, d))
+    return out
+
+
+def _pair_cells(cells, n: int) -> tuple[int, ...]:
+    """tau sending each cell's src columns onto its dst columns, in
+    ascending order."""
+    tau = [0] * n
+    for s, d in cells:
+        for j, j2 in zip(bit_indices(s), bit_indices(d)):
+            tau[j] = j2
+    return tuple(tau)
 
 
 # ---------------------------------------------------------------------------

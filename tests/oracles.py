@@ -382,3 +382,124 @@ def every_automorphism(a: BinaryMatrix) -> set:
                     tau[j] = j2
             out.add((sigma, tuple(tau)))
     return out
+
+
+class SignatureRowMaps:
+    """The row-map search that kept n column signatures per node and
+    sorted them for every candidate row: the reference for
+    `symmetry._RowMaps`, which must find the same leaves, generators
+    and column maps in the same order.
+
+    A node maps rows 0..t-1 of `src` and holds dst's column signatures
+    on their images: bit s of column j's is dst[sigma[s]][j].  A child
+    maps row t onto an unused dst row of t's colour and survives while
+    the columns of src on rows 0..t and of dst on their images agree as
+    multisets of (colour, signature).  The colourings are given, as
+    `symmetry._refine` makes them; they only prune.  All searches on
+    one instance share a budget of `budget` popped nodes."""
+
+    def __init__(self, src: BinaryMatrix, dst: BinaryMatrix, src_colouring,
+                 dst_colouring, budget):
+        m, n = src.num_rows, src.num_cols
+        self.m = m
+        (src_rows, src_cols), (dst_rows, dst_cols) = src_colouring, dst_colouring
+        self.src_rows, self.dst_rows = src_rows, dst_rows
+        self.dst = dst.rows
+        self.dst_cols = [dst.column_mask(j) for j in range(n)]
+        self.dst_keys = [c << m for c in dst_cols]
+        src_masks = [src.column_mask(j) for j in range(n)]
+        self.src_keys = [
+            sorted(c << m | mask & ((2 << t) - 1) for c, mask in zip(src_cols, src_masks))
+            for t in range(m)]
+        self.budget = budget
+
+    def children(self, node) -> list:
+        sigma, used, sig = node
+        t = len(sigma)
+        colour, want = self.src_rows[t], self.src_keys[t]
+        out = []
+        for r, row in enumerate(self.dst):
+            if (used >> r) & 1 or self.dst_rows[r] != colour:
+                continue
+            new = [s | ((row >> j) & 1) << t for j, s in enumerate(sig)]
+            if sorted([k | s for k, s in zip(self.dst_keys, new)]) == want:
+                out.append((sigma + (r,), used | 1 << r, new))
+        return out
+
+    def first(self, start=None):
+        stack = [start or ((), 0, [0] * len(self.dst_cols))]
+        while stack and self.budget > 0:
+            self.budget -= 1
+            node = stack.pop()
+            if len(node[0]) == self.m:
+                return node[0], node[2]
+            stack.extend(reversed(self.children(node)))
+        return None
+
+    def generators(self) -> list:
+        m = self.m
+        orbit = list(range(m))
+
+        def find(x):
+            while orbit[x] != x:
+                orbit[x] = x = orbit[orbit[x]]
+            return x
+
+        gens = []
+        for t in reversed(range(m)):
+            low = (1 << t) - 1
+            path = (tuple(range(t)), low, [c & low for c in self.dst_cols])
+            for child in self.children(path):
+                if find(child[0][-1]) == find(t):
+                    continue
+                leaf = self.first(child)
+                if leaf is None:
+                    if self.budget <= 0:
+                        return gens
+                    continue
+                gens.append(leaf)
+                for i, g in enumerate(leaf[0]):
+                    orbit[find(i)] = find(g)
+        return gens
+
+
+def pair_columns(src: BinaryMatrix, dst_sig) -> tuple[int, ...]:
+    """tau sending each src column to the dst column of equal
+    signature, equal columns paired in index order."""
+    src_cols = [src.column_mask(j) for j in range(src.num_cols)]
+    free: dict[int, list[int]] = {}
+    for j in reversed(range(len(dst_sig))):
+        free.setdefault(dst_sig[j], []).append(j)
+    return tuple(free[c].pop() for c in src_cols)
+
+
+def signature_automorphisms(a: BinaryMatrix, refine, budget) -> list:
+    """`symmetry.base_automorphisms` by `SignatureRowMaps`, with the
+    colourings that `refine` gives."""
+    flipped = a.num_rows > a.num_cols
+    src = a.transpose() if flipped else a
+    colouring = refine(src)
+    gens = [(sigma, pair_columns(src, sig)) for sigma, sig
+            in SignatureRowMaps(src, src, colouring, colouring, budget).generators()]
+    ident = tuple(range(src.num_rows))
+    by_column: dict[int, list[int]] = {}
+    for j in range(src.num_cols):
+        by_column.setdefault(src.column_mask(j), []).append(j)
+    for same in by_column.values():
+        for j, j2 in zip(same, same[1:]):
+            tau = list(range(src.num_cols))
+            tau[j], tau[j2] = j2, j
+            gens.append((ident, tuple(tau)))
+    return [(tau, sigma) for sigma, tau in gens] if flipped else gens
+
+
+def signature_transpose_map(a: BinaryMatrix, refine, budget):
+    """`symmetry.transpose_map` by `SignatureRowMaps`."""
+    if a.num_rows != a.num_cols:
+        return None
+    src = a.transpose()
+    found = SignatureRowMaps(src, a, refine(src), refine(a), budget).first()
+    if found is None:
+        return None
+    sigma, sig = found
+    return sigma, pair_columns(src, sig)

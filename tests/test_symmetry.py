@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from fracbp import symmetry
 from fracbp.core import Biclique, BinaryMatrix, crown, domino, kronecker, kronecker_power
 from fracbp.errors import ContractViolation, InvariantViolation
 from fracbp.maximal import enumerate_maximal
@@ -25,6 +26,8 @@ from oracles import (
     every_automorphism,
     every_leaf_row_maps,
     random_binary_matrix,
+    signature_automorphisms,
+    signature_transpose_map,
     walk_orbit,
     walk_representatives,
 )
@@ -141,6 +144,92 @@ def test_transpose_map_exists_exactly_when_brute_force_finds_one(rng):
             assert all(a.entry(pi[j], rho[i]) == a.entry(i, j)
                        for i in range(n) for j in range(n))
     assert transpose_map(BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])) is None
+
+
+def symmetric_matrix(rng, n):
+    """A random n x n matrix that is its own transpose up to a random
+    permutation of its rows, so that it has a transpose map."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    order = list(range(n))
+    rng.shuffle(order)
+    return BinaryMatrix(n, n, tuple(rows[i] for i in order))
+
+
+def signature_generators(a, budget=symmetry._SEARCH_NODES):
+    """`power_generators(a, 1)` by the signature-sorting search."""
+    gens = [Symmetry(sigma, tau)
+            for sigma, tau in signature_automorphisms(a, symmetry._refine, budget)]
+    flip = signature_transpose_map(a, symmetry._refine, budget)
+    return gens + ([Symmetry(*flip, True)] if flip is not None else [])
+
+
+def test_the_cell_search_matches_the_signature_search(rng):
+    cases = [kronecker(crown(3), crown(4)), crown(5), crown(9), crown(10),
+             kronecker_power(domino(), 2), TRIANGLE, RECT]
+    cases += [twinned_matrix(rng, rng.randint(2, 8), rng.randint(2, 8)) for _ in range(100)]
+    cases += [symmetric_matrix(rng, rng.randint(2, 7)) for _ in range(30)]
+    budget = symmetry._SEARCH_NODES
+    flipped = transposed = 0
+    for a in cases:
+        assert base_automorphisms(a) == signature_automorphisms(a, symmetry._refine, budget)
+        flip = transpose_map(a)
+        assert flip == signature_transpose_map(a, symmetry._refine, budget)
+        assert power_generators(a, 1) == signature_generators(a)
+        flipped += a.num_rows > a.num_cols
+        transposed += flip is not None
+    assert flipped >= 30 and transposed >= 30
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10])
+def test_a_spent_budget_leaves_a_subgroup(budget, monkeypatch, rng):
+    monkeypatch.setattr(symmetry, "_SEARCH_NODES", budget)
+    cases = [kronecker(crown(3), crown(4)), crown(5), kronecker_power(domino(), 2), TRIANGLE]
+    cases += [twinned_matrix(rng, rng.randint(2, 6), rng.randint(2, 6)) for _ in range(20)]
+    cases += [symmetric_matrix(rng, rng.randint(2, 6)) for _ in range(10)]
+    for a in cases:
+        gens = base_automorphisms(a)
+        every = every_automorphism(a)
+        assert set(gens) <= every
+        identity = (tuple(range(a.num_rows)), tuple(range(a.num_cols)))
+        assert generated(gens, identity) <= every
+        assert power_generators(a, 1) == signature_generators(a, budget)
+        flip = transpose_map(a)
+        if flip is not None:
+            pi, rho = flip
+            assert all(a.entry(pi[j], rho[i]) == a.entry(i, j)
+                       for i in range(a.num_rows) for j in range(a.num_cols))
+
+
+def counting_refine(monkeypatch):
+    """A list that grows by one on every call of `symmetry._refine`."""
+    calls = []
+    refine = symmetry._refine
+
+    def counted(a):
+        calls.append(a)
+        return refine(a)
+
+    monkeypatch.setattr(symmetry, "_refine", counted)
+    return calls
+
+
+def test_transpose_map_refuses_unequal_degrees_before_refining(monkeypatch):
+    # Row degrees 2, 2, 0 against column degrees 1, 2, 1.
+    calls = counting_refine(monkeypatch)
+    assert transpose_map(BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 0]])) is None
+    assert calls == []
+
+
+def test_power_generators_refine_a_square_base_once(monkeypatch):
+    # The base itself, for both searches, and its transpose.
+    calls = counting_refine(monkeypatch)
+    power_generators(TRIANGLE, 1)
+    assert calls == [TRIANGLE, TRIANGLE.transpose()] and TRIANGLE != TRIANGLE.transpose()
 
 
 def brute_edge_orbits(a, gens):
