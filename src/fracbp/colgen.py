@@ -12,49 +12,52 @@ objective/alpha is a lower bound, since the dual priced exactly to its
 maximum alpha is globally dual feasible once divided by alpha.  The
 loop stops once alpha <= 1 + epsilon.
 
-The run keeps one column store: a float mirror of the master over
-every column met so far, namely the checkpointed ones, the init
-strategy's, the stars and every priced candidate.  It holds them as
-sparse 0/1 columns (CSC: column starts and edge indices), and each
-float solve passes them to a fresh model of HiGHS's dual simplex
-through scipy's own binding.  Each iteration runs the mirror to a
-standstill and then solves HiGHS's final optimal basis exactly with
-`lp.solve_basis`, the certifier the orbit master shares: HiGHS's
-rounded values when they solve the basis systems exactly, else
-Bareiss elimination.  The floats only steer: the basis is kept only
-if its exact solution is feasible, and alpha, the bounds, convergence
-and the certificate all come from its exact dual.  When the exact
-dual equals the rounded float dual the mirror priced last, that
-pricing result is the exact one, and it is reused instead of priced
-again.  When HiGHS fails, the basis is refused, or the previous
-iteration added no column to the mirror, the iteration instead solves
-the mirror exactly with `lp.solve` (plain exact column generation),
-whose optimal dual prices every mirror column at most one.
+The loop is written once, in `_generate`, over a column store, and
+the store is all that differs between the full space and the orbit
+space.  Each iteration first runs float rounds (`_float_phase`):
+HiGHS's dual simplex solves the store's LP, a fresh model per solve
+through scipy's own binding, and its dual, rounded to nearby
+fractions, is priced against the maximal bicliques until it brings no
+new column.  `_certify` then solves HiGHS's final optimal basis
+exactly with `lp.solve_basis`: HiGHS's rounded values when they solve
+the basis systems exactly, else Bareiss elimination.  The floats only
+steer: the basis is kept only if its exact solution is feasible, and
+alpha, the bounds, convergence and the certificate all come from its
+exact dual.  When the exact dual equals the dual the float rounds
+priced last, that pricing result is the exact one, and it is reused
+instead of priced again.  When HiGHS fails, the basis is refused, or
+the previous iteration added no column to the store, the iteration
+takes the store's exact fallback instead.
 
 `carried`, the certified basis's columns plus the iteration's
-candidates, can be checkpointed to JSON every iteration and resumed
-later: a resumed run seeds the float mirror with it.
+candidates, is what the records count and what the checkpoint holds.
+It can be checkpointed to JSON every iteration and resumed later: a
+resumed run seeds the store with it.
 
-Symmetric matrices are solved by the orbit master (module `orbits`):
-one LP over the orbits of a symmetry group G (see `symmetry`), with a
-row per edge orbit and a column per profile, priced over one maximal
-biclique per orbit.  Kronecker powers (`solve_power`) with k >= 2 and
-the union strategy take it with the group of the power.  `run` takes
-it, with the union strategy and no lifted columns, when the matrix's
-own symmetries leave at most a quarter as many edge orbits as edges;
-a colour refinement bounds the orbits from below first, so most
-matrices are refused before any search for generators.  Like
-`run`, it prices HiGHS's rounded duals until they bring nothing new,
-then solves HiGHS's basis exactly with the same `lp.solve_basis`, so
-floats only steer here too.  The
-answer does not rest on the symmetry code: each generator is checked
-to map ones onto ones, the orbits of the representatives are checked
-to cover every maximal biclique, which makes their pricing maximum the
+The full space (`run`) stores every column met so far, namely the
+checkpointed ones, the init strategy's, the stars and every priced
+candidate, in `_FloatBuffer`: sparse 0/1 columns, one row per edge.
+Its exact fallback solves the whole buffer with `lp.solve` (plain
+exact column generation), whose optimal dual prices every buffered
+column at most one.
+
+The orbit space (module `orbits`) serves symmetric matrices: one LP
+over the orbits of a symmetry group G (see `symmetry`), with a row per
+edge orbit and a column per profile, priced over one maximal biclique
+per orbit.  Kronecker powers (`solve_power`) with k >= 2 and the union
+strategy take it with the group of the power.  `run` takes it, with
+the union strategy and no lifted columns, when the matrix's own
+symmetries leave at most a quarter as many edge orbits as edges; a
+colour refinement bounds the orbits from below first, so most
+matrices are refused before any search for generators.  The answer
+does not rest on the symmetry code: each generator is checked to map
+ones onto ones, the orbits of the representatives are checked to
+cover every maximal biclique, which makes their pricing maximum the
 global alpha, and the orbit solution is expanded to a full-space
-partition that is checked edge by edge.  It checkpoints its columns in
-the same format as `run`.  When it cannot finish, `run` goes on in the
-full space as above, and `solve_power` falls back to the union ladder,
-which runs `run` on every level.
+partition that is checked edge by edge.  Its checkpoints have the
+format of the full space's.  It has no exact fallback: when it cannot
+finish, `run` goes on in the full space, and `solve_power` falls back
+to the union ladder, which runs `run` on every level.
 """
 
 from __future__ import annotations
@@ -127,19 +130,15 @@ class ColGenConfig:
 class IterationRecord:
     """One iteration's bounds and the counts of the columns it carries.
 
-    `pool_size` counts `carried`: the structural columns of the
-    iteration's certified basis (or, when it solved the mirror exactly,
-    of its support) plus the candidates its exact pricing found.  It is
+    `pool_size` counts `carried`: the columns of the iteration's
+    certified basis (or, when it took the store's exact fallback, of
+    its support) plus the candidates its exact pricing found.  It is
     what the checkpoint holds.  `added` and `pruned` count the carried
     columns that the previous iteration did not carry, and the reverse;
     a resumed checkpoint's columns count as carried before the first
-    iteration.  Columns of the float mirror are not counted.
-
-    On the orbit master, which `solve_power` and `run` both use,
-    `pool_size` counts the orbit columns held after the iteration's
-    pricing, `added` the new profiles that its float rounds and its
-    exact pricing brought in, and `pruned` is always 0: no orbit column
-    is ever dropped.
+    iteration.  The other columns of the store are not counted.  In the
+    orbit space each column is an orbit column, carried as the one
+    biclique the store holds for its profile.
     """
 
     iteration: int
@@ -158,17 +157,13 @@ class ColGenReport:
     whenever the final alpha is at most one.
 
     `timings` holds seconds by phase: "total" (the whole call of `run`
-    or `solve_power`, from its entry), "master", "float" (the
-    float mirror, its pricing rounds included) and "pricing", which
-    counts only the exact pricing calls made, not the iterations that
-    reused the float mirror's last pricing.  "master" covers the basis
-    certifier, building the basis matrix included, and any exact solve
-    of the mirror that replaces it.  The records'
-    `pool_size`, `added` and `pruned` count each iteration's carried
-    columns against the previous iteration's, not the float mirror's.
-    From the orbit master "float" is the HiGHS solves, "master" the
-    exact basis solves and "pricing" the pricing calls; `support` and
-    `dual` are in the full space of the power.
+    or `solve_power`, from its entry), "master" (the basis certifier,
+    building the basis matrix included, and any exact fallback),
+    "pricing" (every `price_all` call, the float rounds' included) and
+    "float" (the HiGHS solves and the rounding of their results).  The
+    records count each iteration's carried columns (see
+    `IterationRecord`).  `support` and `dual` are in the full space,
+    the orbit space's expanded.
     """
 
     matrix: BinaryMatrix
@@ -276,14 +271,11 @@ def run(
     With the union strategy and no `extra_initial`, a matrix whose
     edge orbits under its own symmetries (`symmetry.power_generators`
     at k = 1) number at most a quarter of its edges is solved by
-    `orbits.orbit_master`, whose report has its meaning of the records
-    and timings (see `IterationRecord` and `ColGenReport`); its records
-    go to `progress` once it has finished.  When it falls back, or the
-    matrix has fewer symmetries, the run is in the full space: the
-    strategy columns and the stars seed the float mirror, and each
-    iteration solves HiGHS's optimal basis exactly (`lp.solve_basis`),
-    or the mirror by `lp.solve` when HiGHS fails, the basis is refused
-    or the previous iteration stalled (see the module notes).
+    `orbits.orbit_master`, whose records go to `progress` once it has
+    finished.  When it falls back, or the matrix has fewer symmetries,
+    the run is in the full space: the strategy columns and the stars
+    seed the float mirror, `_FloatBuffer`, and `_generate` runs the
+    loop over it (see the module notes).
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -298,73 +290,105 @@ def run(
         if report is not None:
             return _replayed(_timed_from(report, t_start), progress)
     mhash = matrix_hash(a)
-
     # The float mirror takes the checkpointed columns first, so HiGHS
     # sees every column in a fixed order.
     buffer = _FloatBuffer(a)
-    carried: list[Biclique] = []
-    iteration = 0
-    path = config.checkpoint_path
-    if path and os.path.exists(path):
-        iteration, carried = load_checkpoint(path, mhash)
-        try:
-            buffer.extend(carried)
-        except ContractViolation as exc:
-            raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
-    else:
+    resumed = _resume(buffer, config.checkpoint_path, mhash)
+    if resumed is None:
         buffer.extend(_initial_bicliques(a, config, maximals, extra_initial))
     buffer.extend(initial_stars(a))
-    held = set(carried)
+    return _generate(a, buffer, maximals, config, mhash, resumed, progress, t_start)
 
+
+def _resume(store, path, mhash):
+    """(iteration, carried columns) of the checkpoint at `path`, its
+    columns put into the column store `store`, or None when there is no
+    checkpoint to resume."""
+    if not (path and os.path.exists(path)):
+        return None
+    iteration, carried = load_checkpoint(path, mhash)
+    try:
+        store.extend(carried)
+    except ContractViolation as exc:
+        raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
+    return iteration, carried
+
+
+def _generate(a, store, maximals, config, mhash, resumed, progress,
+              t_start) -> ColGenReport | None:
+    """The column generation loop over the column store `store`, which
+    holds its start columns; `resumed` is `_resume`'s result.
+
+    Each iteration runs `_float_phase`, certifies HiGHS's last optimal
+    basis with `_certify`, or takes the store's exact fallback when
+    there is no basis to certify, and prices the exact dual over
+    `maximals`; then it records, reports to `progress` and checkpoints
+    `carried`.  Returns the report, its support the store's `support`,
+    or None when an iteration needs a fallback and the store has none.
+
+    A store has `rhs`, the right hand side of its rows, and these:
+    `extend(bicliques)` adds the new columns and returns how many;
+    `bicliques` lists one biclique per column; `csc()` is the LP with
+    every row scaled to right hand side one, for `_linprog`;
+    `rounded_dual(duals)` reads HiGHS's row duals as exact row duals,
+    and `steering_dual(vertex, rounded)` gives the edge weights to
+    price at a vertex; `columns(cols)` is the integer matrix of those
+    columns; `edge_dual(y)` takes exact row duals to edge weights;
+    `fallback()` solves the store exactly, as (bicliques, weights, edge
+    dual), or returns None; `support(columns, value)` turns the final
+    (biclique, weight) pairs into the report's support.
+    """
+    iteration, carried = resumed or (0, [])
+    held = set(carried)
     records: list[IterationRecord] = []
     best_lower = ZERO
     stalled = False
-    t_master = 0.0
-    t_pricing = 0.0
-    t_float = 0.0
+    timings = dict.fromkeys(("total", "master", "pricing", "float"), 0.0)
     threshold = ONE + config.epsilon
+    path = config.checkpoint_path
 
     while True:
         iteration += 1
-        size = len(buffer)
+        size = len(store)
         # Vertex duals of a degenerate master jump between extreme points of
         # the optimal dual face, and columns priced on a single extreme point
         # often miss the ones the primal actually needs.  Candidates are
-        # therefore collected in the float mirror first: its inner loop runs
-        # to a standstill, and its final optimal basis is solved exactly.
+        # therefore collected by float rounds first: they run to a
+        # standstill, and their final optimal basis is solved exactly.
         t0 = time.perf_counter()
-        steer = None if stalled else _float_phase(a, maximals, buffer, threshold)
+        pricing = timings["pricing"]
+        steer = None if stalled else _float_phase(a, maximals, store, threshold, timings)
         t1 = time.perf_counter()
-        exact = None if steer is None else _certify(a, *steer[:4])
+        timings["float"] += t1 - t0 - (timings["pricing"] - pricing)
+        exact = None if steer is None else _certify(store, *steer[:2])
         if exact is None:
-            exact = _solve_mirror(a, buffer)
-        t_float += t1 - t0
-        t_master += time.perf_counter() - t1
+            exact = store.fallback()
+        timings["master"] += time.perf_counter() - t1
+        if exact is None:
+            return None
         basis, x, dual = exact
         objective = sum(x, ZERO)
 
         # price_all depends only on maximals, dual and threshold, so when
-        # the exact dual is the float mirror's last priced dual, its
+        # the exact dual is the float rounds' last priced dual, its
         # result there is this dual's result.
-        if steer is not None and steer[3] == dual:
-            alpha, candidates = steer[4]
+        if steer is not None and steer[2] == dual:
+            alpha, candidates = steer[3]
         else:
-            t0 = time.perf_counter()
-            alpha, candidates = price_all(maximals, EdgeWeights(a, dual), threshold)
-            t_pricing += time.perf_counter() - t0
+            alpha, candidates = _price(a, maximals, dual, threshold, timings)
 
         lower = objective / alpha if alpha > 1 else objective
         if lower > best_lower:
             best_lower = lower
         converged = alpha <= threshold
 
-        # The candidates join the float mirror.  An iteration that adds
-        # no column to it would repeat itself: HiGHS's basis is then not
-        # exactly optimal over the mirror, and the next iteration solves
-        # the mirror exactly instead.
+        # The candidates join the store.  An iteration that adds no
+        # column to it would repeat itself: HiGHS's basis is then not
+        # exactly optimal over the store, and the next iteration takes
+        # the exact fallback instead.
         admit = [] if converged else [pb.biclique for pb in candidates]
-        buffer.extend(admit)
-        stalled = not converged and len(buffer) == size
+        store.extend(admit)
+        stalled = not converged and len(store) == size
         carried = basis + admit
         now = set(carried)
         records.append(IterationRecord(
@@ -378,14 +402,8 @@ def run(
         if converged or iteration >= config.max_iterations:
             break
 
-    support = sorted(((b, v) for b, v in zip(basis, x) if v),
-                     key=lambda t: (t[0].row_set, t[0].col_set))
-    timings = {
-        "total": time.perf_counter() - t_start,
-        "master": t_master,
-        "pricing": t_pricing,
-        "float": t_float,
-    }
+    support = store.support([(b, v) for b, v in zip(basis, x) if v], objective)
+    timings["total"] = time.perf_counter() - t_start
     return ColGenReport(
         matrix=a, matrix_hash=mhash, converged=converged, value=objective,
         best_lower_bound=best_lower, final_alpha=alpha,
@@ -437,21 +455,45 @@ def _replayed(report: ColGenReport, progress) -> ColGenReport:
     return report
 
 
-def _certify(a, basic, rows, x, y):
-    """HiGHS's optimal basis solved exactly by `lp.solve_basis`, with
-    its rounded values `x` and dual `y` as the guesses: (basic
-    bicliques, their exact weights, the exact dual), or None when it is
-    refused.  The basis matrix holds each basic biclique's incidence
-    column, then a unit column for each row whose slack is basic."""
-    m = a.num_edges
-    n = len(basic)
+def _price(a, maximals, dual, threshold, timings):
+    """`price_all` of the edge weights `dual` over `maximals`, its time
+    booked under "pricing"."""
+    t0 = time.perf_counter()
+    priced = price_all(maximals, EdgeWeights(a, dual), threshold)
+    timings["pricing"] += time.perf_counter() - t0
+    return priced
+
+
+def _basis(store, basic):
+    """(basic columns, rows whose slack is basic, basis matrix) from
+    HiGHS's basic variables, both lists ascending, or None when they
+    are not one per row.  The integer matrix holds the basic columns of
+    `store`, then a unit column per basic slack."""
+    cols = np.sort(basic[basic >= 0]).tolist()
+    rows = np.sort(-1 - basic[basic < 0]).tolist()
+    n, m = len(cols), len(store.rhs)
     if n + len(rows) != m:
         return None
     matrix = np.zeros((m, m), dtype=np.int64)
-    matrix[:, :n] = unpack_masks([incidence_column(a, b) for b in basic], m).T
+    if n:
+        matrix[:, :n] = store.columns(cols)
     matrix[rows, np.arange(n, m)] = 1
-    exact = solve_basis(matrix, n, [1] * m, x, y)
-    return None if exact is None else (basic, exact[0], tuple(exact[1]))
+    return cols, rows, matrix
+
+
+def _certify(store, vertex, rounded):
+    """HiGHS's optimal basis at `vertex` solved exactly by
+    `lp.solve_basis`, with its rounded values and the rounded row duals
+    `rounded` as the guesses: (basic bicliques, their exact weights,
+    the exact edge dual), or None when it is refused."""
+    basis = _basis(store, vertex[2])
+    if basis is None:
+        return None
+    cols, _, matrix = basis
+    exact = solve_basis(matrix, len(cols), store.rhs, _round_all(vertex[0][cols]), rounded)
+    if exact is None:
+        return None
+    return [store.bicliques[j] for j in cols], exact[0], store.edge_dual(exact[1])
 
 
 def _solve_mirror(a, buffer):
@@ -468,15 +510,15 @@ def _solve_mirror(a, buffer):
 
 
 class _FloatBuffer:
-    """Float mirror of the master over every column the run has seen;
-    the run's only column store that lasts across iterations.
+    """The full space's column store for `_generate`: a float mirror of
+    the master, one row per edge, over every column the run has seen.
 
     Columns here cost one float column each, so the buffer can afford
     every strategy column and the floods of near-duplicate candidates
     that would drown an exact simplex; only HiGHS's optimal basis is
-    solved exactly.  Insertion order is fixed and
-    deduplication is by canonical biclique key, keeping the float solves
-    deterministic.
+    solved exactly, and the exact fallback is `_solve_mirror`.
+    Insertion order is fixed and deduplication is by canonical biclique
+    key, keeping the float solves deterministic.
 
     The columns are stored sparse, by columns (CSC): `_start[j]` is
     where column j's edge indices begin in `_index`, ascending, and
@@ -487,12 +529,12 @@ class _FloatBuffer:
     The check is exact and the one `is_valid_biclique` makes: a mask
     past the matrix dimensions is refused, and so is a biclique whose
     column counts fewer than |R|·|C| edges, since then some (i, j) of
-    R x C is a zero.  Each `solve` hands the arrays to a fresh HiGHS
-    model through `_linprog`.
+    R x C is a zero.
     """
 
     def __init__(self, a: BinaryMatrix):
         self._a = a
+        self.rhs = [1] * a.num_edges
         self._keys: set[tuple[int, int]] = set()
         self.bicliques: list[Biclique] = []
         edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
@@ -536,12 +578,32 @@ class _FloatBuffer:
         self.bicliques.extend(new.values())
         return len(new)
 
-    def solve(self):
-        """One float solve of the buffered master, as `_linprog` returns
-        it: (x, row duals, basic variables), or None on failure."""
-        return _linprog(A_eq=_Csc(
-            self._start, self._index, np.ones(len(self._index)),
-            (self._a.num_edges, len(self))))
+    def csc(self) -> _Csc:
+        """The buffered master's A_eq, as `_linprog` solves it."""
+        return _Csc(self._start, self._index, np.ones(len(self._index)),
+                    (self._a.num_edges, len(self)))
+
+    def rounded_dual(self, duals) -> list:
+        return _round_all(duals)
+
+    def steering_dual(self, vertex, rounded) -> tuple:
+        return tuple(rounded)
+
+    def columns(self, cols) -> np.ndarray:
+        """The incidence columns of the buffered columns `cols`."""
+        a = self._a
+        return unpack_masks([incidence_column(a, self.bicliques[j]) for j in cols],
+                            a.num_edges).T
+
+    def edge_dual(self, y) -> tuple:
+        return tuple(y)
+
+    def fallback(self):
+        return _solve_mirror(self._a, self)
+
+    def support(self, columns, value) -> list:
+        """`columns` in biclique order."""
+        return sorted(columns, key=lambda t: (t[0].row_set, t[0].col_set))
 
 
 class _Csc(NamedTuple):
@@ -584,8 +646,8 @@ def _linprog(*, A_eq: _Csc):
     return np.array(solution.col_value), np.array(solution.row_dual), basic
 
 
-# A float phase prices new columns into the mirror for at most
-# _INNER_ROUNDS solves and stops early once the mirror holds _BUFFER_CAP
+# A float phase prices new columns into the store for at most
+# _INNER_ROUNDS solves and stops early once the store holds _BUFFER_CAP
 # columns.  The cap is soft: a phase can pass it by one round's
 # candidates, and every iteration still adds its exact candidates.  The
 # mirror stores 4 bytes per covered edge of each column, so its memory
@@ -624,43 +686,44 @@ def _nearest(v: float):
     return rat(p, q)
 
 
-def _float_phase(a, maximals, buffer: _FloatBuffer, threshold):
-    """Run the float relaxation of the buffered master to a standstill.
+def _round_all(values: np.ndarray) -> list:
+    """`_nearest` of each float of `values`.  A degenerate vertex
+    repeats few values, so each distinct float is rounded once."""
+    rounded = {}
+    out = []
+    for v in values.tolist():
+        q = rounded.get(v)
+        if q is None:
+            q = rounded[v] = _nearest(v)
+        out.append(q)
+    return out
 
-    Alternates float solves with pricing rounds against the float dual
-    (snapshotted as exact rationals) until pricing stops producing new
-    columns.  Returns HiGHS's optimal basis at the final vertex, or None
-    when a float solve fails, as (basic bicliques in buffer order, rows
-    whose slack is basic in ascending order, the basic columns' values
-    and the row duals, each rounded to nearby fractions, the duals'
-    `price_all` result (alpha, candidates)).  All of it only steers:
-    `lp.solve_basis` takes the basis only if it checks out exactly, and
-    the exact pricing of its dual decides convergence; `run` reuses the
-    pricing result only when the exact dual equals the rounded one.
+
+def _float_phase(a, maximals, store, threshold, timings):
+    """Run the float relaxation of the store's LP to a standstill.
+
+    Alternates HiGHS solves with pricing rounds against the store's
+    steering dual until pricing stops producing new columns.  Returns
+    the final vertex (x, row duals, basic variables), its row duals
+    rounded to nearby fractions, the steering dual priced last and its
+    `price_all` result (alpha, candidates); or None when a float solve
+    fails.  Every `price_all` call is booked under "pricing" in
+    `timings`.  All of it only steers: `lp.solve_basis` takes the basis
+    only if it checks out exactly, the exact pricing of its dual
+    decides convergence, and `_generate` reuses the pricing result only
+    when the exact dual equals the steering dual.
     """
     for _ in range(_INNER_ROUNDS):
-        vertex = buffer.solve()
+        vertex = _linprog(A_eq=store.csc())
         if vertex is None:
             return None
-        x, duals, basic = vertex
-        # A degenerate vertex repeats few dual values, so each distinct
-        # float is rounded once per solve.
-        rounded = {}
-        smoothed = []
-        for v in duals.tolist():
-            q = rounded.get(v)
-            if q is None:
-                q = rounded[v] = _nearest(v)
-            smoothed.append(q)
-        priced = price_all(maximals, EdgeWeights(a, smoothed), threshold)
-        fresh = buffer.extend([pb.biclique for pb in priced[1]])
-        if not fresh or len(buffer) >= _BUFFER_CAP:
+        rounded = store.rounded_dual(vertex[1])
+        steer = store.steering_dual(vertex, rounded)
+        priced = _price(a, maximals, steer, threshold, timings)
+        fresh = store.extend([pb.biclique for pb in priced[1]])
+        if not fresh or len(store) >= _BUFFER_CAP:
             break
-    columns = np.sort(basic[basic >= 0])
-    rows = np.sort(-1 - basic[basic < 0])
-    values = [_nearest(v) for v in x[columns].tolist()]
-    return ([buffer.bicliques[j] for j in columns.tolist()], rows.tolist(), values,
-            tuple(smoothed), priced)
+    return vertex, rounded, steer, priced
 
 
 def _initial_bicliques(a, config, maximals, extra_initial) -> list[Biclique]:

@@ -15,8 +15,8 @@ number, not an approximation.
 Two entry points: `solve` is stateless and certifies its answer
 (strong duality, feasibility, or a Farkas ray), on `SimplexSolver`,
 the engine underneath.  `solve_basis` needs no simplex: it solves a
-float solver's optimal basis exactly, for both column generation
-masters (`colgen.run` and `orbits.orbit_master`).
+float solver's optimal basis exactly, for column generation's one
+loop (`colgen._generate`), in the full space and the orbit space.
 
 Design notes that matter for correctness:
 

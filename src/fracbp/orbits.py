@@ -1,4 +1,4 @@
-"""The orbit master: column generation on a symmetric matrix over the
+"""The orbit space: column generation on a symmetric matrix over the
 orbits of its symmetry group.
 
 `colgen.solve_power` hands a Kronecker power here when it has k >= 2
@@ -6,28 +6,27 @@ and the union strategy, and `colgen.run` hands any matrix here as its
 own first power (k = 1), with the generators it has found, when its
 edge orbits number at most a quarter of its edges.  The LP has one row
 per edge orbit of the group G that `symmetry` derives, and one column
-per profile: a biclique's count of cells in each edge orbit.  It is
-solved as `colgen.run` solves the full master: HiGHS steers, and
-`lp.solve_basis`, the certifier both share, solves HiGHS's last
-optimal basis exactly.  Its answer is expanded to a full-space
-partition and checked there.  It calls HiGHS, pricing and checkpoint
-writes by their names in `colgen`, where the benchmark's tracer wraps
-them.
+per profile: a biclique's count of cells in each edge orbit.
+`orbit_master` only sets up this LP's column store, `_OrbitColumns`,
+and runs `colgen._generate` over it, the loop the full space runs
+too: HiGHS steers and `lp.solve_basis` solves HiGHS's last optimal
+basis exactly.  The store expands the answer to a full-space partition
+and checks it there.  HiGHS, pricing and checkpoint writes are called
+by their names in `colgen`, where the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from math import lcm
 
 import numpy as np
 
 from . import colgen, lp
-from ._rational import ONE, ZERO, rat
-from .colgen import ColGenReport, IterationRecord
-from .core import Biclique, BinaryMatrix, EdgeWeights, matrix_hash, unpack_masks
-from .errors import CheckpointError, ContractViolation, InvariantViolation
+from ._rational import ZERO, rat
+from .colgen import ColGenReport
+from .core import Biclique, BinaryMatrix, matrix_hash, unpack_masks
+from .errors import ContractViolation, InvariantViolation
 from .symmetry import (
     edge_orbits,
     gather_table,
@@ -61,23 +60,18 @@ def orbit_master(base, k, a, maximals, config, gens=None,
     Pricing scans only the representatives (one maximal per orbit):
     once their orbits are checked to cover every maximal, their maximum
     is the global one, since G maps bicliques onto bicliques of the
-    same y-weight.  Each iteration first runs float rounds, as the
-    float mirror of `colgen.run` does: HiGHS solves the LP (rows scaled
-    by 1/|E|) and its duals, rounded, are priced until they bring no new
-    profile.
-    Then `lp.solve_basis` solves HiGHS's last optimal basis exactly,
-    for z and the dual w (y_e = w_E for e in E), and w is priced, which
-    decides convergence.  The run stops at alpha <= 1 + epsilon or after
-    `max_iterations`, writing the checkpoint, if any, after every
-    iteration.  The support of the last basis is then expanded: each
-    basic orbit column's z spread evenly over its G-orbit, then checked
-    edge by edge.
+    same y-weight.  The loop is `colgen._generate` over `_OrbitColumns`,
+    as for the full space: HiGHS solves the LP with rows scaled by
+    1/|E|, `lp.solve_basis` solves its last optimal basis exactly for z
+    and the dual w (y_e = w_E for e in E), and the support of the last
+    basis is expanded: each basic orbit column's z spread evenly over
+    its G-orbit, then checked edge by edge.
 
     Returns None when HiGHS fails, the basis is singular or not exactly
-    feasible, or an iteration at alpha > 1 + epsilon adds no profile.
+    feasible, or an iteration at alpha > 1 + epsilon adds no profile:
+    the orbit LP has no exact fallback.
     """
     t_start = time.perf_counter()
-    mhash = matrix_hash(a)
     if gens is None:
         gens = power_generators(base, k)
     if orbits is None:
@@ -88,100 +82,33 @@ def orbit_master(base, k, a, maximals, config, gens=None,
     if not covered.issuperset((b.row_set, b.col_set) for b in maximals):
         raise InvariantViolation(
             "the orbits of the representatives miss a maximal biclique")
-    orbit_of = np.empty(a.num_edges, dtype=np.intp)
-    for t, orbit in enumerate(orbits):
-        orbit_of[orbit] = t
-    orbit_of = orbit_of.tolist()
-    pool = _OrbitColumns(a, orbits)
+    pool = _OrbitColumns(a, orbits, table)
     singletons = []
     for orbit in orbits:
         i, j = a.edges[int(orbit[0])]
         singletons.append(Biclique(1 << i, 1 << j))
     pool.extend([*singletons, *colgen.initial_stars(a), *reps])
-    iteration = 0
-    path = config.checkpoint_path
-    if path and os.path.exists(path):
-        iteration, saved = colgen.load_checkpoint(path, mhash)
-        try:
-            pool.extend(saved)
-        except ContractViolation as exc:
-            raise CheckpointError(f"checkpoint entry is not a biclique: {exc}") from exc
-
-    records: list[IterationRecord] = []
-    best_lower = ZERO
-    t_master = t_pricing = t_float = 0.0
-    threshold = ONE + config.epsilon
-    while True:
-        iteration += 1
-        held = len(pool)
-        t0 = time.perf_counter()
-        for _ in range(colgen._INNER_ROUNDS):
-            vertex = colgen._linprog(A_eq=pool.scaled())
-            if vertex is None:
-                return None
-            w = pool.steering_dual(vertex)
-            steer = tuple(w[t] for t in orbit_of)
-            priced = (w, colgen.price_all(reps, EdgeWeights(a, steer), threshold))
-            if not pool.extend([pb.biclique for pb in priced[1][1]]):
-                break
-        t1 = time.perf_counter()
-        exact = pool.solve_basis(vertex)
-        t2 = time.perf_counter()
-        t_float += t1 - t0
-        t_master += t2 - t1
-        if exact is None:
-            return None
-        z, w = exact
-        objective = sum(z.values(), ZERO)
-        dual = tuple(w[t] for t in orbit_of)
-        # As in `colgen.run`: the float rounds' last pricing is this dual's
-        # when that round steered by the exact orbit values.
-        if w == priced[0]:
-            alpha, candidates = priced[1]
-        else:
-            alpha, candidates = colgen.price_all(reps, EdgeWeights(a, dual), threshold)
-            t_pricing += time.perf_counter() - t2
-        lower = objective / alpha if alpha > 1 else objective
-        if lower > best_lower:
-            best_lower = lower
-        converged = alpha <= threshold
-        if not converged:
-            pool.extend([pb.biclique for pb in candidates])
-        records.append(IterationRecord(
-            iteration, objective, alpha, best_lower, len(pool), len(pool) - held, 0))
-        if path:
-            colgen.write_checkpoint(path, mhash, iteration, pool.bicliques)
-        if converged or iteration >= config.max_iterations:
-            break
-        if len(pool) == held:
-            return None
-
-    support = _expand_orbits(
-        a, table, [(pool.bicliques[j], x) for j, x in z.items() if x], objective)
-    timings = {
-        "total": time.perf_counter() - t_start,
-        "master": t_master,
-        "pricing": t_pricing,
-        "float": t_float,
-    }
-    return ColGenReport(
-        matrix=a, matrix_hash=mhash, converged=converged,
-        value=objective, best_lower_bound=best_lower, final_alpha=alpha,
-        support=tuple(support), dual=dual, records=records, timings=timings)
+    mhash = matrix_hash(a)
+    resumed = colgen._resume(pool, config.checkpoint_path, mhash)
+    return colgen._generate(a, pool, reps, config, mhash, resumed, None, t_start)
 
 
 class _OrbitColumns:
-    """The orbit LP's columns: one representative biclique per profile,
-    in the order first met, with the edge orbits' sizes as the right
-    hand side.  A profile counts the biclique's cells in each edge
-    orbit, read from a table of every cell's orbit (-1 at a zero)."""
+    """The orbit space's column store for `colgen._generate`: one
+    representative biclique per profile, in the order first met, with
+    the edge orbits' sizes as the right hand side.  A profile counts
+    the biclique's cells in each edge orbit, read from a table of every
+    cell's orbit (-1 at a zero).  `table` is G's gather table, with
+    which `support` expands the final orbit columns."""
 
-    def __init__(self, a: BinaryMatrix, orbits):
-        self.sizes = [len(orbit) for orbit in orbits]
+    def __init__(self, a: BinaryMatrix, orbits, table):
+        self._a, self._table = a, table
+        self.rhs = [len(orbit) for orbit in orbits]
         edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
         self._orbit_at = np.full((a.num_rows, a.num_cols), -1, dtype=np.intp)
         for t, orbit in enumerate(orbits):
             self._orbit_at[edges[orbit, 0], edges[orbit, 1]] = t
+        self._orbit_of = self._orbit_at[edges[:, 0], edges[:, 1]].tolist()
         self._seen: set[bytes] = set()
         self.bicliques: list[Biclique] = []
         self.profiles: list[np.ndarray] = []
@@ -212,7 +139,7 @@ class _OrbitColumns:
         cells = self._orbit_at[np.repeat(rows, repeats), cols[col_starts[owner] + offsets]]
         if (cells < 0).any():
             raise ContractViolation("biclique is not an all-ones submatrix of the matrix")
-        size = len(self.sizes)
+        size = len(self.rhs)
         profiles = np.bincount(owner * size + cells, minlength=len(bicliques) * size)
         before = len(self)
         for b, profile in zip(bicliques, profiles.reshape(len(bicliques), size)):
@@ -223,71 +150,51 @@ class _OrbitColumns:
                 self.profiles.append(profile)
         return len(self) - before
 
-    def scaled(self) -> colgen._Csc:
+    def csc(self) -> colgen._Csc:
         """The LP with row E divided by |E|, so every right hand side is
         one, as `colgen._linprog` solves it."""
-        counts = np.array(self.profiles, dtype=np.int64).reshape(len(self), len(self.sizes))
+        counts = np.array(self.profiles, dtype=np.int64).reshape(len(self), len(self.rhs))
         cols, rows = np.nonzero(counts)
         indptr = np.zeros(len(self) + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=len(self)), out=indptr[1:])
-        data = counts[cols, rows] / np.array(self.sizes, dtype=np.float64)[rows]
+        data = counts[cols, rows] / np.array(self.rhs, dtype=np.float64)[rows]
         return colgen._Csc(indptr, rows.astype(np.int32), data,
-                           (len(self.sizes), len(self)))
+                           (len(self.rhs), len(self)))
 
-    def steering_dual(self, vertex):
-        """w to price in a float round at HiGHS's optimal `vertex` (x,
-        row duals, basic variables): its dual rounded to nearby fractions
-        when that is its basis's exact dual (w . B_j is exactly 1 on
-        every basic column and 0 on every basic slack), and otherwise to
-        multiples of 2^-32, which keeps pricing's common denominator
-        small."""
-        w = self._rounded_dual(vertex[1])
-        basis = self._basis(vertex[2])
-        if basis is not None:
-            cols, slack_rows, matrix = basis
-            if lp._solves(matrix.T, w, [1] * len(cols) + [0] * len(slack_rows)):
-                return w
-        return [rat(round(v / size * _GRID), _GRID)
-                for v, size in zip(vertex[1].tolist(), self.sizes)]
-
-    def solve_basis(self, vertex):
-        """The exact solution at HiGHS's optimal `vertex` of the scaled
-        LP, in the unscaled LP: ({column: z}, w), or None when the basis
-        is singular or not feasible, as `lp.solve_basis` finds it from
-        HiGHS's rounded values."""
-        basis = self._basis(vertex[2])
-        if basis is None:
-            return None
-        cols, _, matrix = basis
-        z = [colgen._nearest(v) for v in vertex[0][cols].tolist()]
-        exact = lp.solve_basis(matrix, len(cols), self.sizes, z,
-                               self._rounded_dual(vertex[1]))
-        if exact is None:
-            return None
-        z, w = exact
-        return dict(zip(cols, z)), w
-
-    def _basis(self, basic):
-        """(basic columns, rows whose slack is basic, basis matrix) from
-        HiGHS's basic variables, or None when they are not one per row.
-        The matrix holds the basic columns, then a unit column per basic
-        slack."""
-        basic = basic.tolist()
-        cols = sorted(j for j in basic if j >= 0)
-        slack_rows = sorted(-1 - j for j in basic if j < 0)
-        n, m = len(cols), len(self.sizes)
-        if n + len(slack_rows) != m:
-            return None
-        matrix = np.zeros((m, m), dtype=np.int64)
-        if n:
-            matrix[:, :n] = np.array([self.profiles[j] for j in cols]).T
-        matrix[slack_rows, np.arange(n, m)] = 1
-        return cols, slack_rows, matrix
-
-    def _rounded_dual(self, duals):
+    def rounded_dual(self, duals) -> list:
         """w_E = row E's scaled dual over |E|, rounded to a nearby
         fraction."""
-        return [colgen._nearest(v) / size for v, size in zip(duals.tolist(), self.sizes)]
+        return [q / size for q, size in zip(colgen._round_all(duals), self.rhs)]
+
+    def steering_dual(self, vertex, rounded) -> tuple:
+        """The edge weights to price in a float round at HiGHS's optimal
+        `vertex` (x, row duals, basic variables): the orbit dual
+        `rounded` when that is its basis's exact dual (w . B_j is
+        exactly 1 on every basic column and 0 on every basic slack), and
+        otherwise HiGHS's dual rounded to multiples of 2^-32, which
+        keeps pricing's common denominator small."""
+        basis = colgen._basis(self, vertex[2])
+        if basis is not None:
+            cols, slack_rows, matrix = basis
+            if lp._solves(matrix.T, rounded, [1] * len(cols) + [0] * len(slack_rows)):
+                return self.edge_dual(rounded)
+        return self.edge_dual([rat(round(v / size * _GRID), _GRID)
+                               for v, size in zip(vertex[1].tolist(), self.rhs)])
+
+    def columns(self, cols) -> np.ndarray:
+        """The profiles of the columns `cols`, as matrix columns."""
+        return np.array([self.profiles[j] for j in cols]).T
+
+    def edge_dual(self, w) -> tuple:
+        """The edge weights y_e = w_E for e in E."""
+        return tuple(w[t] for t in self._orbit_of)
+
+    def fallback(self):
+        return None
+
+    def support(self, columns, value) -> list:
+        """The orbit columns `columns` expanded to the full space."""
+        return _expand_orbits(self._a, self._table, columns, value)
 
 
 # Float rounds that cannot recover the exact dual price HiGHS's dual

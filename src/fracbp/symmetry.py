@@ -299,14 +299,16 @@ class _RowMaps:
             self.root = ((), 0, list(map(tuple, cells.values())))
         self.budget = _SEARCH_NODES
 
-    def children(self, node):
-        """The surviving children of `node`, lazily, by ascending image."""
+    def children(self, node, skip=None):
+        """The surviving children of `node`, lazily, by ascending image.
+        An image r for which `skip(r)` holds is passed over before its
+        cells are counted or split."""
         sigma, used, cells = node
         t = len(sigma)
         row = self.src[t]
         want = [(s & row).bit_count() for s, _ in cells]
         for r in self.candidates.get(self.src_rows[t], ()):
-            if (used >> r) & 1:
+            if (used >> r) & 1 or (skip is not None and skip(r)):
                 continue
             image = self.dst[r]
             for (_, d), w in zip(cells, want):
@@ -360,9 +362,8 @@ class _RowMaps:
             path.append(_split(path[-1], self.src[t], self.src[t]))
         gens = []
         for t in reversed(range(m)):
-            for child in self.children((tuple(range(t)), (1 << t) - 1, path[t])):
-                if find(child[0][-1]) == find(t):
-                    continue
+            node = (tuple(range(t)), (1 << t) - 1, path[t])
+            for child in self.children(node, lambda r: find(r) == find(t)):
                 leaf = self.first(child)
                 if leaf is None:
                     if self.budget <= 0:

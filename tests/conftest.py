@@ -32,10 +32,11 @@ def m5():
 
 @pytest.fixture
 def one_inner_round(monkeypatch):
-    """Cut every float phase to one HiGHS solve and one pricing round,
-    as the mirror's column cap cuts it on large instances.  With the
-    full float phase the small instances here converge in one exact
-    iteration; cut, they need several."""
+    """Cut every float phase, in the full space and the orbit space,
+    to one HiGHS solve and one pricing round, as the store's column cap
+    cuts it on large instances.  With the full float phase the small
+    instances here converge in one exact iteration; cut, they need
+    several."""
     import fracbp.colgen as colgen
 
     monkeypatch.setattr(colgen, "_INNER_ROUNDS", 1)

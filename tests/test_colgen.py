@@ -13,6 +13,7 @@ from fracbp.colgen import (
     CHECKPOINT_VERSION,
     ColGenConfig,
     _FloatBuffer,
+    _linprog,
     initial_kronecker_support,
     initial_stars,
     load_checkpoint,
@@ -228,6 +229,17 @@ def test_timings_book_the_float_mirror_apart(d):
     assert report.timings["float"] > 0
 
 
+def test_every_pricing_call_is_booked_as_pricing(d, crown5):
+    # The float rounds' pricing counts as pricing too, so "float" is
+    # HiGHS and rounding, in the orbit space (D^3) and the full space.
+    for report in (solve_power(d, 3, ColGenConfig()),
+                   run(crown5, ColGenConfig(init_strategy="stars"))):
+        assert report.converged
+        timings = report.timings
+        assert timings["pricing"] > 0
+        assert timings["float"] + timings["master"] + timings["pricing"] <= timings["total"]
+
+
 def test_total_counts_from_the_entry_of_the_call(d, monkeypatch):
     import time
 
@@ -438,7 +450,7 @@ ORBIT_CASES = [
 LADDER_VALUES = {"domino^3": rat(2059, 149)}
 
 
-def orbit_report(monkeypatch, base, k, config=None):
+def orbit_report(monkeypatch, base, k, config=None, progress=None):
     """solve_power on the orbit path, failing if it reaches `run`."""
     import fracbp.colgen as colgen
 
@@ -447,7 +459,7 @@ def orbit_report(monkeypatch, base, k, config=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(colgen, "run", refusing)
-        return solve_power(base, k, config or ColGenConfig())
+        return solve_power(base, k, config or ColGenConfig(), progress=progress)
 
 
 @pytest.mark.parametrize("name, base, k", ORBIT_CASES, ids=[c[0] for c in ORBIT_CASES])
@@ -482,11 +494,66 @@ def test_orbit_records_count_orbit_columns_and_new_profiles(d, monkeypatch):
     assert report.value == again.value == rat(2059, 149)
     assert seen == report.records == again.records
     assert report.support == again.support and report.dual == again.dual
+    # The records count the carried columns, as in the full space.
     for before, rec in zip(report.records, report.records[1:]):
-        assert rec.pool_size == before.pool_size + rec.added
-    assert all(rec.pruned == 0 for rec in report.records)
-    assert 0 < report.records[0].added < report.records[0].pool_size
+        assert rec.pool_size == before.pool_size + rec.added - rec.pruned
+    assert report.records[0].pruned == 0
+    assert 0 < report.records[0].added == report.records[0].pool_size
     assert {"total", "master", "pricing", "float"} == set(report.timings)
+
+
+@pytest.mark.parametrize("space", ["full", "orbit"])
+def test_both_spaces_keep_one_loop_contract(space, d, m5, monkeypatch, tmp_path,
+                                            one_inner_round):
+    # M5 from the stars in the full space, D^3 in the orbit space, each
+    # cut to one float round so that it takes several iterations.
+    import shutil
+
+    import fracbp.colgen as colgen
+
+    def solve(path, progress):
+        if space == "full":
+            return run(m5, ColGenConfig(init_strategy="stars", checkpoint_path=path),
+                       progress=progress)
+        return orbit_report(monkeypatch, d, 3, ColGenConfig(checkpoint_path=path), progress)
+
+    saved = []
+    write = colgen.write_checkpoint
+
+    def keeping(path, mhash, iteration, bicliques):
+        write(path, mhash, iteration, bicliques)
+        saved.append(str(tmp_path / f"{len(saved)}.json"))
+        shutil.copy(path, saved[-1])
+
+    monkeypatch.setattr(colgen, "write_checkpoint", keeping)
+
+    def check(report, seen, written, carried):
+        """The records against the checkpoints written after each
+        iteration, from `carried`, the columns carried before the first."""
+        assert seen == report.records
+        written = [load_checkpoint(path, report.matrix_hash) for path in written]
+        assert [it for it, _ in written] == [rec.iteration for rec in report.records]
+        for rec, (_, now) in zip(report.records, written):
+            assert rec.pool_size == len(now)
+            assert rec.added == len(set(now) - set(carried))
+            assert rec.pruned == len(set(carried) - set(now))
+            carried = now
+
+    seen = []
+    report = solve(str(tmp_path / "state.json"), seen.append)
+    assert report.converged and len(report.records) >= 2
+    check(report, seen, list(saved), [])
+    # A resume from the first checkpoint goes on at the next iteration,
+    # its columns carried before it, to the same value.
+    iteration, carried = load_checkpoint(saved[0], report.matrix_hash)
+    path = str(tmp_path / "resumed.json")
+    shutil.copy(saved[0], path)
+    del saved[:]
+    seen = []
+    resumed = solve(path, seen.append)
+    assert resumed.records[0].iteration == iteration + 1
+    assert resumed.converged and resumed.value == report.value
+    check(resumed, seen, list(saved), carried)
 
 
 def test_orbit_master_stops_at_the_iteration_cap(d, monkeypatch):
@@ -741,10 +808,11 @@ def test_orbit_columns_count_each_cell_once(d, rng):
     # The batched profiles equal a cell-by-cell count, duplicates of a
     # profile are dropped, and both refusals stand.
     from fracbp.orbits import _OrbitColumns
-    from fracbp.symmetry import edge_orbits, power_generators
+    from fracbp.symmetry import edge_orbits, gather_table, power_generators
 
     a = kronecker_power(d, 2)
-    orbits = edge_orbits(a, power_generators(d, 2))
+    gens = power_generators(d, 2)
+    orbits = edge_orbits(a, gens)
     orbit_of = {}
     for t, orbit in enumerate(orbits):
         for e in orbit:
@@ -756,7 +824,7 @@ def test_orbit_columns_count_each_cell_once(d, rng):
             cols = [j for j in bit_indices(b.col_set) if rng.random() < 0.7]
             if rows and cols:
                 bicliques.append(Biclique(sum(1 << i for i in rows), sum(1 << j for j in cols)))
-    pool = _OrbitColumns(a, orbits)
+    pool = _OrbitColumns(a, orbits, gather_table(gens, a.num_rows, a.num_cols))
     added = pool.extend(bicliques + bicliques[:5])
     expected = {}
     for b in bicliques:
@@ -881,14 +949,14 @@ def test_exact_fallback_converges_to_the_same_value(d, crown5, m5, monkeypatch,
     assert all(len(r.records) > 1 for r in expected)
     float_phase = colgen._float_phase
 
-    def stale(a, maximals, buffer, threshold):
+    def stale(*args):
         # The second float phase returns the first one's basis again:
         # its dual prices only columns the mirror holds, so the
         # iteration adds none, and the next one must solve the mirror.
         if len(phases) == 1:
             phases.append(phases[0])
         else:
-            phases.append(float_phase(a, maximals, buffer, threshold))
+            phases.append(float_phase(*args))
         return phases[-1]
 
     scenarios = [
@@ -929,18 +997,7 @@ def buffered_columns(buffer):
     return dense
 
 
-def solve_view(buffer, monkeypatch):
-    """The A_eq that the buffer's solve hands to colgen._linprog."""
-    import fracbp.colgen as colgen
-
-    seen = []
-    monkeypatch.setattr(colgen, "_linprog", lambda *, A_eq: seen.append(A_eq))
-    buffer.solve()
-    monkeypatch.undo()
-    return seen[0]
-
-
-def test_float_buffer_columns_are_the_incidence_columns(d, rng, monkeypatch):
+def test_float_buffer_columns_are_the_incidence_columns(d, rng):
     d4 = kronecker_power(d, 4)
     cases = [(a, enumerate_all_bicliques(a)) for a in (
         d, kronecker(d, d), kronecker(crown(3), crown(4)))]
@@ -962,7 +1019,7 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng, monkeypatch):
             expected[list(bit_indices(incidence_column(a, b))), k] = 1
         assert np.array_equal(buffered_columns(buffer), expected)
     # The sparse store passes HiGHS less than a dense float64 A_eq would.
-    view = solve_view(buffer, monkeypatch)
+    view = buffer.csc()
     assert view.shape == (d4.num_edges, 256)
     assert view.nbytes < d4.num_edges * 256 * 8
 
@@ -989,7 +1046,7 @@ def test_float_solve_is_linprogs_vertex(d, crown5, rng):
         bicliques = enumerate_all_bicliques(a)
         buffer = _FloatBuffer(a)
         buffer.extend(bicliques)
-        got, want = buffer.solve(), highs_ds_vertex(a, bicliques)
+        got, want = _linprog(A_eq=buffer.csc()), highs_ds_vertex(a, bicliques)
         # Every biclique is there, stars included, so the LP is feasible.
         assert got is not None and want is not None
         x, duals, basic = got

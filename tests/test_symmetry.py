@@ -185,6 +185,25 @@ def test_the_cell_search_matches_the_signature_search(rng):
     assert flipped >= 30 and transposed >= 30
 
 
+def test_the_orbit_check_comes_before_the_cell_split(monkeypatch):
+    # On the identity path a child whose image is already in t's orbit
+    # is passed over before its cells are split.  crown(10) yields 55
+    # identity-path children for 9 generators; splitting each before the
+    # orbit check threw 46 away made 109 `_split` calls.
+    a = crown(10)
+    want = signature_automorphisms(a, symmetry._refine, symmetry._SEARCH_NODES)
+    calls = [0]
+    split = symmetry._split
+
+    def counting(*args):
+        calls[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(symmetry, "_split", counting)
+    assert base_automorphisms(a) == want
+    assert calls[0] < 109
+
+
 @pytest.mark.parametrize("budget", [1, 3, 10])
 def test_a_spent_budget_leaves_a_subgroup(budget, monkeypatch, rng):
     monkeypatch.setattr(symmetry, "_SEARCH_NODES", budget)
