@@ -44,20 +44,20 @@ column at most one.
 The orbit space (module `orbits`) serves symmetric matrices: one LP
 over the orbits of a symmetry group G (see `symmetry`), with a row per
 edge orbit and a column per profile, priced over one maximal biclique
-per orbit.  Kronecker powers (`solve_power`) with k >= 2 and the union
-strategy take it with the group of the power.  `run` takes it, with
-the union strategy and no lifted columns, when the matrix's own
-symmetries leave at most a quarter as many edge orbits as edges; a
-colour refinement bounds the orbits from below first, so most
-matrices are refused before any search for generators.  The answer
-does not rest on the symmetry code: each generator is checked to map
-ones onto ones, the orbits of the representatives are checked to
-cover every maximal biclique, which makes their pricing maximum the
-global alpha, and the orbit solution is expanded to a full-space
-partition that is checked edge by edge.  Its checkpoints have the
-format of the full space's.  It has no exact fallback: when it cannot
-finish, `run` goes on in the full space, and `solve_power` falls back
-to the union ladder, which runs `run` on every level.
+per orbit.  `run` takes it with the union strategy.  A Kronecker power
+(`solve_power`, k >= 2) comes with the generators of its group, known
+by construction, and always takes it.  Any other matrix takes it with
+its own symmetries when they leave at most a quarter as many edge
+orbits as edges; a colour refinement bounds the orbits from below
+first, so most matrices are refused before any search for generators.
+The answer does not rest on the symmetry code: each generator is
+checked to map ones onto ones, the orbits of the representatives are
+checked to cover every maximal biclique, which makes their pricing
+maximum the global alpha, and the orbit solution is expanded to a
+full-space partition that is checked edge by edge.  Its checkpoints
+have the format of the full space's.  It has no exact fallback: when
+it cannot finish, `run` goes on in the full space, resuming from the
+orbit space's checkpoint if it wrote one.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +82,6 @@ from .core import (
     enumerate_all_bicliques,
     incidence_column,
     kronecker,
-    kronecker_biclique,
     matrix_hash,
     unpack_masks,
 )
@@ -187,16 +186,6 @@ def initial_stars(a: BinaryMatrix) -> list[Biclique]:
     return [Biclique(1 << i, bits) for i, bits in enumerate(a.rows) if bits]
 
 
-def initial_kronecker_support(prev_support, base_support, base_shape) -> list[Biclique]:
-    """Products of two support sets, indexed like kronecker(prev, base)."""
-    out = {
-        kronecker_biclique(p, b, base_shape)
-        for p in prev_support
-        for b in base_support
-    }
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -259,23 +248,26 @@ def run(
     a: BinaryMatrix,
     config: ColGenConfig,
     maximals=None,
-    extra_initial=(),
     progress=None,
+    generators=None,
 ) -> ColGenReport:
     """Run column generation on `a` until convergence or iteration cap.
 
     `maximals` may be supplied when already known (Kronecker lifting);
-    otherwise they are enumerated.  `extra_initial` gives the union
-    init its strategy columns in place of enumeration.
+    otherwise they are enumerated.
 
-    With the union strategy and no `extra_initial`, a matrix whose
-    edge orbits under its own symmetries (`symmetry.power_generators`
-    at k = 1) number at most a quarter of its edges is solved by
-    `orbits.orbit_master`, whose records go to `progress` once it has
-    finished.  When it falls back, or the matrix has fewer symmetries,
-    the run is in the full space: the strategy columns and the stars
-    seed the float mirror, `_FloatBuffer`, and `_generate` runs the
-    loop over it (see the module notes).
+    With the union strategy a symmetric matrix is solved by
+    `orbits.orbit_master` over the edge orbits of a group G, and its
+    records go to `progress` once it has finished.  `generators`, when
+    given, generate G, and the orbit master takes `a` whatever its
+    number of edge orbits.  Otherwise G is the matrix's own symmetries
+    (`symmetry.power_generators` at k = 1), and the orbit master takes
+    `a` only when they leave at most a quarter as many edge orbits as
+    edges.  When the orbit master falls back, or does not take `a`, the
+    run is in the full space: the checkpoint's columns, the orbit
+    master's included, when there is one, else the strategy columns,
+    and then the stars seed the float mirror, `_FloatBuffer`, and
+    `_generate` runs the loop over it (see the module notes).
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -285,8 +277,8 @@ def run(
         raise EmptyGraphError("matrix has no ones")
     if maximals is None:
         maximals = enumerate_maximal(a)
-    if config.init_strategy == "union" and not extra_initial:
-        report = _orbit_report(a, maximals, config)
+    if config.init_strategy == "union":
+        report = _orbit_report(a, maximals, config, generators)
         if report is not None:
             return _replayed(_timed_from(report, t_start), progress)
     mhash = matrix_hash(a)
@@ -295,7 +287,7 @@ def run(
     buffer = _FloatBuffer(a)
     resumed = _resume(buffer, config.checkpoint_path, mhash)
     if resumed is None:
-        buffer.extend(_initial_bicliques(a, config, maximals, extra_initial))
+        buffer.extend(_initial_bicliques(a, config, maximals))
     buffer.extend(initial_stars(a))
     return _generate(a, buffer, maximals, config, mhash, resumed, progress, t_start)
 
@@ -417,25 +409,29 @@ def _generate(a, store, maximals, config, mhash, resumed, progress,
 _ORBIT_SHARE = 4
 
 
-def _orbit_report(a, maximals, config) -> ColGenReport | None:
-    """The orbit master's report on `a`, or None when `a` has too few
-    symmetries for it or it falls back.  The colour refinement's bounds
-    on the edge orbits refuse most matrices, at the first round that
-    shows it, before any generator is searched for; the generators
-    found and their edge orbits are handed on, so that the search and
-    the orbit count run once."""
+def _orbit_report(a, maximals, config, gens) -> ColGenReport | None:
+    """The orbit master's report on `a` over the group that `gens`
+    generate, or None when it falls back.  Without `gens` the group is
+    `a`'s own symmetries, and `a` must have enough of them: the colour
+    refinement's bounds on the edge orbits refuse most matrices, at the
+    first round that shows it, before any generator is searched for,
+    and then the edge orbits must number at most 1 / _ORBIT_SHARE of
+    the edges.  The edge orbits are handed on, so that they are counted
+    once."""
     from .symmetry import edge_orbit_bounds, edge_orbits, power_generators
 
-    if any(bound * _ORBIT_SHARE > a.num_edges for bound in edge_orbit_bounds(a)):
-        return None
-    gens = power_generators(a, 1)
+    searched = gens is None
+    if searched:
+        if any(bound * _ORBIT_SHARE > a.num_edges for bound in edge_orbit_bounds(a)):
+            return None
+        gens = power_generators(a, 1)
     orbits = edge_orbits(a, gens)
-    if len(orbits) * _ORBIT_SHARE > a.num_edges:
+    if searched and len(orbits) * _ORBIT_SHARE > a.num_edges:
         return None
     # Imported here because `orbits` imports this module.
     from .orbits import orbit_master
 
-    return orbit_master(a, 1, a, maximals, config, gens, orbits)
+    return orbit_master(a, maximals, config, gens, orbits)
 
 
 def _timed_from(report: ColGenReport, t_start: float) -> ColGenReport:
@@ -726,17 +722,14 @@ def _float_phase(a, maximals, store, threshold, timings):
     return vertex, rounded, steer, priced
 
 
-def _initial_bicliques(a, config, maximals, extra_initial) -> list[Biclique]:
+def _initial_bicliques(a, config, maximals) -> list[Biclique]:
     strategy = config.init_strategy
     if strategy == "stars":
         return []
     if strategy == "all":
         return enumerate_all_bicliques(a, maximals=maximals)
-    # union takes whatever the caller lifted, else falls back to the
-    # densest pool that fits (all bicliques, else just the stars).
-    extra = list(extra_initial)
-    if extra:
-        return extra
+    # union takes the densest pool that fits: all bicliques, else just
+    # the stars.
     try:
         return enumerate_all_bicliques(a, maximals=maximals)
     except SizeCapExceeded:
@@ -744,40 +737,23 @@ def _initial_bicliques(a, config, maximals, extra_initial) -> list[Biclique]:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker ladder
+# Kronecker powers
 # ---------------------------------------------------------------------------
 
 def solve_power(
     base: BinaryMatrix, k: int, config: ColGenConfig, progress=None
 ) -> ColGenReport:
-    """Column generation on the k-th Kronecker power of `base`.
+    """Column generation on the k-th Kronecker power of `base`: `run` on
+    the power, given its maximal bicliques and, for k >= 2 with the
+    union strategy, the generators of its symmetry group.
 
-    The powers are walked level by level, and every level's matrix and
-    maximal bicliques are built exactly once, each from the level below
-    in one product step.  A power over the size cap is refused before
-    any level is built or solved.
-
-    With k >= 2 and the union strategy, the top level is solved by the
-    orbit master (`orbits.orbit_master`): one LP over the edge orbits of the
-    power's symmetry group, priced over one maximal biclique per orbit.
-    Its result does not rest on the symmetry code: every generator is
-    checked to map ones onto ones, the orbits of the representatives
-    must cover every lifted maximal, which makes the pricing maximum
-    over the representatives the global one, and the reported support
-    is the orbit columns expanded to the full space and checked edge by
-    edge.  Its records go to `progress` once it has finished.  When
-    HiGHS fails, the exact basis is singular or infeasible, or an
-    iteration adds no column, the call falls back to the union ladder
-    below, which then resumes from the orbit master's checkpoint, if
-    it wrote one.
-
-    The union ladder (the fallback) solves every level unless resuming
-    from a checkpoint: level 1 starts from the densest pool that fits,
-    and each later level starts from the products of the previous
-    level's optimal support with level 1's, which seeds its master close
-    to optimal.  Otherwise, and for the other strategies, only the top
-    level is solved, by `run`.  Only the top level checkpoints and
-    reports progress.
+    The power is built level by level, each level's matrix and maximal
+    bicliques from the level below's in one product step.  A power over
+    the size cap is refused before any level is built.  The power's
+    group is known by construction (`symmetry.power_generators`), so
+    `run` hands the power to the orbit master without searching for
+    it.  The report's "total" timing counts from the entry of this
+    call.
     """
     t_start = time.perf_counter()
     if k < 1:
@@ -785,32 +761,16 @@ def solve_power(
     check_power_size(base, k)
     base_shape = (base.num_rows, base.num_cols)
     base_maximals = enumerate_maximal(base)
-    levels = [(base, base_maximals)]
+    power, maximals = base, base_maximals
     for level in range(2, k + 1):
-        below, below_maximals = levels[-1]
-        levels.append((kronecker(below, base),
-                       lift_maximal_kronecker(base_maximals, level, base_shape,
-                                              below=below_maximals)))
+        power = kronecker(power, base)
+        maximals = lift_maximal_kronecker(base_maximals, level, base_shape,
+                                          below=maximals)
+    generators = None
     if k >= 2 and config.init_strategy == "union":
-        # Imported here because `orbits` imports this module.
-        from .orbits import orbit_master
+        from .symmetry import power_generators
 
-        report = orbit_master(base, k, *levels[-1], config)
-        if report is not None:
-            return _replayed(_timed_from(report, t_start), progress)
-
-    resuming = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
-    ladder = config.init_strategy == "union" and not resuming
-    inner = replace(config, checkpoint_path=None)
-    extra = []
-    for level, (matrix, maximals) in enumerate(levels, start=1):
-        if level > 1 and ladder:
-            extra = initial_kronecker_support(support, base_support, base_shape)
-        top = level == k
-        if top or ladder:
-            report = run(matrix, config if top else inner, maximals=maximals,
-                         extra_initial=extra, progress=progress if top else None)
-            support = [b for b, _ in report.support]
-            if level == 1:
-                base_support = support
+        generators = power_generators(base, k)
+    report = run(power, config, maximals=maximals, progress=progress,
+                 generators=generators)
     return _timed_from(report, t_start)

@@ -136,9 +136,9 @@ class BinaryMatrix:
 
     @cached_property
     def _column_masks(self) -> tuple[int, ...]:
-        # Not in __post_init__: most matrices (the levels of a ladder)
-        # never ask for a column.  Equality and hashing use the fields
-        # only, so the cached masks do not enter them.
+        # Not in __post_init__: most matrices (the levels below a
+        # Kronecker power) never ask for a column.  Equality and hashing
+        # use the fields only, so the cached masks do not enter them.
         cols = [0] * self.num_cols
         for i, j in self.edges:
             cols[j] |= 1 << i

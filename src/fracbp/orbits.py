@@ -1,18 +1,19 @@
 """The orbit space: column generation on a symmetric matrix over the
 orbits of its symmetry group.
 
-`colgen.solve_power` hands a Kronecker power here when it has k >= 2
-and the union strategy, and `colgen.run` hands any matrix here as its
-own first power (k = 1), with the generators it has found, when its
-edge orbits number at most a quarter of its edges.  The LP has one row
-per edge orbit of the group G that `symmetry` derives, and one column
-per profile: a biclique's count of cells in each edge orbit.
-`orbit_master` only sets up this LP's column store, `_OrbitColumns`,
-and runs `colgen._generate` over it, the loop the full space runs
-too: HiGHS steers and `lp.solve_basis` solves HiGHS's last optimal
-basis exactly.  The store expands the answer to a full-space partition
-and checks it there.  HiGHS, pricing and checkpoint writes are called
-by their names in `colgen`, where the benchmark's tracer wraps them.
+`colgen.run` hands a matrix here, with the union strategy, together
+with the generators of a symmetry group G and G's edge orbits: a
+Kronecker power with the generators `colgen.solve_power` builds from
+its base, any other matrix with those of its own symmetries when they
+leave at most a quarter as many edge orbits as edges.  The LP has one
+row per edge orbit of G and one column per profile: a biclique's count
+of cells in each edge orbit.  `orbit_master` only sets up this LP's
+column store, `_OrbitColumns`, and runs `colgen._generate` over it,
+the loop the full space runs too: HiGHS steers and `lp.solve_basis`
+solves HiGHS's last optimal basis exactly.  The store expands the
+answer to a full-space partition and checks it there.  HiGHS, pricing
+and checkpoint writes are called by their names in `colgen`, where
+the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -27,24 +28,14 @@ from ._rational import ZERO, rat
 from .colgen import ColGenReport
 from .core import Biclique, BinaryMatrix, matrix_hash, unpack_masks
 from .errors import ContractViolation, InvariantViolation
-from .symmetry import (
-    edge_orbits,
-    gather_table,
-    orbit_closure,
-    orbit_representatives,
-    power_generators,
-)
+from .symmetry import gather_table, orbit_closure, orbit_representatives
 
 
-def orbit_master(base, k, a, maximals, config, gens=None,
-                 orbits=None) -> ColGenReport | None:
-    """Column generation on the k-th power `a` of `base` over the orbits
-    of its symmetry group G, or None when the caller should fall back.
-    `gens` are G's generators when the caller has them already, as
-    `power_generators(base, k)` finds them, and `orbits` G's edge
-    orbits when the caller has counted them by `symmetry.edge_orbits`,
-    which checks every generator; without `orbits` the generators are
-    checked here.
+def orbit_master(a, maximals, config, gens, orbits) -> ColGenReport | None:
+    """Column generation on the symmetric matrix `a` over the orbits of
+    the group G that `gens` generate, or None when the caller should
+    fall back.  `orbits` are G's edge orbits as `symmetry.edge_orbits`
+    counts them, which checks that every generator maps ones onto ones.
 
     Averaging an optimum over G keeps it optimal, so some optimum gives
     every biclique of one G-orbit the same weight, and some optimal
@@ -72,10 +63,6 @@ def orbit_master(base, k, a, maximals, config, gens=None,
     the orbit LP has no exact fallback.
     """
     t_start = time.perf_counter()
-    if gens is None:
-        gens = power_generators(base, k)
-    if orbits is None:
-        orbits = edge_orbits(a, gens)
     # One gather table serves the representatives and the expansion.
     table = gather_table(gens, a.num_rows, a.num_cols)
     reps, covered = orbit_representatives(maximals, table)

@@ -83,3 +83,19 @@ def test_tracer_reaches_every_layer(tmp_path):
     spans = {span[0] for span in tracer.spans}
     for name in ("lp.solve", "lp.bnb", "bounds.cover"):
         assert name in spans, name
+
+
+def test_a_traced_power_counts_its_iterations_and_pool():
+    # solve_power solves the power through `colgen.run`, whose report
+    # the tracer reads, so the orbit master's iteration is counted.
+    tracer_mod = load_bench("tracer")
+    tracer = tracer_mod.Tracer()
+    undo = tracer_mod.install(tracer)
+    try:
+        triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+        report = solve_power(triangle, 3, ColGenConfig())
+    finally:
+        tracer_mod.uninstall(undo)
+    assert report.converged
+    for name in ("colgen.iterations", "colgen.pool_max"):
+        assert tracer.counters.get(name, 0) > 0, name

@@ -14,7 +14,6 @@ from fracbp.colgen import (
     ColGenConfig,
     _FloatBuffer,
     _linprog,
-    initial_kronecker_support,
     initial_stars,
     load_checkpoint,
     run,
@@ -107,17 +106,6 @@ def test_zero_rows_get_no_star():
     assert len(initial_stars(a)) == 2
 
 
-def test_kronecker_support_products_dedup_and_stay_feasible(d):
-    base = [b for b, _ in run(d, ColGenConfig()).support]
-    lifted = initial_kronecker_support(base, base, (3, 3))
-    assert len(lifted) <= len(base) ** 2
-    assert len(lifted) == len(set(lifted))
-    dd = kronecker(d, d)
-    sol = solve(build_master(dd, lifted, PARTITION))
-    assert sol.status == "optimal"
-    assert SIX <= sol.objective <= rat(25, 4)
-
-
 # ---------------------------------------------------------------------------
 # Convergence on known instances
 # ---------------------------------------------------------------------------
@@ -158,22 +146,17 @@ def test_all_init_surfaces_enumeration_refusal():
         run(J9, ColGenConfig(init_strategy="all"))
 
 
-def test_union_init_accepts_lifted_columns(d):
-    base = [b for b, _ in run(d, ColGenConfig()).support]
-    dd = kronecker(d, d)
-    lifted = initial_kronecker_support(base, base, (3, 3))
-    report = run(dd, ColGenConfig(init_strategy="union"), extra_initial=lifted)
-    assert report.converged and report.value == SIX
-
-
 def test_empty_matrix_is_rejected():
     with pytest.raises(EmptyGraphError):
         run(BinaryMatrix.from_dense([[0, 0], [0, 0]]), ColGenConfig())
 
 
-def test_foreign_initial_column_is_rejected(d):
-    with pytest.raises(ContractViolation):
-        run(d, ColGenConfig(), extra_initial=[Biclique(0b111, 0b111)])
+def test_foreign_initial_column_is_rejected(d, tmp_path):
+    # A checkpoint is the one source of start columns from outside.
+    path = str(tmp_path / "foreign.json")
+    write_checkpoint(path, matrix_hash(d), 1, [Biclique(0b111, 0b111)])
+    with pytest.raises(CheckpointError):
+        run(d, ColGenConfig(checkpoint_path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +252,6 @@ def test_total_counts_from_the_entry_of_the_call(d, monkeypatch):
 
 
 def test_a_dispatch_counts_the_edge_orbits_once(monkeypatch):
-    import fracbp.orbits as orbits
     import fracbp.symmetry as symmetry
 
     calls = {"edge_orbits": 0, "edge_permutations": 0}
@@ -280,9 +262,8 @@ def test_a_dispatch_counts_the_edge_orbits_once(monkeypatch):
             return original(*args)
         return wrapper
 
-    orbit_count = counting("edge_orbits", symmetry.edge_orbits)
-    monkeypatch.setattr(symmetry, "edge_orbits", orbit_count)
-    monkeypatch.setattr(orbits, "edge_orbits", orbit_count)
+    monkeypatch.setattr(symmetry, "edge_orbits",
+                        counting("edge_orbits", symmetry.edge_orbits))
     monkeypatch.setattr(symmetry, "edge_permutations",
                         counting("edge_permutations", symmetry.edge_permutations))
     report = run(kronecker(crown(3), crown(4)), ColGenConfig())
@@ -331,7 +312,7 @@ def test_certified_basis_is_the_optimum_with_no_fallback(d, crown5, rng, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# Kronecker ladder
+# Kronecker powers
 # ---------------------------------------------------------------------------
 
 def test_power_one_is_the_plain_run(d):
@@ -339,16 +320,16 @@ def test_power_one_is_the_plain_run(d):
     assert report.converged and report.value == FIVE_HALVES
 
 
-def on_the_ladder(patch):
-    """Make solve_power fall back to the union ladder, as it does when
-    the orbit master cannot finish."""
+def in_the_full_space(patch):
+    """Make the orbit master fall back, as it does when it cannot
+    finish, so that `run` goes on in the full space."""
     import fracbp.orbits as orbits
 
     patch.setattr(orbits, "orbit_master", lambda *args: None)
 
 
-def test_power_two_by_ladder(d, monkeypatch):
-    on_the_ladder(monkeypatch)
+def test_power_two_in_the_full_space(d, monkeypatch):
+    in_the_full_space(monkeypatch)
     report = solve_power(d, 2, ColGenConfig())
     assert report.converged and report.value == SIX
     assert_is_fractional_partition(kronecker(d, d), report.support)
@@ -445,20 +426,22 @@ ORBIT_CASES = [
 ]
 
 
-# The ladder's value where running the ladder takes most of a test run:
-# D^3's takes ~30 s (test_acceptance's test_03 asserts the same value).
-LADDER_VALUES = {"domino^3": rat(2059, 149)}
+# The full-space value where the full-space run takes most of a test
+# run: D^3's takes ~16 s (test_acceptance's test_03 asserts the same
+# value).
+FULL_SPACE_VALUES = {"domino^3": rat(2059, 149)}
 
 
 def orbit_report(monkeypatch, base, k, config=None, progress=None):
-    """solve_power on the orbit path, failing if it reaches `run`."""
+    """solve_power on the orbit path, failing if it reaches the full
+    space."""
     import fracbp.colgen as colgen
 
     def refusing(*args, **kwargs):
-        raise AssertionError("the orbit master fell back to the ladder")
+        raise AssertionError("the orbit master fell back to the full space")
 
     with monkeypatch.context() as patch:
-        patch.setattr(colgen, "run", refusing)
+        patch.setattr(colgen, "_FloatBuffer", refusing)
         return solve_power(base, k, config or ColGenConfig(), progress=progress)
 
 
@@ -478,13 +461,13 @@ def test_orbit_master_is_certified_and_matches_the_ladder(name, base, k, monkeyp
     assert sum((w for _, w in report.support), rat(0)) == report.value
     assert list(report.support) == sorted(
         report.support, key=lambda t: (t[0].row_set, t[0].col_set))
-    if name in LADDER_VALUES:
-        assert report.value == LADDER_VALUES[name]
+    if name in FULL_SPACE_VALUES:
+        assert report.value == FULL_SPACE_VALUES[name]
         return
     with monkeypatch.context() as patch:
-        on_the_ladder(patch)
-        ladder = solve_power(base, k, ColGenConfig())
-    assert ladder.converged and report.value == ladder.value
+        in_the_full_space(patch)
+        full = solve_power(base, k, ColGenConfig())
+    assert full.converged and report.value == full.value
 
 
 def test_orbit_records_count_orbit_columns_and_new_profiles(d, monkeypatch):
@@ -588,7 +571,7 @@ def test_orbit_master_checkpoints_and_resumes(d, monkeypatch, tmp_path):
         orbit_report(monkeypatch, d, 3, ColGenConfig(checkpoint_path=path))
 
 
-def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
+def test_orbit_master_falls_back_to_the_full_space(d, monkeypatch):
     import fracbp.colgen as colgen
     import fracbp.lp as lp
     import fracbp.orbits as orbits
@@ -628,16 +611,91 @@ def test_orbit_master_falls_back_to_the_ladder(d, monkeypatch):
             patching(patch)
             report = solve_power(d, 2, ColGenConfig(), progress=seen.append)
         assert report.converged and report.value == SIX, name
-        # Progress shows the ladder's records only, none of the orbit
-        # master's it gave up on.
+        # Progress shows the full space's records only, none of the
+        # orbit master's it gave up on.
         assert seen == report.records, name
         assert_is_fractional_partition(report.matrix, report.support)
-        # The ladder solves both levels, on the levels already built.
-        assert [a.num_rows for a in runs] == [3, 9], name
+        # One run, on the power only.
+        assert [a.num_rows for a in runs] == [9], name
+
+
+def test_a_power_takes_the_orbit_master_with_its_constructed_group(monkeypatch):
+    import fracbp.symmetry as symmetry
+
+    # A seeded random base whose square has 10 edge orbits for 36 edges:
+    # `run` on the square alone keeps it in the full space.
+    rng = random.Random(0)
+    base = BinaryMatrix(3, 3, tuple(rng.getrandbits(3) for _ in range(3)))
+    square = kronecker_power(base, 2)
+    calls = spied(monkeypatch)
+    full = run(square, ColGenConfig())
+    assert calls["orbit_master"] == 0
+    # solve_power hands run the power's generators, which take it to
+    # the orbit master past the quarter rule and the colour refinement.
+    args = []
+    generators = symmetry.power_generators
+
+    def recording(*given):
+        args.append(given)
+        return generators(*given)
+
+    def refusing(*given):
+        raise AssertionError("edge_orbit_bounds ran on a power")
+
+    monkeypatch.setattr(symmetry, "power_generators", recording)
+    monkeypatch.setattr(symmetry, "edge_orbit_bounds", refusing)
+    report = solve_power(base, 2, ColGenConfig())
+    assert args == [(base, 2)]
+    assert calls["orbit_master"] == 1
+    assert report.converged and full.converged and report.value == full.value
+    assert_is_fractional_partition(square, report.support)
+
+
+def test_a_given_up_orbit_master_is_resumed_in_the_full_space(d, monkeypatch, tmp_path):
+    import dataclasses
+
+    import fracbp.colgen as colgen
+    import fracbp.orbits as orbits
+
+    path = str(tmp_path / "state.json")
+    master = orbits.orbit_master
+    written = []
+
+    def giving_up(a, maximals, config, gens, orbits_):
+        # One orbit iteration writes its checkpoint, then it gives up.
+        master(a, maximals, dataclasses.replace(config, max_iterations=1), gens, orbits_)
+        written.append(load_checkpoint(path, matrix_hash(a)))
+        return None
+
+    runs, resumed = [], []
+    run_, resume = colgen.run, colgen._resume
+
+    def counting_run(*args, **kwargs):
+        runs.append(args[0])
+        return run_(*args, **kwargs)
+
+    def recording_resume(*args):
+        resumed.append(resume(*args))
+        return resumed[-1]
+
+    monkeypatch.setattr(orbits, "orbit_master", giving_up)
+    monkeypatch.setattr(colgen, "run", counting_run)
+    monkeypatch.setattr(colgen, "_resume", recording_resume)
+    seen = []
+    report = solve_power(d, 2, ColGenConfig(checkpoint_path=path), progress=seen.append)
+    assert report.converged and report.value == SIX
+    assert runs == [kronecker_power(d, 2)]
+    # The orbit master starts afresh, the full space resumes its
+    # checkpoint, and progress shows only the full space's records,
+    # which go on from it.
+    assert len(written) == 1 and written[0][0] == 1
+    assert resumed == [None, written[0]]
+    assert seen == report.records and report.records[0].iteration == 2
+    assert_is_fractional_partition(report.matrix, report.support)
 
 
 def test_orbit_master_refuses_a_generator_that_maps_a_one_to_a_zero(d, monkeypatch):
-    import fracbp.orbits as orbits
+    import fracbp.symmetry as symmetry
     from fracbp.symmetry import Symmetry, power_generators
 
     # Swapping rows 0 and 1 of the first factor alone moves the zero at
@@ -645,7 +703,7 @@ def test_orbit_master_refuses_a_generator_that_maps_a_one_to_a_zero(d, monkeypat
     swap = list(range(9))
     swap[0:6] = [3, 4, 5, 0, 1, 2]
     bad = Symmetry(tuple(swap), tuple(range(9)))
-    monkeypatch.setattr(orbits, "power_generators",
+    monkeypatch.setattr(symmetry, "power_generators",
                         lambda base, k: [*power_generators(base, k), bad])
     with pytest.raises(InvariantViolation):
         solve_power(d, 2, ColGenConfig())
@@ -707,9 +765,8 @@ def test_symmetric_matrices_take_the_orbit_master(a, monkeypatch):
     assert sum(report.dual, rat(0)) == report.value
     alpha, _ = price_all(enumerate_maximal(a), EdgeWeights(a, report.dual), rat(2))
     assert alpha == report.final_alpha <= 1 + ColGenConfig().epsilon
-    # Only the union strategy, without lifted columns, takes it.
+    # Only the union strategy takes it.
     run(a, ColGenConfig(init_strategy="stars"))
-    run(a, ColGenConfig(), extra_initial=initial_stars(a))
     assert calls == {"power_generators": 1, "orbit_master": 1}
 
 
@@ -771,14 +828,14 @@ def counted_pricing(monkeypatch):
 
 def test_exact_pass_reuses_the_float_pricing(monkeypatch):
     calls = counted_pricing(monkeypatch)
-    on_the_ladder(monkeypatch)
+    in_the_full_space(monkeypatch)
     triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
     report = solve_power(triangle, 3, ColGenConfig())
     assert report.converged and report.value == 8
-    # One iteration per level: the float mirror prices once, and the
-    # certified exact dual equals its dual, so the exact pass reuses it.
+    # One iteration: the float mirror prices once, and the certified
+    # exact dual equals its dual, so the exact pass reuses it.
     assert len(report.records) == 1
-    assert calls[0] == 3
+    assert calls[0] == 1
 
 
 def test_orbit_exact_pass_reuses_the_float_pricing(d, monkeypatch):
