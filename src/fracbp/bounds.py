@@ -110,11 +110,15 @@ def integer_partition_number(
 
     Enumerates every biclique (partitions may need non-maximal parts)
     and runs branch and bound, which may prune with a's symmetries.
-    Returns (value, parts, nodes explored).
+    The search starts from the stars (`_stars`) as its incumbent, which
+    `solve_integer` checks edge by edge, so a root whose LP bound's
+    ceiling is their count closes at once.  Returns (value, parts,
+    nodes explored).
     """
     bicliques = enumerate_all_bicliques(a)
     result = solve_integer(build_master(a, bicliques, PARTITION), node_cap,
-                           lambda: edge_symmetries(a))
+                           lambda: edge_symmetries(a),
+                           _ids(bicliques, _stars(a)))
     chosen = [b for b, take in zip(bicliques, result.selection) if take]
     return result.objective, chosen, result.nodes
 
@@ -123,12 +127,54 @@ def integer_cover_number(
     a: BinaryMatrix, node_cap: int = NODE_CAP
 ) -> tuple[int, list[Biclique], int]:
     """Exact bc over maximal bicliques (maximality is free for covers);
-    branch and bound may prune with a's symmetries."""
+    branch and bound may prune with a's symmetries.  The search starts
+    from the maximal closures of the stars (`_closed_stars`) as its
+    incumbent, checked edge by edge by `solve_integer`."""
     maximals = enumerate_maximal(a)
     result = solve_integer(build_master(a, maximals, COVER), node_cap,
-                           lambda: edge_symmetries(a))
+                           lambda: edge_symmetries(a),
+                           _ids(maximals, _closed_stars(a)))
     chosen = [b for b, take in zip(maximals, result.selection) if take]
     return result.objective, chosen, result.nodes
+
+
+def _stars(a: BinaryMatrix) -> list[Biclique]:
+    """The row stars (one biclique per nonempty row) or the column
+    stars, whichever are fewer, the rows on a tie.  Either partitions
+    the ones, so bc(a) <= bp(a) <= their count."""
+    rows = [Biclique(1 << i, bits) for i, bits in enumerate(a.rows) if bits]
+    cols = [Biclique(mask, 1 << j) for j in range(a.num_cols)
+            if (mask := a.column_mask(j))]
+    return rows if len(rows) <= len(cols) else cols
+
+
+def _closed_stars(a: BinaryMatrix) -> list[Biclique]:
+    """The maximal bicliques that contain the row stars, or those that
+    contain the column stars, whichever are fewer, the rows on a tie;
+    sorted.  Either covers the ones.  A row's star closes to (every row
+    whose support contains the row's, the row's support), a column's to
+    (the column's support, the intersection of those rows)."""
+    rows = {Biclique(_rows_containing(a, bits), bits) for bits in a.rows if bits}
+    cols = set()
+    for j in range(a.num_cols):
+        mask = a.column_mask(j)
+        if mask:
+            common = -1
+            for i in bit_indices(mask):
+                common &= a.rows[i]
+            cols.add(Biclique(mask, common))
+    return sorted(rows if len(rows) <= len(cols) else cols)
+
+
+def _rows_containing(a: BinaryMatrix, bits: int) -> int:
+    """The row set whose supports contain the column set `bits`."""
+    return sum(1 << i for i, r in enumerate(a.rows) if r & bits == bits)
+
+
+def _ids(bicliques: list[Biclique], chosen) -> list[int]:
+    """The positions in `bicliques` of the bicliques `chosen`."""
+    index = {b: k for k, b in enumerate(bicliques)}
+    return [index[b] for b in chosen]
 
 
 def edge_symmetries(a: BinaryMatrix) -> list:

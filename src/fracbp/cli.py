@@ -110,8 +110,9 @@ def build_parser() -> _Parser:
     add_common(p)
     p.set_defaults(func=cmd_bcf)
 
-    node_cap_help = ("most branch-and-bound nodes (LP solves) to explore "
-                     "before refusing with exit code 3; the output's "
+    node_cap_help = ("most branch-and-bound nodes (LP solves) to explore, "
+                     "at least 1, before refusing with exit code 3 and the "
+                     "best value found and root LP bound; the output's "
                      "iterations is the number explored")
     p = sub.add_parser("bp", help="integer biclique partition number")
     add_common(p)

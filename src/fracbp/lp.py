@@ -66,15 +66,20 @@ Design notes that matter for correctness:
 - Branch and bound (`solve_integer`) solves its root with `solve` and
   every other node on one HiGHS model of the root LP, as a change of
   column bounds that HiGHS re-solves hot from its last basis.  HiGHS
-  only steers there too.  A node is pruned only on its rounded row
-  duals after an exact integer check that they are dual feasible for
-  the node's own LP, which gives an exact lower bound: one sum per
-  root column, since y is zero off the node's rows, in int64 unless a
-  sum could reach 2^62.  An integral float leaf is closed only after
-  its columns are checked edge by edge to partition (or cover) the
-  node's rows, in exactly as many columns as that bound.  A node whose
-  float solve fails, or whose duals or leaf fail a check, is solved
-  exactly by `solve` instead.
+  only steers there too.  The caller may hand in an incumbent (the
+  integer numbers in `bounds` pass the stars, or their maximal
+  closures for a cover); it is checked edge by edge as an integral
+  leaf is and taken before the root is bounded, so a root whose LP
+  value's ceiling is the incumbent's size closes at once, with no
+  HiGHS model and no symmetries.  A node is pruned only on its
+  rounded row duals after an exact integer check that they are dual
+  feasible for the node's own LP, which gives an exact lower bound:
+  one sum per root column, since y is zero off the node's rows, in
+  int64 unless a sum could reach 2^62.  An integral float leaf is
+  closed only after its columns are checked edge by edge to partition
+  (or cover) the node's rows, in exactly as many columns as that
+  bound.  A node whose float solve fails, or whose duals or leaf fail
+  a check, is solved exactly by `solve` instead.
 - Branching is orbital when the caller supplies symmetries of the LP
   (Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011; Margot
   2010): row maps that send every column onto a column, as the
@@ -838,7 +843,7 @@ def highs_solution(model):
 # ---------------------------------------------------------------------------
 
 def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
-                  symmetries=None) -> IntegerSolution:
+                  symmetries=None, incumbent=None) -> IntegerSolution:
     """Optimal integer (0/1) solution by LP-based branch and bound.
 
     Depth first, branching on the most fractional variable, diving on
@@ -848,9 +853,18 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
     solved by `solve` (see the module notes).  The objective is the
     integer optimum whatever vertices HiGHS and `solve` return.  The
     selection is one optimum among possibly several, and it and the
-    node count move with those vertices.  `node_cap` limits LP solves;
-    exceeding it raises NodeCapExceeded carrying the incumbent and root
-    bound.
+    node count move with those vertices.  `node_cap`, at least 1,
+    limits LP solves; exceeding it raises NodeCapExceeded carrying the
+    incumbent and root bound.
+
+    `incumbent`, when given, is a list of column ids that the caller
+    says is a 0/1 solution.  It is checked exactly, as an integral leaf
+    is: the ids must be distinct and in range, and their columns must
+    partition (or cover) every row, else ContractViolation.  It is taken
+    as the first incumbent after the root solve, so a root whose LP
+    value's ceiling equals its size closes in one node, and a better
+    solution must beat it.  The returned selection may be the incumbent
+    itself; the objective is the same with or without one.
 
     `symmetries`, when given, is a function of no arguments returning
     row maps of `lp`, each a sequence whose entry r is row r's image,
@@ -859,20 +873,24 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
     since a symmetry h maps any solution with x_h(j) = 1 onto one with
     x_j = 1, which the x=1 child searches.  The function is called at
     most once, at the first x=0 child that must branch while no
-    incumbent meets the root bound's ceiling, so a search that meets
-    it on its first dive never calls it.  The maps are checked
-    exactly: one that is no permutation of the rows, or that sends
-    some column onto no column, raises InvariantViolation, and the
-    columns must be distinct.  The group they generate is closed up to
+    incumbent meets the root bound's ceiling, so a search whose given
+    incumbent meets it, or that meets it on its first dive, never
+    calls it.  The maps are checked exactly: one that is no
+    permutation of the rows, or that sends some column onto no column,
+    raises InvariantViolation, and the columns must be distinct.  The group they generate is closed up to
     `symmetry._CLOSURE_CAP` elements, which only weakens the pruning.
     The objective is the same with or without them; the selection and
     the node count move.
     """
+    if node_cap < 1:
+        raise ContractViolation(f"node cap must be at least 1, got {node_cap}")
     root = solve(lp)
     if root.status == "infeasible":
         raise ContractViolation("integer model is infeasible")
     search = _BranchAndBound(lp, node_cap, root.objective, symmetries)
     cols = list(enumerate(lp.columns))
+    if incumbent is not None:
+        search.offer_incumbent(list(incumbent))
     frac = search.exact_node(cols, [], root)
     if frac is not None:
         search.indptr, search.indices, search.model = _node_model(lp)
@@ -1009,8 +1027,10 @@ class _BranchAndBound:
             return None
         self.nodes += 1
         if self.nodes > self.node_cap:
+            best = "none" if self.best is None else self.best
             raise NodeCapExceeded(
-                f"branch and bound exceeded {self.node_cap} nodes",
+                f"branch and bound exceeded {self.node_cap} nodes; best found "
+                f"{best}, root LP bound {self.root_bound}",
                 incumbent=self.best, root_bound=self.root_bound,
                 nodes=self.nodes)
         return self.node(row_mask, cols, ones)
@@ -1054,6 +1074,20 @@ class _BranchAndBound:
         if frac is None:
             self._offer(ones + [cols[k][0] for k, v in enumerate(sol.primal) if v == 1])
         return frac
+
+    def offer_incumbent(self, ids: list[int]) -> None:
+        """Offer the caller's 0/1 solution, the column ids `ids`, once
+        checked edge by edge as an integral leaf is: distinct ids in
+        range whose columns partition (or cover) every row."""
+        if len(set(ids)) != len(ids):
+            raise ContractViolation("the incumbent repeats a column")
+        if not all(0 <= k < self.lp.num_cols for k in ids):
+            raise ContractViolation("the incumbent names a column out of range")
+        if not self._fills((1 << self.lp.num_rows) - 1,
+                           [(k, self.lp.columns[k]) for k in ids]):
+            raise ContractViolation(
+                f"the incumbent does not {self.lp.sense} the rows")
+        self._offer(ids)
 
     def _offer(self, chosen: list[int]) -> None:
         if self.best is None or len(chosen) < self.best:

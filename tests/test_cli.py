@@ -183,9 +183,24 @@ def test_integer_cover_command():
 
 
 def test_node_cap_refusal_exits_three():
-    code, _, err = run_cli("bp", "domino", "--node-cap", "1")
+    code, _, err = run_cli("bp", "crown5", "--node-cap", "1")
     assert code == 3
     assert err
+
+
+def test_node_cap_refusal_reports_its_bounds():
+    # The row stars give 5 before the root; the root LP gives 10/3.
+    code, _, err = run_cli("bp", "crown5", "--node-cap", "1")
+    assert code == 3
+    assert "best found 5" in err and "root LP bound 10/3" in err
+
+
+def test_nonpositive_node_cap_exits_sixty_four():
+    for command in ("bp", "bc"):
+        for cap in ("0", "-5"):
+            code, out, err = run_cli(command, "domino", "--node-cap", cap)
+            assert code == 64 and out == ""
+            assert "node cap" in err and "exceeded" not in err
 
 
 def test_cli_import_loads_no_symmetry_module():

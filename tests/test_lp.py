@@ -5,7 +5,7 @@ import pytest
 
 import fracbp.lp as lp
 from fracbp.colgen import initial_stars
-from fracbp.core import BinaryMatrix, enumerate_all_bicliques, incidence_column
+from fracbp.core import Biclique, BinaryMatrix, enumerate_all_bicliques, incidence_column
 from fracbp.errors import ContractViolation, InvariantViolation, NodeCapExceeded
 from fracbp.lp import (
     COVER,
@@ -663,3 +663,50 @@ def test_integer_node_cap_past_the_root(crown5):
             solve_integer(prog, node_cap=cap)
         assert info.value.root_bound == Fraction(10, 3)
         assert info.value.incumbent is None or info.value.incumbent >= optimum
+
+
+def test_a_nonpositive_node_cap_is_refused(d):
+    prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
+    for cap in (0, -5):
+        with pytest.raises(ContractViolation):
+            solve_integer(prog, node_cap=cap)
+
+
+def test_an_incumbent_is_checked_edge_by_edge(d):
+    bicliques = enumerate_all_bicliques(d)
+    partition = build_master(d, bicliques, PARTITION)
+    cover = build_master(d, enumerate_maximal(d), COVER)
+    index = {b: k for k, b in enumerate(bicliques)}
+    rows = [index[b] for b in initial_stars(d)]
+    # Row 0's star and column 0's star share the one (0, 0).
+    col0 = index[Biclique(0b011, 0b001)]
+    assert solve_integer(partition, incumbent=rows).objective == 3
+    for bad in (rows + [col0],          # overlaps
+                rows[:-1],              # leaves the ones of row 2 bare
+                rows + [rows[0]],       # repeats an id
+                rows[:-1] + [partition.num_cols],
+                rows[:-1] + [-1]):
+        with pytest.raises(ContractViolation):
+            solve_integer(partition, incumbent=bad)
+    # The same overlap is a valid cover; one maximal alone covers too little.
+    assert solve_integer(build_master(d, bicliques, COVER),
+                         incumbent=rows + [col0]).objective == 2
+    for bad in ([0], [0, 0, 1], [cover.num_cols]):
+        with pytest.raises(ContractViolation):
+            solve_integer(cover, incumbent=bad)
+
+
+def test_the_stars_keep_the_integer_objective(rng):
+    import fracbp.bounds as bounds
+
+    for a in seeded_matrices(rng, 40):
+        pools = (enumerate_all_bicliques(a), enumerate_maximal(a))
+        starts = (bounds._stars(a), bounds._closed_stars(a))
+        for pool, start, sense in zip(pools, starts, (PARTITION, COVER)):
+            prog = build_master(a, pool, sense)
+            incumbent = bounds._ids(pool, start)
+            plain = solve_integer(prog)
+            seeded = solve_integer(prog, incumbent=incumbent)
+            assert seeded.objective == plain.objective <= len(incumbent)
+            assert_exact_selection(prog, plain)
+            assert_exact_selection(prog, seeded)
