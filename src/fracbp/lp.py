@@ -6,11 +6,16 @@ The only LPs solved in this package have the shape
     x >= 0
 
 where M is a 0/1 edge-by-biclique incidence matrix, stored column-wise
-as bitsets over rows.  The solver is a revised simplex whose basis
-inverse is kept fraction free: an integer matrix T and a positive
-integer den with B^-1 = T/den, den being the basis determinant up to
-sign.  Every reported objective, primal, and dual is a true rational
-number, not an approximation.
+as bitsets over rows, and once more as one CSC of row indices
+(`LinearProgram.csc`), built on first use.  The simplex's pricing and
+column reads, the certificate checks, and branch and bound's dual
+bounds, symmetry checks and HiGHS model all read that one layout; a
+column's exact sum of a row vector is `LinearProgram.column_sums`.
+The solver is a revised simplex whose basis inverse is kept fraction
+free: an integer matrix T and a positive integer den with
+B^-1 = T/den, den being the basis determinant up to sign.  Every
+reported objective, primal, and dual is a true rational number, not an
+approximation.
 
 Two entry points: `solve` is stateless and certifies its answer
 (strong duality, feasibility, or a Farkas ray), on `SimplexSolver`,
@@ -23,9 +28,9 @@ Design notes that matter for correctness:
 - Every solve that can starts feasible, from a basis whose inverse
   has a closed form at determinant +-1 (`install_start`): a cover
   from a minimal cover with surpluses on the other rows, a partition
-  from its singleton columns.  Phase 1 from the all-artificial basis
-  (`solve_from_cold`) is only the fallback, and the only source of
-  Farkas rays.
+  from its singleton columns, B = I.  These are the only starts.
+  Phase 1 from the all-artificial basis (`solve_from_cold`) is the
+  fallback, and the only source of Farkas rays.
 - The columns of a cold start can leave the constraint matrix rank
   deficient.  Redundant rows keep an artificial variable
   pinned in the basis at value zero forever; the ratio test caps the
@@ -51,8 +56,8 @@ Design notes that matter for correctness:
   int64, so the Python-int regime must stay usable.  The two regimes
   differ only in `_exchange` and `_set_matrix`: every pivot recomputes
   basic values and duals from T and picks the entering column by one
-  exact integer scan of the pool, so no state is carried between pivots
-  and none can drift.  The lexicographic reference is never
+  exact integer sum per column (`column_sums`), so no state is carried
+  between pivots and none can drift.  The lexicographic reference is never
   materialized; its entries are read off T and a snapshot of the reset
   basis only when a tie actually needs them.
 - A float solver's optimal basis is certified without a simplex and
@@ -112,6 +117,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 # scipy's private HiGHS binding; see pyproject.toml.
@@ -161,6 +167,26 @@ class LinearProgram:
     def num_cols(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns as (indptr, indices), int32: column j's rows are
+        indices[indptr[j]:indptr[j + 1]], ascending.  Built once; the
+        simplex, the certificate checks and branch and bound all read
+        it."""
+        rows = [bit_indices(bits) for bits in self.columns]
+        indptr = np.zeros(self.num_cols + 1, dtype=np.int32)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indices = np.fromiter((r for col in rows for r in col), dtype=np.int32,
+                              count=int(indptr[-1]))
+        return indptr, indices
+
+    def column_sums(self, y: np.ndarray) -> np.ndarray:
+        """Each column's sum of `y` over its rows, exactly: `y` holds
+        int64 (whose sums the caller keeps in range) or Python ints.
+        Empty when there are no columns."""
+        indptr, indices = self.csc
+        return np.add.reduceat(y[indices], indptr[:-1])
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -203,10 +229,10 @@ def build_master(a: BinaryMatrix, bicliques, sense: str) -> LinearProgram:
 # -1 - num_rows - r.  Negative codes never collide with column ids.
 
 class SimplexSolver:
-    """Revised simplex over a column set fixed when it is built.
+    """Revised simplex over the columns of one `LinearProgram`.
 
-    `columns` are row bitsets, and a column's id is its position among
-    them.  `solve` builds a fresh solver for each LP.
+    A column's id is its position in `lp.columns`, and its rows are
+    read off `lp.csc`.  `solve` builds a fresh solver for each LP.
 
     The basis inverse lives in `self.T` (dense integer numpy array) and
     `self.delta` (positive int) with B^-1 = T/delta.  Basic values x_B
@@ -217,22 +243,10 @@ class SimplexSolver:
     Results are exact in both regimes.
     """
 
-    def __init__(self, num_rows: int, sense: str, columns):
-        if sense not in (PARTITION, COVER):
-            raise ContractViolation(f"unknown sense {sense!r}")
-        self.m = num_rows
-        self.sense = sense
-        # (bits, rows) per column id.
-        self.columns: list[tuple[int, tuple[int, ...]]] = []
-        for bits in columns:
-            if bits <= 0 or bits >> num_rows:
-                raise ContractViolation(
-                    f"column {len(self.columns)} empty or out of row range")
-            self.columns.append((bits, bit_indices(bits)))
-        # The columns as a dense 0/1 matrix for vectorized pricing.
-        self._pool = np.zeros((num_rows, len(self.columns)), dtype=np.int8)
-        for cid, (_, rows) in enumerate(self.columns):
-            self._pool[list(rows), cid] = 1
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self.m = lp.num_rows
+        self.sense = lp.sense
         self.basis: list[int] | None = None
         self.T: np.ndarray | None = None
         self.delta: int = 1
@@ -248,54 +262,60 @@ class SimplexSolver:
 
     # -- basis installation --
 
-    def install_start(self, col_ids) -> None:
-        """Feasible start from columns that cover every row, each owning
-        a private row that no other start column covers.
+    def install_start(self) -> bool:
+        """Install a feasible basis whose inverse has a closed form at
+        determinant +-1, or return False when the LP has none of these.
 
-        Each column becomes basic at value 1 on its lowest private row.
-        Every other row r gets a row variable: in a partition the start
-        columns must be pairwise disjoint, and r gets an artificial
-        pinned at zero; in a cover r gets its surplus, at r's cover
-        count minus one.  With the private rows P first, the basis is
-        B = [[I, 0], [A_NP, s*I]] for s = +1 (artificial) or -1
-        (surplus), so B^-1 = [[I, 0], [-s*A_NP, s*I]] in closed form, at
-        determinant +-1 and with no elimination.
+        Partition: each row's lowest-id singleton column, when every row
+        has one; B = I.  Cover: a minimal cover, with a surplus on every
+        row that no cover column owns.  Columns are scanned smallest
+        first, ties to the lower id, and each is dropped when all its
+        rows are covered by the columns still kept, so every kept column
+        owns a row that no other kept column covers, and is basic at
+        value 1 on the lowest one.  With those rows P first the basis is
+        B = [[I, 0], [A_NP, -I]], so B^-1 = [[I, 0], [A_NP, -I]], and a
+        surplus's value is its row's cover count minus one.
         """
+        indptr, indices = self.lp.csc
         m = self.m
-        count = [0] * m
-        for cid in col_ids:
-            for r in self.columns[cid][1]:
-                count[r] += 1
-        if not all(count):
-            raise ContractViolation("start columns must cover every row")
-        if self.sense == PARTITION and max(count) > 1:
-            raise ContractViolation("start columns must be disjoint")
-        s = 1 if self.sense == PARTITION else -1
-        basis = [self.artificial(r) if s == 1 else -1 - r for r in range(m)]
         t = np.eye(m, dtype=np.int64)
-        for cid in col_ids:
-            rows = self.columns[cid][1]
-            rep = next((r for r in rows if count[r] == 1), None)
-            if rep is None:
-                raise ContractViolation(
-                    f"start column {cid} has no row of its own")
-            basis[rep] = cid
-            for i in rows:
-                if i != rep:
-                    t[i, rep] = -s
-        for r, code in enumerate(basis):
-            if code < 0:
-                t[r, r] = s
+        if self.sense == PARTITION:
+            single = np.nonzero(np.diff(indptr) == 1)[0]
+            rows, first = np.unique(indices[indptr[single]], return_index=True)
+            if len(rows) < m:
+                return False
+            basis = single[first].tolist()
+        else:
+            count = np.bincount(indices, minlength=m).tolist()
+            if not all(count):
+                return False
+            cols = [indices[a:b].tolist()
+                    for a, b in zip(indptr.tolist(), indptr[1:].tolist())]
+            basis = [-1 - r for r in range(m)]
+            for cid in sorted(range(len(cols)), key=lambda k: (len(cols[k]), k)):
+                if all(count[r] > 1 for r in cols[cid]):
+                    for r in cols[cid]:
+                        count[r] -= 1
+                    cols[cid] = None
+            for cid, rows in enumerate(cols):
+                if rows is not None:
+                    rep = next(r for r in rows if count[r] == 1)
+                    basis[rep] = cid
+                    t[rows, rep] = 1
+            for r, code in enumerate(basis):
+                if code < 0:
+                    t[r, r] = -1
         self.basis = basis
         self._set_matrix(t, 1)
         self._feasible = True
+        return True
 
     # -- solving --
 
     def solve_from_cold(self) -> str:
         """Phase 1 from the all-artificial basis, then phase 2; returns
-        "optimal" or "infeasible".  `solve` falls back to this when it
-        has no start for `install_start`."""
+        "optimal" or "infeasible".  `solve` falls back to this when
+        `install_start` finds no start."""
         self.basis = [self.artificial(r) for r in range(self.m)]
         self._set_matrix(np.eye(self.m, dtype=np.int64), 1)
         self._feasible = False
@@ -373,10 +393,11 @@ class SimplexSolver:
         # now, and the pivot recurrence preserves the identity, so the
         # snapshot is enough to evaluate any G entry later.  Every basic
         # row is strictly lexicographically positive in [x_B | G].
+        indptr, indices = self.lp.csc
         ref = []
         for code in self.basis:
             if code >= 0:
-                ref.append((list(self.columns[code][1]), 1))
+                ref.append((indices[indptr[code]:indptr[code + 1]], 1))
             elif self._is_surplus(code):
                 ref.append(([-1 - code], -1))
             else:
@@ -421,8 +442,8 @@ class SimplexSolver:
         thresh = self.delta if phase == 2 else 0
         best_code = None
         best_num = None
-        if self.columns:
-            scores = y_nums @ self._pool
+        if self.lp.num_cols:
+            scores = self.lp.column_sums(y_nums)
             cid = int(np.argmax(scores))
             if scores[cid] > thresh:
                 best_code = cid
@@ -437,8 +458,8 @@ class SimplexSolver:
     def _ftran_scaled(self, code: int) -> np.ndarray:
         """t*delta for the entering column, as integers."""
         if code >= 0:
-            _, rows = self.columns[code]
-            return self.T[:, list(rows)].sum(axis=1)
+            indptr, indices = self.lp.csc
+            return self.T[:, indices[indptr[code]:indptr[code + 1]]].sum(axis=1)
         if self._is_surplus(code):
             return -self.T[:, -1 - code]
         return self.T[:, -1 - self.m - code].copy()
@@ -604,78 +625,52 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve to proven optimality or infeasibility, with exact certificates.
 
     Each call builds a fresh `SimplexSolver` and runs phase 2 only from
-    a feasible start in closed form (`_start_columns`): a minimal cover
-    for a cover, the singleton columns for a partition.  When there is
-    none, because a cover's columns miss a row or a partition row has
-    no singleton column, it starts cold, and phase 1 either finds a
-    feasible basis or proves infeasibility.  Optimal solutions are
-    checked for primal feasibility and exact strong duality before
+    its feasible start in closed form (`install_start`): a minimal
+    cover for a cover, the singleton columns for a partition.  When
+    there is none, because a cover's columns miss a row or a partition
+    row has no singleton column, it starts cold, and phase 1 either
+    finds a feasible basis or proves infeasibility.  Optimal solutions
+    are checked for primal feasibility and exact strong duality before
     being returned; infeasible outcomes carry a verified Farkas ray.
     The optimal value is unique, but which optimal vertex is returned
     depends on the start.
     """
-    s = SimplexSolver(lp.num_rows, lp.sense, lp.columns)
-    start = _start_columns(s)
-    if start is not None:
-        s.install_start(start)
+    s = SimplexSolver(lp)
+    if s.install_start():
         s.reoptimize()
     elif s.solve_from_cold() == "infeasible":
         ray = s.farkas_ray()
-        _check_farkas(lp, s.columns, ray)
+        _check_farkas(lp, ray)
         return LpSolution("infeasible", None, None, ray)
     x = [ZERO] * lp.num_cols
     for cid, v in s.primal_by_id().items():
         x[cid] = v
     y = s.duals()
     obj = s.objective()
-    _check_optimal(lp, s.columns, x, y, obj)
+    _check_optimal(lp, x, y, obj)
     return LpSolution("optimal", obj, tuple(x), y)
 
 
-def _start_columns(s: SimplexSolver) -> list[int] | None:
-    """Column ids for `s.install_start`, or None when there are none.
-
-    Cover: a minimal cover.  Columns are scanned smallest first, ties to
-    the lower id, and each is dropped when all its rows are covered by
-    the columns still kept, so every kept column ends up owning a row.
-    Partition: each row's lowest-id singleton column, when every row
-    has one.
-    """
-    m = s.m
-    if s.sense == PARTITION:
-        singles: dict[int, int] = {}
-        for cid, (_, rows) in enumerate(s.columns):
-            if len(rows) == 1:
-                singles.setdefault(rows[0], cid)
-        return [singles[r] for r in range(m)] if len(singles) == m else None
-    count = [0] * m
-    for _, rows in s.columns:
-        for r in rows:
-            count[r] += 1
-    if not all(count):
-        return None
-    kept = set(range(len(s.columns)))
-    for cid in sorted(kept, key=lambda k: (len(s.columns[k][1]), k)):
-        rows = s.columns[cid][1]
-        if all(count[r] > 1 for r in rows):
-            for r in rows:
-                count[r] -= 1
-            kept.discard(cid)
-    return sorted(kept)
+def _first_column_above(lp: LinearProgram, yn: list[int], cap: int) -> int | None:
+    """The lowest column id whose rows sum `yn` past `cap`, or None.
+    The sums run in int64 when the sum of |yn| bounds them below
+    _INT64_GUARD, else in Python ints."""
+    dtype = np.int64 if sum(map(abs, yn)) < _INT64_GUARD else object
+    sums = lp.column_sums(np.array(yn, dtype=dtype)).tolist()
+    return next((k for k, v in enumerate(sums) if v > cap), None)
 
 
-def _check_optimal(lp: LinearProgram, columns, x, y, obj) -> None:
-    # `columns` is lp's columns as a solver holds them, (bits, rows) per
-    # column, so no column is split into its rows again here.
+def _check_optimal(lp: LinearProgram, x, y, obj) -> None:
     # Denominators are cleared once, so every per-row and per-column
     # sum is over integers: x = xn / dx and y = yn / dy.
     dx, xn = clear_denominators(x)
+    indptr, indices = lp.csc
     cover = [0] * lp.num_rows
-    for (_, rows), v in zip(columns, xn):
+    for k, v in enumerate(xn):
         if v < 0:
             raise InvariantViolation("negative primal value")
         if v:
-            for r in rows:
+            for r in indices[indptr[k]:indptr[k + 1]].tolist():
                 cover[r] += v
     for r, c in enumerate(cover):
         ok = (c == dx) if lp.sense == PARTITION else (c >= dx)
@@ -686,22 +681,19 @@ def _check_optimal(lp: LinearProgram, columns, x, y, obj) -> None:
         raise InvariantViolation("strong duality does not hold exactly")
     if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover dual must be nonnegative")
-    getter = yn.__getitem__
-    for k, (_, rows) in enumerate(columns):
-        if sum(map(getter, rows)) > dy:
-            raise InvariantViolation(f"dual infeasible at column {k}")
+    k = _first_column_above(lp, yn, dy)
+    if k is not None:
+        raise InvariantViolation(f"dual infeasible at column {k}")
 
 
-def _check_farkas(lp: LinearProgram, columns, y) -> None:
-    # `columns` as in _check_optimal; y = yn / dy with dy > 0, so every
-    # sign test holds on yn alone.
+def _check_farkas(lp: LinearProgram, y) -> None:
+    # y = yn / dy with dy > 0, so every sign test holds on yn alone.
     _, yn = clear_denominators(y)
     if sum(yn) <= 0:
         raise InvariantViolation("Farkas ray has nonpositive objective")
-    getter = yn.__getitem__
-    for k, (_, rows) in enumerate(columns):
-        if sum(map(getter, rows)) > 0:
-            raise InvariantViolation(f"Farkas ray violated by column {k}")
+    k = _first_column_above(lp, yn, 0)
+    if k is not None:
+        raise InvariantViolation(f"Farkas ray violated by column {k}")
     if lp.sense == COVER and any(v < 0 for v in yn):
         raise InvariantViolation("cover Farkas ray must be nonnegative")
 
@@ -893,7 +885,7 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
         search.offer_incumbent(list(incumbent))
     frac = search.exact_node(cols, [], root)
     if frac is not None:
-        search.indptr, search.indices, search.model = _node_model(lp)
+        search.model = _node_model(lp)
         search.branch((1 << lp.num_rows) - 1, cols, [], frac)
     if search.best is None:
         raise InvariantViolation("no integer solution found in a feasible model")
@@ -923,8 +915,7 @@ class _BranchAndBound:
     A node is its live rows (`row_mask`), its live columns as (column
     id, bits on the live rows), and the column ids fixed at one
     (`ones`).  `model` is the HiGHS model of the root LP, or None when
-    HiGHS refused it, and then every node is solved exactly; `indptr`
-    and `indices` hold the root LP's columns in CSC form.
+    HiGHS refused it, and then every node is solved exactly.
 
     A node's symmetries (`group`) are row maps, one per row of an
     array, each mapping `ones` onto itself and the live columns onto
@@ -941,7 +932,6 @@ class _BranchAndBound:
         self.node_cap = node_cap
         self.root_bound = root_bound
         self.model = None
-        self.indptr = self.indices = None
         self.best: int | None = None
         self.chosen: set[int] = set()
         self.nodes = 1
@@ -1126,7 +1116,7 @@ class _BranchAndBound:
             y[rows] = [int(v) for v in nums.tolist()]
         else:
             return None
-        sums = np.add.reduceat(y[self.indices], self.indptr[:-1])
+        sums = self.lp.column_sums(y)
         # y = nums * keep / limit, a shade below the float duals, and
         # for an integer s, s * keep > limit exactly when s > limit // keep.
         keep = (1 << _SHRINK_BITS) - 1
@@ -1218,7 +1208,7 @@ class _BranchAndBound:
             if sorted(perm) != rows:
                 raise InvariantViolation("a row map is no permutation of the rows")
             g = np.array(perm, dtype=dtype)
-            images = np.add.reduceat(self._bit[g[self.indices]], self.indptr[:-1])
+            images = self.lp.column_sums(self._bit[g])
             if not all(b in self._col_id for b in images.tolist()):
                 raise InvariantViolation("a row map sends a column onto no column")
             if perm != rows:
@@ -1265,15 +1255,9 @@ def _without(cols, orbit):
 
 
 def _node_model(lp: LinearProgram):
-    """The root LP's columns in CSC form, (indptr, indices), and its
-    HiGHS model, or None in its place when HiGHS refuses it."""
-    rows = [bit_indices(bits) for bits in lp.columns]
-    indptr = np.zeros(lp.num_cols + 1, dtype=np.int32)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter((r for col in rows for r in col), dtype=np.int32,
-                          count=int(indptr[-1]))
-    model = highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
-    return indptr, indices, model
+    """The root LP's HiGHS model, or None when HiGHS refuses it."""
+    indptr, indices = lp.csc
+    return highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
 
 
 def _highs_node(model, lower, upper):

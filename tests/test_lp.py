@@ -5,7 +5,8 @@ import pytest
 
 import fracbp.lp as lp
 from fracbp.colgen import initial_stars
-from fracbp.core import Biclique, BinaryMatrix, enumerate_all_bicliques, incidence_column
+from fracbp.core import (Biclique, BinaryMatrix, crown, enumerate_all_bicliques,
+                         incidence_column)
 from fracbp.errors import ContractViolation, InvariantViolation, NodeCapExceeded
 from fracbp.lp import (
     COVER,
@@ -63,16 +64,46 @@ def test_linear_program_validation():
 def test_solver_refuses_an_empty_or_out_of_range_column(d):
     m = d.num_edges
     with pytest.raises(ContractViolation, match="column 1 empty"):
-        SimplexSolver(m, PARTITION, [0b1, 0])
+        LinearProgram(m, (0b1, 0), PARTITION)
     with pytest.raises(ContractViolation, match="column 0 empty"):
-        SimplexSolver(m, PARTITION, [-1])
+        LinearProgram(m, (-1,), PARTITION)
     with pytest.raises(ContractViolation, match="out of row range"):
-        SimplexSolver(m, PARTITION, [1 << m])
+        LinearProgram(m, (1 << m,), PARTITION)
     with pytest.raises(ContractViolation, match="unknown sense"):
-        SimplexSolver(m, "maximize", [0b1])
-    solver = SimplexSolver(m, PARTITION, [(1 << m) - 1])
+        LinearProgram(m, (0b1,), "maximize")
+    solver = SimplexSolver(LinearProgram(m, ((1 << m) - 1,), PARTITION))
     assert solver.solve_from_cold() == "optimal"
     assert solver.objective() == rat(1)
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int64, 1 << 20), (object, 1 << 70)])
+def test_the_csc_lists_each_column_and_sums_it_exactly(rng, dtype, top):
+    # Root LPs and node LPs: the root's columns cut to a child's rows
+    # after one column is fixed at one, renumbered by `_remap`.  Python
+    # ints of up to 70 bits sum past 2^63, where int64 would wrap.
+    progs = []
+    for a in seeded_matrices(rng, 12):
+        for prog in integer_models(a):
+            progs.append(prog)
+            full = (1 << prog.num_rows) - 1
+            cols = list(enumerate(prog.columns))
+            rows, live = lp._fix_one(prog.sense, full, cols, rng.randrange(len(cols)))
+            if rows and live:
+                progs.append(lp._remap(prog.sense, rows, live))
+    assert len(progs) > 30
+    for prog in progs:
+        indptr, indices = prog.csc
+        assert prog.csc is prog.csc
+        assert indptr.dtype == indices.dtype == np.int32
+        assert len(indptr) == prog.num_cols + 1 and indptr[0] == 0
+        for bits, start, stop in zip(prog.columns, indptr, indptr[1:]):
+            rows = indices[start:stop].tolist()
+            assert rows == sorted(rows) and sum(1 << r for r in rows) == bits
+        y = [rng.randint(-top, top) for _ in range(prog.num_rows)]
+        sums = prog.column_sums(np.array(y, dtype=dtype))
+        assert sums.dtype == dtype
+        assert sums.tolist() == [sum(v for r, v in enumerate(y) if (bits >> r) & 1)
+                                 for bits in prog.columns]
 
 
 def test_build_master_uses_edge_order(d):
@@ -132,32 +163,26 @@ def test_maximals_only_partition_is_infeasible(d):
     assert sol.status == "infeasible"
 
 
-def split_columns(prog: LinearProgram):
-    """The program's columns as a solver holds them: (bits, rows)."""
-    return SimplexSolver(prog.num_rows, prog.sense, prog.columns).columns
-
-
 def test_certificate_checks_refuse_bad_certificates(d):
     prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
-    cols = split_columns(prog)
     sol = solve(prog)
     x, y, obj = list(sol.primal), list(sol.dual), sol.objective
-    lp._check_optimal(prog, cols, x, y, obj)
+    lp._check_optimal(prog, x, y, obj)
     # A step of 1/den, den beyond every denominator in the certificate.
     step = Fraction(1, 7 * max(v.denominator for v in x + y))
 
     bad = list(x)
     bad[x.index(0)] = -step
     with pytest.raises(InvariantViolation, match="negative primal"):
-        lp._check_optimal(prog, cols, bad, y, obj)
+        lp._check_optimal(prog, bad, y, obj)
 
     bad = list(x)
     bad[x.index(0)] = step
     with pytest.raises(InvariantViolation, match="primal infeasible"):
-        lp._check_optimal(prog, cols, bad, y, obj)
+        lp._check_optimal(prog, bad, y, obj)
 
     with pytest.raises(InvariantViolation, match="strong duality"):
-        lp._check_optimal(prog, cols, x, y, obj + step)
+        lp._check_optimal(prog, x, y, obj + step)
 
     # Raise one dual on a tight column, and the objective with it, so
     # only dual feasibility breaks.
@@ -166,15 +191,14 @@ def test_certificate_checks_refuse_bad_certificates(d):
     bad = list(y)
     bad[row] += step
     with pytest.raises(InvariantViolation, match=f"dual infeasible at column {tight}"):
-        lp._check_optimal(prog, cols, x, bad, obj + step)
+        lp._check_optimal(prog, x, bad, obj + step)
 
 
 def test_farkas_check_refuses_a_violated_ray(d):
     cols = [b for b in enumerate_all_bicliques(d) if b.num_edges >= 4]
     prog = build_master(d, cols, PARTITION)
-    cols = split_columns(prog)
     ray = list(solve(prog).dual)
-    lp._check_farkas(prog, cols, ray)
+    lp._check_farkas(prog, ray)
     # Lift one row of column 0 until that column sums to 1/den > 0.
     bits = prog.columns[0]
     row = (bits & -bits).bit_length() - 1
@@ -182,7 +206,7 @@ def test_farkas_check_refuses_a_violated_ray(d):
     step = Fraction(1, 7 * max(v.denominator for v in ray))
     ray[row] += step - total
     with pytest.raises(InvariantViolation, match="Farkas ray violated by column 0"):
-        lp._check_farkas(prog, cols, ray)
+        lp._check_farkas(prog, ray)
 
 
 # ---------------------------------------------------------------------------
@@ -249,64 +273,52 @@ def test_solve_is_deterministic(rng):
         assert solve(prog) == solve(prog)
 
 
-def test_warm_reoptimize_monotone(d):
-    # A fresh solver for each growing prefix of the non-star columns,
-    # every one reoptimized from the stars' basis.
-    stars = initial_stars(d)
-    rest = [b for b in enumerate_all_bicliques(d) if b not in stars]
-    seen = []
-    for k in range(len(rest) + 1):
-        solver = SimplexSolver(d.num_edges, PARTITION,
-                               [incidence_column(d, b) for b in stars + rest[:k]])
-        solver.install_start(range(len(stars)))
-        solver.reoptimize()
-        seen.append(solver.objective())
-    assert seen[0] == rat(3)  # one star per row
-    assert seen[-1] == rat(5, 2)
-    assert all(x >= y for x, y in zip(seen, seen[1:]))
+def basis_matrix(solver):
+    """The solver's basis matrix B of columns and surpluses."""
+    m = solver.m
+    b = np.zeros((m, m), dtype=np.int64)
+    for slot, code in enumerate(solver.basis):
+        if code >= 0:
+            b[[r for r in range(m) if (solver.lp.columns[code] >> r) & 1], slot] = 1
+        else:
+            b[-1 - code, slot] = -1
+    return b
 
 
-def test_disjoint_start_validation(d):
-    solver = SimplexSolver(d.num_edges, PARTITION,
-                           [0b0000011, 0b0000110, 0b1111100])
-    a_id, b_id, c_id = 0, 1, 2  # b overlaps a on edge 1
-    with pytest.raises(ContractViolation):
-        solver.install_start([a_id, b_id])
-    with pytest.raises(ContractViolation):
-        solver.install_start([a_id])  # does not cover
-    solver.install_start([a_id, c_id])
-    solver.reoptimize()
-    assert solver.objective() == rat(2)
-    assert a_id in solver.basis
-
-
-def test_cover_start_is_a_closed_form_inverse(crown5):
+def test_cover_start_is_a_closed_form_inverse(d, crown5):
     # A minimal cover of crown5's maximals, the other rows on surpluses:
     # T is B^-1 exactly at delta 1 and every basic value is the row's
     # cover count minus one, or 1 for a start column.
     prog = build_master(crown5, enumerate_maximal(crown5), COVER)
-    solver = SimplexSolver(prog.num_rows, COVER, prog.columns)
-    start = lp._start_columns(solver)
-    solver.install_start(start)
+    solver = SimplexSolver(prog)
+    assert solver.install_start()
     m = prog.num_rows
-    b = np.zeros((m, m), dtype=np.int64)
-    for slot, code in enumerate(solver.basis):
-        if code >= 0:
-            b[list(solver.columns[code][1]), slot] = 1
-        else:
-            assert -1 - code == slot  # a surplus on its own row
-            b[slot, slot] = -1
+    b = basis_matrix(solver)
     assert solver.delta == 1 and np.array_equal(solver.T @ b, np.eye(m))
+    start = [code for code in solver.basis if code >= 0]
     count = [sum((prog.columns[k] >> r) & 1 for k in start) for r in range(m)]
     x = solver.T.sum(axis=1)
     for slot, code in enumerate(solver.basis):
+        if code < 0:
+            assert -1 - code == slot  # a surplus on its own row
         assert x[slot] == (1 if code >= 0 else count[slot] - 1)
     solver.reoptimize()
     assert solver.objective() == rat(10, 3)
-    with pytest.raises(ContractViolation, match="no row of its own"):
-        solver.install_start(list(range(prog.num_cols)))
-    with pytest.raises(ContractViolation, match="cover every row"):
-        solver.install_start(start[1:])
+    # A partition starts from each row's lowest-id singleton column:
+    # B = T = I, every value 1.
+    prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
+    solver = SimplexSolver(prog)
+    assert solver.install_start()
+    m = prog.num_rows
+    assert solver.basis == [min(k for k, bits in enumerate(prog.columns) if bits == 1 << r)
+                            for r in range(m)]
+    assert solver.delta == 1 and np.array_equal(solver.T, np.eye(m))
+    assert np.array_equal(basis_matrix(solver), np.eye(m))
+    solver.reoptimize()
+    assert solver.objective() == rat(5, 2)
+    # No start without a singleton on every row, or when a row is bare.
+    assert not SimplexSolver(LinearProgram(2, (0b11, 0b01), PARTITION)).install_start()
+    assert not SimplexSolver(LinearProgram(3, (0b011, 0b001), COVER)).install_start()
 
 
 def random_4_to_7(rng):
@@ -322,7 +334,7 @@ def random_6x6(rng):
 
 
 def cold_objective(prog):
-    solver = SimplexSolver(prog.num_rows, prog.sense, prog.columns)
+    solver = SimplexSolver(prog)
     assert solver.solve_from_cold() == "optimal"
     return solver.objective(), solver.pivots
 
@@ -386,6 +398,39 @@ def test_cover_missing_a_row_returns_a_farkas_ray():
         assert sum(y[r] for r in range(prog.num_rows) if (bits >> r) & 1) <= 0
 
 
+@pytest.mark.parametrize("sense", [PARTITION, COVER])
+def test_an_lp_without_columns_is_infeasible(sense):
+    prog = LinearProgram(3, (), sense)
+    assert prog.column_sums(np.ones(3, dtype=np.int64)).tolist() == []
+    sol = solve(prog)
+    assert sol.status == "infeasible" and sol.dual == (rat(1),) * 3
+    lp._check_farkas(prog, list(sol.dual))
+    with pytest.raises(ContractViolation, match="integer model is infeasible"):
+        solve_integer(prog)
+
+
+def test_crown9_cover_reaches_the_python_int_regime(monkeypatch):
+    # Without a lowered guard: crown(9)'s cover basis outgrows int64
+    # and shrinks back into it.
+    promotions = demotions = 0
+    promote, set_matrix = SimplexSolver._promote, SimplexSolver._set_matrix
+
+    def counting_promote(self):
+        nonlocal promotions
+        promotions += 1
+        promote(self)
+
+    def counting_set(self, t, delta):
+        nonlocal demotions
+        set_matrix(self, t, delta)
+        demotions += t.dtype == object and self.T.dtype != object
+
+    monkeypatch.setattr(SimplexSolver, "_promote", counting_promote)
+    monkeypatch.setattr(SimplexSolver, "_set_matrix", counting_set)
+    assert fractional_cover_number(crown(9)) == Fraction(18, 5)
+    assert promotions >= 1 and demotions >= 1
+
+
 def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
     partition = build_master(d, enumerate_all_bicliques(d), PARTITION)
     cover = build_master(crown5, enumerate_maximal(crown5), COVER)
@@ -406,7 +451,7 @@ def test_python_int_regime_gives_the_same_answers(d, crown5, monkeypatch):
 
 def test_primal_by_id_matches_solution(d):
     prog = build_master(d, enumerate_all_bicliques(d), PARTITION)
-    solver = SimplexSolver(prog.num_rows, PARTITION, prog.columns)
+    solver = SimplexSolver(prog)
     status = solver.solve_from_cold()
     assert status == "optimal"
     assert solver.objective() == rat(5, 2)
@@ -522,7 +567,7 @@ def test_dual_bound_matches_python_integers(d, crown5, rng):
     for a in [d, crown5] + seeded_matrices(rng, 6):
         for prog in integer_models(a):
             search = lp._BranchAndBound(prog, lp.NODE_CAP, 1, None)
-            search.indptr, search.indices, model = lp._node_model(prog)
+            model = lp._node_model(prog)
             ids = np.arange(prog.num_cols)
             root_duals = lp._highs_node(model, *search._bounds(ids, []))[1]
             for t in range(12):
@@ -542,7 +587,6 @@ def test_dual_bound_matches_python_integers(d, crown5, rng):
     # refuses one step of 2^-40 more.
     prog = LinearProgram(1, (1,), PARTITION)
     search = lp._BranchAndBound(prog, lp.NODE_CAP, 1, None)
-    search.indptr, search.indices, _ = lp._node_model(prog)
     for dual, want in ((1 + 2.0 ** -30, 1), (1 + 2.0 ** -30 + 2.0 ** -40, None)):
         duals = np.array([dual])
         assert search._dual_bound(1, np.array([0]), duals) == want
