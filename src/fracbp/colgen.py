@@ -498,7 +498,7 @@ def _solve_mirror(a, buffer):
     of the float mirror `buffer`.  Returns (support bicliques, their
     weights, the dual).  The dual is optimal over the mirror, so pricing
     it brings new columns unless it converges."""
-    singletons = [Biclique(1 << i, 1 << j) for i, j in a.edges]
+    singletons = [Biclique(1 << i, 1 << j) for i, j in a.edge_array.tolist()]
     columns = list(dict.fromkeys([*singletons, *buffer.bicliques]))
     sol = solve(build_master(a, columns, PARTITION))
     support = [(b, v) for b, v in zip(columns, sol.primal) if v]
@@ -533,8 +533,7 @@ class _FloatBuffer:
         self.rhs = [1] * a.num_edges
         self._keys: set[tuple[int, int]] = set()
         self.bicliques: list[Biclique] = []
-        edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
-        self._edge_rows, self._edge_cols = edges[:, 0], edges[:, 1]
+        self._edge_rows, self._edge_cols = a.edge_array.T
         self._start = np.zeros(1, dtype=np.int32)
         self._index = np.zeros(0, dtype=np.int32)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,11 @@ from .errors import (
     SizeCapExceeded,
 )
 
-# Refuse to build matrices beyond this many cells (4096 x 4096).  Each
-# edge costs ~230 bytes in `edges` and `edge_index`, so a dense matrix at
-# the cap needs ~4 GB; D^7 (2187 x 2187) fits, D^8 (6561 x 6561) does not.
+# Refuse to build matrices beyond this many cells (4096 x 4096).  The
+# rows themselves cost one bit per cell, but each edge costs ~230 bytes
+# in `edges` and `edge_index` once they are asked for, so a dense matrix
+# at the cap needs ~4 GB with them; D^7 (2187 x 2187) fits, D^8
+# (6561 x 6561) does not.
 MAX_CELLS = 1 << 24
 
 DEFAULT_ENUM_CAP = 100_000
@@ -44,6 +47,12 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def spread(mask: int, width: int) -> int:
+    """`mask` with bit i moved to bit i * width (width >= 1): its binary
+    digits joined by width - 1 zeros, with no loop over the bits."""
+    return int(("0" * (width - 1)).join(format(mask, "b")), 2)
 
 
 def unpack_masks(masks, width: int) -> np.ndarray:
@@ -65,14 +74,21 @@ def iter_submasks(mask: int):
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Immutable 0/1 matrix with precomputed edge indexing.
+    """Immutable 0/1 matrix with edge indexing built on first use.
+
+    The rows are checked on construction; the edge tables below are
+    built the first time they are read and kept, so a matrix that is
+    only multiplied (the levels below a Kronecker power) never builds
+    them.  Equality and hashing use the fields only.
 
     Attributes:
         num_rows: row count, at least 1.
         num_cols: column count, at least 1.
         rows: per-row column bitsets; bit j of rows[i] is entry (i, j).
+        num_edges: the number of ones.
         edges: tuple of (row, col) pairs for every one, row-major.
         edge_index: inverse map (row, col) -> position in `edges`.
+        edge_array: `edges` as a read-only (num_edges, 2) intp array.
         row_offsets: position in `edges` of the first one of each row, so
             (i, j) is edge row_offsets[i] + popcount(rows[i] below bit j).
     """
@@ -90,23 +106,34 @@ class BinaryMatrix:
                 self.num_rows * self.num_cols, MAX_CELLS)
         if len(self.rows) != self.num_rows:
             raise ContractViolation("rows tuple length does not match num_rows")
-        full = (1 << self.num_cols) - 1
-        edges = []
-        offsets = []
         for i, bits in enumerate(self.rows):
-            if bits < 0 or bits & ~full:
+            if bits < 0 or bits >> self.num_cols:
                 raise ContractViolation(f"row {i} has bits outside the column range")
-            offsets.append(len(edges))
-            for j in bit_indices(bits):
-                edges.append((i, j))
-        # Frozen dataclass: derived attributes go in through the back door.
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "edge_index", {e: k for k, e in enumerate(edges)})
-        object.__setattr__(self, "row_offsets", tuple(offsets))
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(bits.bit_count() for bits in self.rows)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, bits in enumerate(self.rows)
+                     for j in bit_indices(bits))
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        # Row-major nonzeros are the edges in edge-index order.
+        out = np.argwhere(unpack_masks(self.rows, self.num_cols))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def row_offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate((bits.bit_count() for bits in self.rows[:-1]),
+                                initial=0))
 
     @classmethod
     def from_dense(cls, grid) -> "BinaryMatrix":
@@ -131,17 +158,15 @@ class BinaryMatrix:
 
     def column_mask(self, j: int) -> int:
         """Bitset of rows that have a one in column j.  All columns are
-        built in one pass over `edges` on the first call and kept."""
+        built in one pass over the rows on the first call and kept."""
         return self._column_masks[j]
 
     @cached_property
     def _column_masks(self) -> tuple[int, ...]:
-        # Not in __post_init__: most matrices (the levels below a
-        # Kronecker power) never ask for a column.  Equality and hashing
-        # use the fields only, so the cached masks do not enter them.
         cols = [0] * self.num_cols
-        for i, j in self.edges:
-            cols[j] |= 1 << i
+        for i, bits in enumerate(self.rows):
+            for j in bit_indices(bits):
+                cols[j] |= 1 << i
         return tuple(cols)
 
     def transpose(self) -> "BinaryMatrix":
@@ -250,21 +275,19 @@ def kronecker(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 
     Row i1*b.num_rows + i2 of the product corresponds to the pair
     (i1, i2), and likewise for columns.  Edge count multiplies.
+
+    That row is the integer product spread(a.rows[i1], n) * b.rows[i2]
+    for n = b.num_cols: the spread factor has its ones at multiples of
+    n and b's row is below 2^n, so the product is b's row shifted to
+    each of a's columns, and no two shifts overlap or carry.
     """
     m = a.num_rows * b.num_rows
     n = a.num_cols * b.num_cols
     if m * n > MAX_CELLS:
         raise SizeCapExceeded(
             f"kronecker product would have {m}x{n} cells", m * n, MAX_CELLS)
-    rows = []
-    for ra in a.rows:
-        shifts = bit_indices(ra)
-        for rb in b.rows:
-            bits = 0
-            for ja in shifts:
-                bits |= rb << (ja * b.num_cols)
-            rows.append(bits)
-    out = BinaryMatrix(m, n, tuple(rows))
+    rows = tuple(spread(ra, b.num_cols) * rb for ra in a.rows for rb in b.rows)
+    out = BinaryMatrix(m, n, rows)
     if out.num_edges != a.num_edges * b.num_edges:
         raise InvariantViolation("kronecker product lost or gained edges")
     return out
@@ -299,19 +322,18 @@ def kronecker_biclique(b1: Biclique, b2: Biclique, inner_shape: tuple[int, int])
     `inner_shape` is (num_rows, num_cols) of the matrix b2 lives in, i.e.
     the right factor.  If b1 is a biclique of A and b2 of B, the result
     is a biclique of kronecker(A, B).
+
+    Each side is one carry-free integer product, as in `kronecker`:
+    spread(b1.row_set, m2) * b2.row_set, since b2's row set is below
+    2^m2, and likewise for the columns with n2.
     """
     m2, n2 = inner_shape
     if m2 < 1 or n2 < 1:
         raise ContractViolation("inner shape must be positive")
     if b2.row_set >> m2 or b2.col_set >> n2:
         raise ContractViolation("inner biclique does not fit inner_shape")
-    rmask = 0
-    for i1 in bit_indices(b1.row_set):
-        rmask |= b2.row_set << (i1 * m2)
-    cmask = 0
-    for j1 in bit_indices(b1.col_set):
-        cmask |= b2.col_set << (j1 * n2)
-    return Biclique(rmask, cmask)
+    return Biclique(spread(b1.row_set, m2) * b2.row_set,
+                    spread(b1.col_set, n2) * b2.col_set)
 
 
 # ---------------------------------------------------------------------------

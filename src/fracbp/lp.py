@@ -169,14 +169,15 @@ class LinearProgram:
 
     @cached_property
     def csc(self) -> tuple[np.ndarray, np.ndarray]:
-        """The columns as (indptr, indices), int32: column j's rows are
+        """The columns as (indptr, indices), intp: column j's rows are
         indices[indptr[j]:indptr[j + 1]], ascending.  Built once; the
         simplex, the certificate checks and branch and bound all read
-        it."""
+        it.  Intp is numpy's own index type, so gathers take the indices
+        as they are; HiGHS gets an int32 copy (`_node_model`)."""
         rows = [bit_indices(bits) for bits in self.columns]
-        indptr = np.zeros(self.num_cols + 1, dtype=np.int32)
+        indptr = np.zeros(self.num_cols + 1, dtype=np.intp)
         np.cumsum([len(r) for r in rows], out=indptr[1:])
-        indices = np.fromiter((r for col in rows for r in col), dtype=np.int32,
+        indices = np.fromiter((r for col in rows for r in col), dtype=np.intp,
                               count=int(indptr[-1]))
         return indptr, indices
 
@@ -1257,7 +1258,8 @@ def _without(cols, orbit):
 def _node_model(lp: LinearProgram):
     """The root LP's HiGHS model, or None when HiGHS refuses it."""
     indptr, indices = lp.csc
-    return highs_model(lp.num_rows, indptr, indices, np.ones(len(indices)), lp.sense)
+    return highs_model(lp.num_rows, indptr.astype(np.int32), indices.astype(np.int32),
+                       np.ones(len(indices)), lp.sense)
 
 
 def _highs_node(model, lower, upper):

@@ -62,4 +62,6 @@ def lift_maximal_kronecker(
             for prev in level
             for b in base_maximals
         ]
-    return sorted(set(level))
+    # Deduped and sorted on int keys, which is Biclique's own order.
+    unique = {(b.row_set, b.col_set): b for b in level}
+    return [unique[key] for key in sorted(unique)]

@@ -70,10 +70,8 @@ def orbit_master(a, maximals, config, gens, orbits) -> ColGenReport | None:
         raise InvariantViolation(
             "the orbits of the representatives miss a maximal biclique")
     pool = _OrbitColumns(a, orbits, table)
-    singletons = []
-    for orbit in orbits:
-        i, j = a.edges[int(orbit[0])]
-        singletons.append(Biclique(1 << i, 1 << j))
+    firsts = a.edge_array[[orbit[0] for orbit in orbits]].tolist()
+    singletons = [Biclique(1 << i, 1 << j) for i, j in firsts]
     pool.extend([*singletons, *colgen.initial_stars(a), *reps])
     mhash = matrix_hash(a)
     resumed = colgen._resume(pool, config.checkpoint_path, mhash)
@@ -91,7 +89,7 @@ class _OrbitColumns:
     def __init__(self, a: BinaryMatrix, orbits, table):
         self._a, self._table = a, table
         self.rhs = [len(orbit) for orbit in orbits]
-        edges = np.array(a.edges, dtype=np.intp).reshape(-1, 2)
+        edges = a.edge_array
         self._orbit_at = np.full((a.num_rows, a.num_cols), -1, dtype=np.intp)
         for t, orbit in enumerate(orbits):
             self._orbit_at[edges[orbit, 0], edges[orbit, 1]] = t

@@ -440,7 +440,7 @@ def edge_permutations(a: BinaryMatrix, gens) -> list[np.ndarray]:
     edge-index order (the row order of `lp.build_master`); one that is
     no bijection of the rows and of the columns, or that sends some one
     to a zero, raises InvariantViolation."""
-    edges = np.array(a.edges, dtype=np.int64).reshape(-1, 2)
+    edges = a.edge_array
     index = np.full((a.num_rows, a.num_cols), -1, dtype=np.int64)
     index[edges[:, 0], edges[:, 1]] = np.arange(a.num_edges)
     return [_edge_permutation(a, g, edges, index) for g in gens]

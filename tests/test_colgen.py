@@ -395,6 +395,26 @@ def test_ladder_lifts_each_level_from_the_one_below(monkeypatch):
         assert out == lift(base, level, (2, 2))
 
 
+def test_ladder_builds_no_edge_tables_below_the_top(monkeypatch):
+    import fracbp.colgen as colgen
+
+    levels = []
+    product = colgen.kronecker
+
+    def recording(*args):
+        out = product(*args)
+        levels.append(out)
+        return out
+
+    monkeypatch.setattr(colgen, "kronecker", recording)
+    triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+    report = solve_power(triangle, 4, ColGenConfig())
+    assert report.converged and report.matrix == levels[-1]
+    assert len(levels) == 3
+    for level in levels[:-1]:
+        assert "edges" not in vars(level) and "edge_index" not in vars(level)
+
+
 def test_power_zero_is_rejected(d):
     with pytest.raises(ContractViolation):
         solve_power(d, 0, ColGenConfig())

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fracbp.core import (
@@ -18,6 +19,7 @@ from fracbp.core import (
     load_matrix,
     matrix_hash,
     parse_matrix,
+    spread,
 )
 from fracbp.errors import ContractViolation, MatrixFormatError, SizeCapExceeded
 
@@ -36,6 +38,16 @@ def test_bit_indices():
 def test_iter_submasks_covers_powerset():
     subs = list(iter_submasks(0b1010))
     assert sorted(subs) == [0b0010, 0b1000, 0b1010]
+
+
+def test_spread_matches_the_bit_loop(rng):
+    for width in (1, 2, 3, 7, 64, 65):
+        for bits in (0, 1, 5, 63, 64, 65, 200):
+            for mask in (0, 1, rng.getrandbits(bits)):
+                expect = 0
+                for i in bit_indices(mask):
+                    expect |= 1 << (i * width)
+                assert spread(mask, width) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +94,37 @@ def test_column_masks_match_the_rows(rng):
                     expect |= ((a.rows[i] >> j) & 1) << i
                 assert a.column_mask(j) == expect
             assert a.transpose().transpose() == a
+
+
+def brute_edges(a):
+    return [(i, j) for i in range(a.num_rows) for j in range(a.num_cols)
+            if a.entry(i, j)]
+
+
+def test_edge_tables_match_a_brute_force_listing(rng):
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 3), (5, 64), (4, 65), (2, 130)]
+    mats = [BinaryMatrix(2, 3, (0, 0)), BinaryMatrix(3, 2, (0b11, 0, 0b10))]
+    for m, n in shapes:
+        for _ in range(4):
+            rows = [rng.getrandbits(n) for _ in range(m)]
+            rows[rng.randrange(m)] = 0
+            mats.append(BinaryMatrix(m, n, tuple(rows)))
+    for a in mats:
+        edges = brute_edges(a)
+        assert a.num_edges == len(edges)
+        assert a.edges == tuple(edges)
+        assert a.edge_index == {e: k for k, e in enumerate(edges)}
+        assert a.row_offsets == tuple(sum(1 for e in edges if e[0] < i)
+                                      for i in range(a.num_rows))
+        assert a.edge_array.dtype == np.intp
+        assert a.edge_array.shape == (len(edges), 2)
+        assert a.edge_array.tolist() == [list(e) for e in edges]
+
+
+def test_edge_array_is_read_only(d):
+    with pytest.raises(ValueError):
+        d.edge_array[0, 0] = 1
+    assert d.edge_array[0].tolist() == [0, 0]
 
 
 def test_cached_column_masks_leave_equality_and_hash_alone(rng):
@@ -241,11 +284,43 @@ def test_kronecker_dimensions_and_edges(d):
             assert p.entry(i1 * 3 + i2, j1 * 3 + j2) == 1
 
 
-def test_kronecker_entry_definition(rng):
-    for _ in range(10):
-        a = random_binary_matrix(rng, 3, 3)
-        b = random_binary_matrix(rng, 3, 3)
+PRODUCT_SHAPES = [(1, 5), (5, 1), (2, 9), (3, 4), (4, 3), (1, 1)]
+
+
+def random_base(rng, m, n):
+    """A seeded m x n matrix with at least one one and, when it has two
+    rows or more, a row without ones."""
+    rows = [rng.getrandbits(n) for _ in range(m)]
+    if m > 1:
+        rows[rng.randrange(m)] = 0
+    rows[rng.randrange(m)] |= 1 << rng.randrange(n)
+    return BinaryMatrix(m, n, tuple(rows))
+
+
+def power_entry(a, k, i, j):
+    """Entry (i, j) of the k-th power, left associated: the product of
+    a's entries at the base-m and base-n digits of i and j."""
+    for _ in range(k):
+        i, i_low = divmod(i, a.num_rows)
+        j, j_low = divmod(j, a.num_cols)
+        if not a.entry(i_low, j_low):
+            return 0
+    return 1
+
+
+def test_kronecker_entry_definition(rng, d):
+    pairs = [(random_binary_matrix(rng, 3, 3), random_binary_matrix(rng, 3, 3))
+             for _ in range(10)]
+    # 1 x n, m x 1 and rectangular bases with a zero row; D^3 (x) D and
+    # the 2 x 9 products run past 64 bits a row.
+    pairs.append((kronecker_power(d, 3), d))
+    for m, n in PRODUCT_SHAPES:
+        for m2, n2 in PRODUCT_SHAPES:
+            pairs.append((random_base(rng, m, n), random_base(rng, m2, n2)))
+    for a, b in pairs:
         p = kronecker(a, b)
+        assert (p.num_rows, p.num_cols) == (a.num_rows * b.num_rows,
+                                            a.num_cols * b.num_cols)
         for i in range(p.num_rows):
             for j in range(p.num_cols):
                 expect = (a.entry(i // b.num_rows, j // b.num_cols)
@@ -256,9 +331,38 @@ def test_kronecker_entry_definition(rng):
 def test_kronecker_power(d):
     assert kronecker_power(d, 1) == d
     assert kronecker_power(d, 2) == kronecker(d, d)
-    assert kronecker_power(d, 3).num_edges == 343
+    cube = kronecker_power(d, 3)
+    assert cube.num_edges == 343
+    # Multiplying builds no edge tables.
+    assert "edges" not in vars(cube) and "edge_index" not in vars(cube)
     with pytest.raises(ContractViolation):
         kronecker_power(d, 0)
+
+
+def test_kronecker_power_matches_the_digit_definition(rng):
+    for m, n in PRODUCT_SHAPES:
+        a = random_base(rng, m, n)
+        k = 5 if m * n <= 4 else 3
+        p = kronecker_power(a, k)
+        assert p.rows == tuple(
+            sum(power_entry(a, k, i, j) << j for j in range(n ** k))
+            for i in range(m ** k))
+
+
+def test_kronecker_biclique_matches_the_bit_definition(rng):
+    shapes = [(1, 5), (5, 1), (9, 2), (3, 70)]
+    for m1, n1 in shapes:
+        for m2, n2 in shapes:
+            for _ in range(3):
+                b1 = Biclique(rng.getrandbits(m1) | 1 << rng.randrange(m1),
+                              rng.getrandbits(n1) | 1 << rng.randrange(n1))
+                b2 = Biclique(rng.getrandbits(m2) | 1 << rng.randrange(m2),
+                              rng.getrandbits(n2) | 1 << rng.randrange(n2))
+                prod = kronecker_biclique(b1, b2, (m2, n2))
+                assert prod.row_indices() == tuple(sorted(
+                    i1 * m2 + i2 for i1 in b1.row_indices() for i2 in b2.row_indices()))
+                assert prod.col_indices() == tuple(sorted(
+                    j1 * n2 + j2 for j1 in b1.col_indices() for j2 in b2.col_indices()))
 
 
 def test_kronecker_power_refuses_before_building_a_level(d, monkeypatch):

@@ -94,7 +94,7 @@ def test_the_csc_lists_each_column_and_sums_it_exactly(rng, dtype, top):
     for prog in progs:
         indptr, indices = prog.csc
         assert prog.csc is prog.csc
-        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr.dtype == indices.dtype == np.intp
         assert len(indptr) == prog.num_cols + 1 and indptr[0] == 0
         for bits, start, stop in zip(prog.columns, indptr, indptr[1:]):
             rows = indices[start:stop].tolist()
