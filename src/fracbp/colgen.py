@@ -18,10 +18,13 @@ space.  Each iteration first runs float rounds (`_float_phase`):
 HiGHS's dual simplex solves the store's LP, a fresh model per solve
 through scipy's own binding, and its dual, rounded to nearby
 fractions, is priced against the maximal bicliques until it brings no
-new column.  `_certify` then solves HiGHS's final optimal basis
-exactly with `lp.solve_basis`: HiGHS's rounded values when they solve
-the basis systems exactly, else Bareiss elimination.  The floats only
-steer: the basis is kept only if its exact solution is feasible, and
+new column.  HiGHS presolves only a full-space mirror that pricing
+can still grow, where presolve steers it to vertices that need far
+fewer rounds; on every other LP presolve only costs time.  `_certify`
+then solves HiGHS's final optimal basis exactly with
+`lp.solve_basis`: HiGHS's rounded values when they solve the basis
+systems exactly, else Bareiss elimination.  The floats only steer:
+the basis is kept only if its exact solution is feasible, and
 alpha, the bounds, convergence and the certificate all come from its
 exact dual.  When the exact dual equals the dual the float rounds
 priced last, that pricing result is the exact one, and it is reused
@@ -287,7 +290,8 @@ def run(
     buffer = _FloatBuffer(a)
     resumed = _resume(buffer, config.checkpoint_path, mhash)
     if resumed is None:
-        buffer.extend(_initial_bicliques(a, config, maximals))
+        # Seeded with every biclique, the mirror cannot grow.
+        buffer.presolve = not buffer.extend(_initial_bicliques(a, config, maximals))
     buffer.extend(initial_stars(a))
     return _generate(a, buffer, maximals, config, mhash, resumed, progress, t_start)
 
@@ -321,7 +325,8 @@ def _generate(a, store, maximals, config, mhash, resumed, progress,
     A store has `rhs`, the right hand side of its rows, and these:
     `extend(bicliques)` adds the new columns and returns how many;
     `bicliques` lists one biclique per column; `csc()` is the LP with
-    every row scaled to right hand side one, for `_linprog`;
+    every row scaled to right hand side one, and `presolve` whether
+    HiGHS presolves it, both for `_linprog`;
     `rounded_dual(duals)` reads HiGHS's row duals as exact row duals,
     and `steering_dual(vertex, rounded)` gives the edge weights to
     price at a vertex; `columns(cols)` is the integer matrix of those
@@ -514,7 +519,9 @@ class _FloatBuffer:
     that would drown an exact simplex; only HiGHS's optimal basis is
     solved exactly, and the exact fallback is `_solve_mirror`.
     Insertion order is fixed and deduplication is by canonical biclique
-    key, keeping the float solves deterministic.
+    key, keeping the float solves deterministic.  HiGHS presolves the
+    buffer unless `run` seeded it with every biclique, which leaves
+    pricing nothing to add.
 
     The columns are stored sparse, by columns (CSC): `_start[j]` is
     where column j's edge indices begin in `_index`, ascending, and
@@ -531,6 +538,7 @@ class _FloatBuffer:
     def __init__(self, a: BinaryMatrix):
         self._a = a
         self.rhs = [1] * a.num_edges
+        self.presolve = True
         self._keys: set[tuple[int, int]] = set()
         self.bicliques: list[Biclique] = []
         self._edge_rows, self._edge_cols = a.edge_array.T
@@ -615,23 +623,25 @@ class _Csc(NamedTuple):
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
 
-def _linprog(*, A_eq: _Csc):
+def _linprog(*, A_eq: _Csc, presolve: bool):
     """Minimise the sum of x subject to A_eq x = 1 and x >= 0 by HiGHS
-    dual simplex.  Returns (x, row duals, basic variables) at an optimal
-    vertex, or None when HiGHS reports no optimum or no basis.
+    dual simplex, presolving first when `presolve` is true.  Returns
+    (x, row duals, basic variables) at an optimal vertex, or None when
+    HiGHS reports no optimum or no basis.
 
     Each call builds a fresh HiGHS model through `lp.highs_model`, whose
-    options make the vertex the one scipy's linprog(method="highs-ds")
-    returns.  The basic variables are HiGHS's optimal basis, one per row
-    in HiGHS's convention: j >= 0 is column j and -1 - r is row r's
-    slack.
+    options make the vertex the one scipy's linprog(method="highs-ds",
+    options={"presolve": presolve}) returns.  The basic variables are
+    HiGHS's optimal basis, one per row in HiGHS's convention: j >= 0 is
+    column j and -1 - r is row r's slack.
 
     The name is kept from when this was scipy's linprog: the
     benchmark's tracer wraps `colgen._linprog` by name and reads
-    `A_eq.shape` and `A_eq.nbytes` (ROADMAP item 5 moves that tracing
-    into the library).
+    `A_eq.shape` and `A_eq.nbytes` from the keywords (ROADMAP item 5
+    moves that tracing into the library).
     """
-    model = highs_model(A_eq.shape[0], A_eq.indptr, A_eq.indices, A_eq.data, PARTITION)
+    model = highs_model(A_eq.shape[0], A_eq.indptr, A_eq.indices, A_eq.data, PARTITION,
+                        presolve)
     solution = None if model is None else highs_solution(model)
     if solution is None:
         return None
@@ -709,7 +719,7 @@ def _float_phase(a, maximals, store, threshold, timings):
     when the exact dual equals the steering dual.
     """
     for _ in range(_INNER_ROUNDS):
-        vertex = _linprog(A_eq=store.csc())
+        vertex = _linprog(A_eq=store.csc(), presolve=store.presolve)
         if vertex is None:
             return None
         rounded = store.rounded_dual(vertex[1])

@@ -791,7 +791,7 @@ _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def highs_model(num_rows: int, indptr, indices, data, sense: str):
+def highs_model(num_rows: int, indptr, indices, data, sense: str, presolve: bool):
     """A HiGHS model of min 1'x over Mx (= or >=) 1, x >= 0, or None
     when HiGHS refuses it.
 
@@ -799,16 +799,16 @@ def highs_model(num_rows: int, indptr, indices, data, sense: str):
     indptr[j + 1]], ascending, with values in data at the same
     positions.  A partition and a cover differ only in the rows' upper
     bounds, 1 and infinity.  The options are the ones scipy's
-    linprog(method="highs-ds") sets: presolve on, the simplex solver,
-    the dual simplex strategy and no output, so the first solve gives
-    linprog's vertex without linprog's per-call option checks and
-    conversions.
+    linprog(method="highs-ds", options={"presolve": presolve}) sets:
+    the simplex solver, the dual simplex strategy, no output and
+    presolve as given.  So the first solve gives that call's vertex
+    without linprog's per-call option checks and conversions.
     """
     n = len(indptr) - 1
     model = _highs._Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("log_to_console", False)
-    model.setOptionValue("presolve", "on")
+    model.setOptionValue("presolve", "on" if presolve else "off")
     model.setOptionValue("solver", "simplex")
     model.setOptionValue("simplex_strategy", _DUAL_SIMPLEX)
     row_upper = np.full(num_rows, 1.0 if sense == PARTITION else _highs.kHighsInf)
@@ -1256,10 +1256,11 @@ def _without(cols, orbit):
 
 
 def _node_model(lp: LinearProgram):
-    """The root LP's HiGHS model, or None when HiGHS refuses it."""
+    """The root LP's HiGHS model, or None when HiGHS refuses it.  It
+    holds every column from the start, so it is built without presolve."""
     indptr, indices = lp.csc
     return highs_model(lp.num_rows, indptr.astype(np.int32), indices.astype(np.int32),
-                       np.ones(len(indices)), lp.sense)
+                       np.ones(len(indices)), lp.sense, False)
 
 
 def _highs_node(model, lower, upper):

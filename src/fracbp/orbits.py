@@ -84,7 +84,10 @@ class _OrbitColumns:
     the edge orbits' sizes as the right hand side.  A profile counts
     the biclique's cells in each edge orbit, read from a table of every
     cell's orbit (-1 at a zero).  `table` is G's gather table, with
-    which `support` expands the final orbit columns."""
+    which `support` expands the final orbit columns.  HiGHS solves the
+    orbit LP without presolve, which only costs time there."""
+
+    presolve = False
 
     def __init__(self, a: BinaryMatrix, orbits, table):
         self._a, self._table = a, table

@@ -253,12 +253,13 @@ def float_lp_value(a: BinaryMatrix, bicliques, sense: str) -> float:
     return res.fun
 
 
-def highs_ds_vertex(a: BinaryMatrix, bicliques):
+def highs_ds_vertex(a: BinaryMatrix, bicliques, presolve):
     """scipy's linprog(method="highs-ds") on the partition LP over
-    `bicliques`, from a dense matrix: (x, row duals), or None when it
-    reports no optimum."""
+    `bicliques`, from a dense matrix, presolving as `presolve` says:
+    (x, row duals), or None when it reports no optimum."""
     res = linprog(np.ones(len(bicliques)), A_eq=dense_incidence(a, bicliques),
-                  b_eq=np.ones(a.num_edges), bounds=(0, None), method="highs-ds")
+                  b_eq=np.ones(a.num_edges), bounds=(0, None), method="highs-ds",
+                  options={"presolve": presolve})
     if not res.success:
         return None
     return res.x, res.eqlin.marginals

@@ -619,7 +619,7 @@ def test_orbit_master_falls_back_to_the_full_space(d, monkeypatch):
 
     fallbacks = [
         ("HiGHS fails", lambda patch: patch.setattr(
-            colgen, "_linprog", lambda *, A_eq: None)),
+            colgen, "_linprog", lambda *, A_eq, presolve: None)),
         ("singular basis", singular),
         ("pricing stalls", lambda patch: patch.setattr(
             orbits._OrbitColumns, "extend", stalling)),
@@ -1123,16 +1123,69 @@ def test_float_solve_is_linprogs_vertex(d, crown5, rng):
         bicliques = enumerate_all_bicliques(a)
         buffer = _FloatBuffer(a)
         buffer.extend(bicliques)
-        got, want = _linprog(A_eq=buffer.csc()), highs_ds_vertex(a, bicliques)
-        # Every biclique is there, stars included, so the LP is feasible.
-        assert got is not None and want is not None
-        x, duals, basic = got
-        assert np.array_equal(x, want[0]) and np.array_equal(duals, want[1])
-        # One basic variable per row: a column j >= 0 or row r's slack
-        # as -1 - r, never the same one twice.
-        m = a.num_edges
-        assert len(basic) == len(set(basic.tolist())) == m
-        assert ((-m <= basic) & (basic < len(bicliques))).all()
+        for presolve in (True, False):
+            got = _linprog(A_eq=buffer.csc(), presolve=presolve)
+            want = highs_ds_vertex(a, bicliques, presolve)
+            # Every biclique is there, stars included, so the LP is
+            # feasible.
+            assert got is not None and want is not None
+            x, duals, basic = got
+            assert np.array_equal(x, want[0]) and np.array_equal(duals, want[1])
+            # One basic variable per row: a column j >= 0 or row r's
+            # slack as -1 - r, never the same one twice.
+            m = a.num_edges
+            assert len(basic) == len(set(basic.tolist())) == m
+            assert ((-m <= basic) & (basic < len(bicliques))).all()
+
+
+def recorded_presolve(patch):
+    """The `presolve` that each float solve gets, in order, as colgen's
+    _linprog is called."""
+    import fracbp.colgen as colgen
+
+    seen = []
+    linprog = colgen._linprog
+
+    def recording(*, A_eq, presolve):
+        seen.append(presolve)
+        return linprog(A_eq=A_eq, presolve=presolve)
+
+    patch.setattr(colgen, "_linprog", recording)
+    return seen
+
+
+def test_only_a_mirror_that_can_grow_is_presolved(d, m5, monkeypatch, tmp_path):
+    seen = recorded_presolve(monkeypatch)
+    # Union seeds these mirrors with every biclique, and the orbit LP
+    # is never presolved.
+    for a in random6(1)[:16]:
+        assert run(a, ColGenConfig()).converged
+    assert seen and not any(seen)
+    seen.clear()
+    assert solve_power(d, 2, ColGenConfig()).value == SIX
+    assert seen and not any(seen)
+    # The stars seed and a resumed checkpoint leave pricing columns to
+    # add, so HiGHS presolves.
+    seen.clear()
+    assert run(m5, ColGenConfig(init_strategy="stars")).value == 4
+    assert seen and all(seen)
+    path = str(tmp_path / "state.json")
+    run(m5, ColGenConfig(checkpoint_path=path))
+    seen.clear()
+    assert run(m5, ColGenConfig(checkpoint_path=path)).value == 4
+    assert seen and all(seen)
+
+
+def test_a_growing_mirror_keeps_presolve(monkeypatch):
+    seen = recorded_presolve(monkeypatch)
+    in_the_full_space(monkeypatch)
+    triangle = BinaryMatrix.from_dense([[1, 1], [0, 1]])
+    report = solve_power(triangle, 5, ColGenConfig())
+    assert report.converged and report.value == 32
+    # P^5 has too many bicliques for union, so its mirror starts from
+    # the stars and grows.  With presolve its first vertex prices no
+    # new column; without it the float phase takes 7 HiGHS solves.
+    assert seen == [True]
 
 
 def test_float_failure_only_loses_steering(d, m5, monkeypatch):
@@ -1142,7 +1195,7 @@ def test_float_failure_only_loses_steering(d, m5, monkeypatch):
     # each iteration solves the mirror exactly instead.
     calls = []
     monkeypatch.setattr(colgen, "_linprog",
-                        lambda *, A_eq: calls.append(A_eq.shape))
+                        lambda *, A_eq, presolve: calls.append(A_eq.shape))
     fallbacks = fallback_calls(monkeypatch)
     report = run(d, ColGenConfig())
     assert report.converged and report.value == FIVE_HALVES

@@ -19,7 +19,7 @@ from fracbp.lp import (
 )
 from fracbp.maximal import enumerate_maximal
 from fracbp._rational import rat, rat_ceil
-from fracbp.bounds import fractional_cover_number
+from fracbp.bounds import fractional_cover_number, integer_partition_number
 
 from oracles import brute_integer_number, float_lp_value, random_binary_matrix
 
@@ -699,6 +699,17 @@ def test_branch_and_bound_builds_one_model(crown5, monkeypatch):
     assert first.objective == 5 and first.nodes > 1
     assert len(models) == 1 and exact == [prog]
     assert solve_integer(prog) == first
+
+
+def test_branch_and_bound_models_are_not_presolved(crown5, monkeypatch):
+    # The node model holds every column from the start.
+    presolves = []
+    real_model = lp.highs_model
+    monkeypatch.setattr(lp, "highs_model",
+                        lambda *args: presolves.append(args[-1]) or real_model(*args))
+    value, _, nodes = integer_partition_number(crown5)
+    assert value == 5 and nodes > 1
+    assert presolves == [False]
 
 
 def test_integer_node_cap_past_the_root(crown5):
