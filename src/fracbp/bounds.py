@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 
+from ._rational import ZERO
+from .colgen import ColGenConfig, initial_stars, run
 from .core import BinaryMatrix, Biclique, bit_indices, enumerate_all_bicliques
 from .errors import ContractViolation, InvariantViolation, SizeCapExceeded
 from .lp import COVER, NODE_CAP, PARTITION, build_master, solve, solve_integer
@@ -142,7 +144,7 @@ def _stars(a: BinaryMatrix) -> list[Biclique]:
     """The row stars (one biclique per nonempty row) or the column
     stars, whichever are fewer, the rows on a tie.  Either partitions
     the ones, so bc(a) <= bp(a) <= their count."""
-    rows = [Biclique(1 << i, bits) for i, bits in enumerate(a.rows) if bits]
+    rows = initial_stars(a)
     cols = [Biclique(mask, 1 << j) for j in range(a.num_cols)
             if (mask := a.column_mask(j))]
     return rows if len(rows) <= len(cols) else cols
@@ -284,7 +286,8 @@ def sandwich_report(
         a: base matrix.
         upper_values: exact bp_f values of Kronecker powers, keyed by k.
             Key 1 is used as bp_f(a) when present, otherwise bp_f(a) is
-            computed here from the full biclique LP.
+            computed here by column generation (`colgen.run`) run until
+            its pricing maximum is at most one, where its value is exact.
         kmax: last k to tabulate; defaults to the largest key (at least 1).
 
     Returns:
@@ -307,8 +310,10 @@ def sandwich_report(
     if 1 in uppers:
         partition_value = uppers[1]
     else:
-        sol = solve(build_master(a, enumerate_all_bicliques(a), PARTITION))
-        partition_value = sol.objective
+        report = run(a, ColGenConfig(epsilon=ZERO))
+        if not report.converged:
+            raise InvariantViolation("column generation did not reach bp_f of the base")
+        partition_value = report.value
         uppers[1] = partition_value
 
     if fooling > cover_value:

@@ -12,25 +12,33 @@ objective/alpha is a lower bound, since the dual priced exactly to its
 maximum alpha is globally dual feasible once divided by alpha.  The
 loop stops once alpha <= 1 + epsilon.
 
-The loop is written once, in `_generate`, over a column store, and
-the store is all that differs between the full space and the orbit
-space.  Each iteration first runs float rounds (`_float_phase`):
-HiGHS's dual simplex solves the store's LP, a fresh model per solve
-through scipy's own binding, and its dual, rounded to nearby
-fractions, is priced against the maximal bicliques until it brings no
-new column.  HiGHS presolves only a full-space mirror that pricing
-can still grow, where presolve steers it to vertices that need far
-fewer rounds; on every other LP presolve only costs time.  `_certify`
-then solves HiGHS's final optimal basis exactly with
-`lp.solve_basis`: HiGHS's rounded values when they solve the basis
-systems exactly, else Bareiss elimination.  The floats only steer:
-the basis is kept only if its exact solution is feasible, and
+The loop is written once, in `_generate`, over one column store,
+`_Columns`: an LP with a row per edge orbit of a group G and a column
+per profile, a biclique's count of cells in each orbit.  Averaging
+over G keeps an LP optimum optimal (Bödi, Herr and Joswig, Math. Prog.
+2013), so G's orbit LP has the full LP's optimum.  The full space is
+the orbit LP of the trivial group, every edge its own orbit, and
+differs from the orbit space only in whether HiGHS presolves and in
+its exact fallback.  Each iteration first runs float rounds
+(`_float_phase`): HiGHS's dual simplex solves the store's LP, a fresh
+model per solve through scipy's own binding, and a dual read off its
+optimal basis is priced against the maximal bicliques until it
+brings no new column.  That dual is HiGHS's, rounded to nearby
+fractions, when that solves the basis exactly, and otherwise HiGHS's
+rounded to multiples of 2^-32.  HiGHS presolves only a full-space
+store that pricing can still grow, where presolve steers it to
+vertices that need far fewer rounds; on every other LP presolve only
+costs time.  `_certify` then solves HiGHS's final optimal basis
+exactly with `lp.solve_basis`: HiGHS's rounded values when they solve
+the basis systems exactly, else Bareiss elimination.  The floats only
+steer: the basis is kept only if its exact solution is feasible, and
 alpha, the bounds, convergence and the certificate all come from its
 exact dual.  When the exact dual equals the dual the float rounds
 priced last, that pricing result is the exact one, and it is reused
 instead of priced again.  When HiGHS fails, the basis is refused, or
 the previous iteration added no column to the store, the iteration
-takes the store's exact fallback instead.
+takes the store's exact fallback instead, and a store without one
+ends the run.
 
 `carried`, the certified basis's columns plus the iteration's
 candidates, is what the records count and what the checkpoint holds.
@@ -39,17 +47,17 @@ resumed run seeds the store with it.
 
 The full space (`run`) stores every column met so far, namely the
 checkpointed ones, the init strategy's, the stars and every priced
-candidate, in `_FloatBuffer`: sparse 0/1 columns, one row per edge.
-Its exact fallback solves the whole buffer with `lp.solve` (plain
-exact column generation), whose optimal dual prices every buffered
-column at most one.
+candidate: sparse 0/1 columns, one row per edge.  Its exact fallback
+solves the whole store with `lp.solve` (plain exact column
+generation), whose optimal dual prices every stored column at most
+one.
 
-The orbit space (module `orbits`) serves symmetric matrices: one LP
-over the orbits of a symmetry group G (see `symmetry`), with a row per
-edge orbit and a column per profile, priced over one maximal biclique
-per orbit.  `run` takes it with the union strategy.  A Kronecker power
-(`solve_power`, k >= 2) comes with the generators of its group, known
-by construction, and always takes it.  Any other matrix takes it with
+The orbit space (module `orbits`) serves symmetric matrices: the LP
+over the edge orbits of a nontrivial symmetry group G (see
+`symmetry`), priced over one maximal biclique per orbit.  `run` takes
+it with the union strategy.  A Kronecker power (`solve_power`, k >= 2)
+comes with the generators of its group, known by construction, and
+always takes it.  Any other matrix takes it with
 its own symmetries when they leave at most a quarter as many edge
 orbits as edges; a colour refinement bounds the orbits from below
 first, so most matrices are refused before any search for generators.
@@ -94,7 +102,15 @@ from .errors import (
     EmptyGraphError,
     SizeCapExceeded,
 )
-from .lp import PARTITION, build_master, highs_model, highs_solution, solve, solve_basis
+from .lp import (
+    PARTITION,
+    _solves,
+    build_master,
+    highs_model,
+    highs_solution,
+    solve,
+    solve_basis,
+)
 from .maximal import enumerate_maximal, lift_maximal_kronecker
 from .pricing import price_all
 
@@ -109,7 +125,7 @@ class ColGenConfig:
 
     The run converges once the pricing maximum is at most 1 + `epsilon`
     and stops after `max_iterations` otherwise.  `init_strategy` picks
-    the columns that seed the float mirror besides the stars.
+    the columns that seed the full-space store besides the stars.
     `checkpoint_path` names a JSON file written every iteration and
     resumed from when it exists.
     """
@@ -159,10 +175,10 @@ class ColGenReport:
     whenever the final alpha is at most one.
 
     `timings` holds seconds by phase: "total" (the whole call of `run`
-    or `solve_power`, from its entry), "master" (the basis certifier,
-    building the basis matrix included, and any exact fallback),
-    "pricing" (every `price_all` call, the float rounds' included) and
-    "float" (the HiGHS solves and the rounding of their results).  The
+    or `solve_power`, from its entry), "master" (the basis certifier
+    and any exact fallback), "pricing" (every `price_all` call, the
+    float rounds' included) and "float" (the HiGHS solves, the basis
+    matrix built after each and the rounding of their results).  The
     records count each iteration's carried columns (see
     `IterationRecord`).  `support` and `dual` are in the full space,
     the orbit space's expanded.
@@ -269,8 +285,9 @@ def run(
     edges.  When the orbit master falls back, or does not take `a`, the
     run is in the full space: the checkpoint's columns, the orbit
     master's included, when there is one, else the strategy columns,
-    and then the stars seed the float mirror, `_FloatBuffer`, and
-    `_generate` runs the loop over it (see the module notes).
+    and then the stars seed a `_Columns` store with every edge its own
+    orbit, and `_generate` runs the loop over it (see the module
+    notes).
 
     Returns a ColGenReport; `converged` is False when the iteration cap
     ran out first, in which case `value` is still a valid upper bound.
@@ -285,15 +302,15 @@ def run(
         if report is not None:
             return _replayed(_timed_from(report, t_start), progress)
     mhash = matrix_hash(a)
-    # The float mirror takes the checkpointed columns first, so HiGHS
-    # sees every column in a fixed order.
-    buffer = _FloatBuffer(a)
-    resumed = _resume(buffer, config.checkpoint_path, mhash)
+    # Every edge is its own orbit.  The store takes the checkpointed
+    # columns first, so HiGHS sees every column in a fixed order.
+    store = _Columns(a, np.arange(a.num_edges), [1] * a.num_edges, True, _solve_mirror)
+    resumed = _resume(store, config.checkpoint_path, mhash)
     if resumed is None:
-        # Seeded with every biclique, the mirror cannot grow.
-        buffer.presolve = not buffer.extend(_initial_bicliques(a, config, maximals))
-    buffer.extend(initial_stars(a))
-    return _generate(a, buffer, maximals, config, mhash, resumed, progress, t_start)
+        # Seeded with every biclique, the store cannot grow.
+        store.presolve = not store.extend(_initial_bicliques(a, config, maximals))
+    store.extend(initial_stars(a))
+    return _generate(a, store, maximals, config, mhash, resumed, progress, t_start)
 
 
 def _resume(store, path, mhash):
@@ -312,28 +329,16 @@ def _resume(store, path, mhash):
 
 def _generate(a, store, maximals, config, mhash, resumed, progress,
               t_start) -> ColGenReport | None:
-    """The column generation loop over the column store `store`, which
-    holds its start columns; `resumed` is `_resume`'s result.
+    """The column generation loop over the `_Columns` store `store`,
+    which holds its start columns; `resumed` is `_resume`'s result.
 
     Each iteration runs `_float_phase`, certifies HiGHS's last optimal
     basis with `_certify`, or takes the store's exact fallback when
     there is no basis to certify, and prices the exact dual over
     `maximals`; then it records, reports to `progress` and checkpoints
-    `carried`.  Returns the report, its support the store's `support`,
-    or None when an iteration needs a fallback and the store has none.
-
-    A store has `rhs`, the right hand side of its rows, and these:
-    `extend(bicliques)` adds the new columns and returns how many;
-    `bicliques` lists one biclique per column; `csc()` is the LP with
-    every row scaled to right hand side one, and `presolve` whether
-    HiGHS presolves it, both for `_linprog`;
-    `rounded_dual(duals)` reads HiGHS's row duals as exact row duals,
-    and `steering_dual(vertex, rounded)` gives the edge weights to
-    price at a vertex; `columns(cols)` is the integer matrix of those
-    columns; `edge_dual(y)` takes exact row duals to edge weights;
-    `fallback()` solves the store exactly, as (bicliques, weights, edge
-    dual), or returns None; `support(columns, value)` turns the final
-    (biclique, weight) pairs into the report's support.
+    `carried`.  Returns the report, its support the final (biclique,
+    weight) pairs of the store's columns in biclique order, or None
+    when an iteration needs a fallback and the store has none.
     """
     iteration, carried = resumed or (0, [])
     held = set(carried)
@@ -357,9 +362,9 @@ def _generate(a, store, maximals, config, mhash, resumed, progress,
         steer = None if stalled else _float_phase(a, maximals, store, threshold, timings)
         t1 = time.perf_counter()
         timings["float"] += t1 - t0 - (timings["pricing"] - pricing)
-        exact = None if steer is None else _certify(store, *steer[:2])
-        if exact is None:
-            exact = store.fallback()
+        exact = None if steer is None else _certify(store, *steer[:3])
+        if exact is None and store.fallback is not None:
+            exact = store.fallback(a, store)
         timings["master"] += time.perf_counter() - t1
         if exact is None:
             return None
@@ -369,8 +374,8 @@ def _generate(a, store, maximals, config, mhash, resumed, progress,
         # price_all depends only on maximals, dual and threshold, so when
         # the exact dual is the float rounds' last priced dual, its
         # result there is this dual's result.
-        if steer is not None and steer[2] == dual:
-            alpha, candidates = steer[3]
+        if steer is not None and steer[3] == dual:
+            alpha, candidates = steer[4]
         else:
             alpha, candidates = _price(a, maximals, dual, threshold, timings)
 
@@ -399,7 +404,8 @@ def _generate(a, store, maximals, config, mhash, resumed, progress,
         if converged or iteration >= config.max_iterations:
             break
 
-    support = store.support([(b, v) for b, v in zip(basis, x) if v], objective)
+    support = sorted([(b, v) for b, v in zip(basis, x) if v],
+                     key=lambda t: (t[0].row_set, t[0].col_set))
     timings["total"] = time.perf_counter() - t_start
     return ColGenReport(
         matrix=a, matrix_hash=mhash, converged=converged, value=objective,
@@ -482,12 +488,11 @@ def _basis(store, basic):
     return cols, rows, matrix
 
 
-def _certify(store, vertex, rounded):
-    """HiGHS's optimal basis at `vertex` solved exactly by
-    `lp.solve_basis`, with its rounded values and the rounded row duals
-    `rounded` as the guesses: (basic bicliques, their exact weights,
-    the exact edge dual), or None when it is refused."""
-    basis = _basis(store, vertex[2])
+def _certify(store, vertex, basis, rounded):
+    """HiGHS's optimal basis at `vertex`, as `_basis` built it, solved
+    exactly by `lp.solve_basis`, with its rounded values and the
+    rounded row duals `rounded` as the guesses: (basic bicliques, their
+    exact weights, the exact edge dual), or None when it is refused."""
     if basis is None:
         return None
     cols, _, matrix = basis
@@ -497,61 +502,82 @@ def _certify(store, vertex, rounded):
     return [store.bicliques[j] for j in cols], exact[0], store.edge_dual(exact[1])
 
 
-def _solve_mirror(a, buffer):
+def _solve_mirror(a, store):
     """Exact column generation's master: `lp.solve` over the edge
     singletons, which give it a start in closed form, and every column
-    of the float mirror `buffer`.  Returns (support bicliques, their
-    weights, the dual).  The dual is optimal over the mirror, so pricing
+    of the full-space store `store`.  Returns (support bicliques, their
+    weights, the dual).  The dual is optimal over the store, so pricing
     it brings new columns unless it converges."""
     singletons = [Biclique(1 << i, 1 << j) for i, j in a.edge_array.tolist()]
-    columns = list(dict.fromkeys([*singletons, *buffer.bicliques]))
+    columns = list(dict.fromkeys([*singletons, *store.bicliques]))
     sol = solve(build_master(a, columns, PARTITION))
     support = [(b, v) for b, v in zip(columns, sol.primal) if v]
     return [b for b, _ in support], [v for _, v in support], sol.dual
 
 
-class _FloatBuffer:
-    """The full space's column store for `_generate`: a float mirror of
-    the master, one row per edge, over every column the run has seen.
+# Float rounds whose rounded dual does not solve its basis price
+# HiGHS's dual rounded to multiples of 1 / _GRID.
+_GRID = 1 << 32
 
-    Columns here cost one float column each, so the buffer can afford
-    every strategy column and the floods of near-duplicate candidates
-    that would drown an exact simplex; only HiGHS's optimal basis is
-    solved exactly, and the exact fallback is `_solve_mirror`.
-    Insertion order is fixed and deduplication is by canonical biclique
-    key, keeping the float solves deterministic.  HiGHS presolves the
-    buffer unless `run` seeded it with every biclique, which leaves
-    pricing nothing to add.
 
-    The columns are stored sparse, by columns (CSC): `_start[j]` is
-    where column j's edge indices begin in `_index`, ascending, and
-    every entry is one, so memory grows with the edges the columns
-    cover rather than with edges times columns.  `extend` builds its
-    new columns as one block: the row and column masks are unpacked to
-    bits, and the entry of edge (i, j) is row bit i AND column bit j.
-    The check is exact and the one `is_valid_biclique` makes: a mask
-    past the matrix dimensions is refused, and so is a biclique whose
-    column counts fewer than |R|·|C| edges, since then some (i, j) of
-    R x C is a zero.
+class _Columns:
+    """The column store of `_generate`: an LP with one row per edge
+    orbit, whose right hand side is the orbit's size, and one column
+    per profile, a biclique's count of cells in each edge orbit, held
+    as the first biclique met with that profile.  `orbit_of` gives
+    each edge's orbit, the orbits numbered by their smallest edges as
+    `symmetry.edge_orbits` lists them, and `sizes` each orbit's size.
+    The full space is the orbit LP of the trivial group: `run` gives
+    every edge its own orbit, so orbit e is edge e and a profile is an
+    incidence column.  `presolve` is whether HiGHS presolves the LP,
+    and `fallback(a, store)` solves the store exactly, as (bicliques,
+    weights, edge dual), or is None.
+
+    Columns cost one float column each, so the store can afford every
+    strategy column and the floods of near-duplicate candidates that
+    would drown an exact simplex; only HiGHS's optimal basis is solved
+    exactly.  Insertion order is fixed, keeping the float solves
+    deterministic.  A biclique whose key was met before is skipped
+    before any array work, and a new one is kept when its profile is
+    new; when every orbit is one edge the key fixes the profile, so
+    profiles are not compared.
+
+    The columns are stored sparse, as `csc` returns them: column j's
+    orbits are `_indices[_indptr[j]:_indptr[j + 1]]`, ascending, with
+    its counts divided by the orbits' sizes in `_data`, so that every
+    right hand side is one.  `extend` reads every cell of its new
+    bicliques at once, row and column indices unpacked from the masks,
+    off a table of each cell's orbit (-1 at a zero).  The check is
+    exact and the one `is_valid_biclique` makes: a mask past the matrix
+    dimensions is refused, and so is a biclique with a cell at a zero.
     """
 
-    def __init__(self, a: BinaryMatrix):
+    def __init__(self, a: BinaryMatrix, orbit_of, sizes, presolve: bool, fallback):
         self._a = a
-        self.rhs = [1] * a.num_edges
-        self.presolve = True
+        self.rhs = list(sizes)
+        self.presolve = presolve
+        self.fallback = fallback
+        self._orbit_of = np.asarray(orbit_of)
+        self._orbit_list = self._orbit_of.tolist()
+        self._singletons = len(self.rhs) == a.num_edges
+        self._orbit_at = np.full((a.num_rows, a.num_cols), -1, dtype=np.intp)
+        self._orbit_at[tuple(a.edge_array.T)] = self._orbit_of
+        self._sizes = np.array(self.rhs, dtype=np.float64)
         self._keys: set[tuple[int, int]] = set()
+        self._profiles: set[bytes] = set()
         self.bicliques: list[Biclique] = []
-        self._edge_rows, self._edge_cols = a.edge_array.T
-        self._start = np.zeros(1, dtype=np.int32)
-        self._index = np.zeros(0, dtype=np.int32)
+        self._indptr = np.zeros(1, dtype=np.int32)
+        self._indices = np.zeros(0, dtype=np.int32)
+        self._data = np.zeros(0)
 
     def __len__(self) -> int:
         return len(self.bicliques)
 
     def extend(self, bicliques) -> int:
-        """Buffer, in order, the bicliques not buffered yet; returns how
-        many.  Raises ContractViolation, buffering none of them, when one
-        does not fit the matrix or is not an all-ones submatrix of it."""
+        """Store, in order, the bicliques whose profiles are new;
+        returns how many.  Raises ContractViolation, storing none of
+        them, when one does not fit the matrix or is not an all-ones
+        submatrix of it."""
         new: dict[tuple[int, int], Biclique] = {}
         for b in bicliques:
             key = (b.row_set, b.col_set)
@@ -564,49 +590,90 @@ class _FloatBuffer:
         col_masks = [c for _, c in new]
         if max(row_masks) >> a.num_rows or max(col_masks) >> a.num_cols:
             raise ContractViolation("biclique index ranges exceed matrix dimensions")
-        row_bits = unpack_masks(row_masks, a.num_rows)
-        col_bits = unpack_masks(col_masks, a.num_cols)
-        block = row_bits[:, self._edge_rows] & col_bits[:, self._edge_cols]
-        sizes = (row_bits.sum(axis=1, dtype=np.int64)
-                 * col_bits.sum(axis=1, dtype=np.int64))
-        if (block.sum(axis=1, dtype=np.int64) != sizes).any():
-            raise ContractViolation(
-                "biclique is not an all-ones submatrix of the matrix")
-        # Row-major nonzeros list each new column's edges in ascending order.
-        _, edges = np.nonzero(block)
-        starts = self._start[-1] + np.cumsum(sizes)
-        self._start = np.concatenate((self._start, starts.astype(np.int32)))
-        self._index = np.concatenate((self._index, edges.astype(np.int32)))
+        owner, rows = np.nonzero(unpack_masks(row_masks, a.num_rows))
+        col_owner, cols = np.nonzero(unpack_masks(col_masks, a.num_cols))
+        col_counts = np.bincount(col_owner, minlength=len(new))
+        # Cells run biclique by biclique, row by row: each of a
+        # biclique's rows meets each of its columns.
+        repeats = col_counts[owner]
+        firsts = np.repeat(np.cumsum(repeats) - repeats, repeats)
+        offsets = np.arange(len(firsts)) - firsts
+        owner = np.repeat(owner, repeats)
+        col_starts = np.cumsum(col_counts) - col_counts
+        cells = self._orbit_at[np.repeat(rows, repeats), cols[col_starts[owner] + offsets]]
+        if (cells < 0).any():
+            raise ContractViolation("biclique is not an all-ones submatrix of the matrix")
         self._keys.update(new)
-        self.bicliques.extend(new.values())
-        return len(new)
+        kept = list(new.values())
+        if self._singletons:
+            # A cell's orbit is its edge, and edges are numbered row by
+            # row, so each column's orbits ascend.
+            orbits, data = cells, np.ones(len(cells))
+        else:
+            num = len(self.rhs)
+            profiles = np.bincount(owner * num + cells,
+                                   minlength=len(kept) * num).reshape(len(kept), num)
+            fresh = []
+            for k, profile in enumerate(profiles):
+                key = profile.tobytes()
+                if key not in self._profiles:
+                    self._profiles.add(key)
+                    fresh.append(k)
+            if not fresh:
+                return 0
+            kept = [kept[k] for k in fresh]
+            profiles = profiles[fresh]
+            owner, orbits = np.nonzero(profiles)
+            data = profiles[owner, orbits] / self._sizes[orbits]
+        widths = np.bincount(owner, minlength=len(kept))
+        starts = self._indptr[-1] + np.cumsum(widths)
+        self._indptr = np.concatenate((self._indptr, starts.astype(np.int32)))
+        self._indices = np.concatenate((self._indices, orbits.astype(np.int32)))
+        self._data = np.concatenate((self._data, data))
+        self.bicliques.extend(kept)
+        return len(kept)
 
     def csc(self) -> _Csc:
-        """The buffered master's A_eq, as `_linprog` solves it."""
-        return _Csc(self._start, self._index, np.ones(len(self._index)),
-                    (self._a.num_edges, len(self)))
+        """The store's LP with row E divided by |E|, so every right hand
+        side is one, as `_linprog` solves it."""
+        return _Csc(self._indptr, self._indices, self._data, (len(self.rhs), len(self)))
 
     def rounded_dual(self, duals) -> list:
-        return _round_all(duals)
+        """Row E's exact dual read off HiGHS's scaled row dual: rounded
+        to a nearby fraction, then divided by |E| (a division by one
+        would only copy the fraction)."""
+        return [q if size == 1 else q / size
+                for q, size in zip(_round_all(duals), self.rhs)]
 
-    def steering_dual(self, vertex, rounded) -> tuple:
-        return tuple(rounded)
+    def steering_dual(self, vertex, basis, rounded) -> tuple:
+        """The edge weights to price in a float round at HiGHS's optimal
+        `vertex` (x, row duals, basic variables), whose `basis` `_basis`
+        built: the row duals `rounded` when they are the basis's exact
+        dual (they price every basic column at exactly 1 and every
+        basic slack at 0), and otherwise HiGHS's dual rounded to
+        multiples of 2^-32, which keeps pricing's common denominator
+        small."""
+        if basis is not None:
+            cols, slack_rows, matrix = basis
+            if _solves(matrix.T, rounded, [1] * len(cols) + [0] * len(slack_rows)):
+                return self.edge_dual(rounded)
+        return self.edge_dual([rat(round(v / size * _GRID), _GRID)
+                               for v, size in zip(vertex[1].tolist(), self.rhs)])
 
     def columns(self, cols) -> np.ndarray:
-        """The incidence columns of the buffered columns `cols`."""
+        """The columns `cols` as integer matrix columns, rebuilt from
+        their bicliques' incidence columns, counted by orbit."""
         a = self._a
-        return unpack_masks([incidence_column(a, self.bicliques[j]) for j in cols],
-                            a.num_edges).T
+        bits = unpack_masks([incidence_column(a, self.bicliques[j]) for j in cols],
+                            a.num_edges)
+        owner, edges = np.nonzero(bits)
+        num = len(self.rhs)
+        return np.bincount(owner * num + self._orbit_of[edges],
+                           minlength=len(cols) * num).reshape(len(cols), num).T
 
-    def edge_dual(self, y) -> tuple:
-        return tuple(y)
-
-    def fallback(self):
-        return _solve_mirror(self._a, self)
-
-    def support(self, columns, value) -> list:
-        """`columns` in biclique order."""
-        return sorted(columns, key=lambda t: (t[0].row_set, t[0].col_set))
+    def edge_dual(self, w) -> tuple:
+        """The edge weights y_e = w_E for e in E."""
+        return tuple([w[t] for t in self._orbit_list])
 
 
 class _Csc(NamedTuple):
@@ -655,8 +722,8 @@ def _linprog(*, A_eq: _Csc, presolve: bool):
 # _INNER_ROUNDS solves and stops early once the store holds _BUFFER_CAP
 # columns.  The cap is soft: a phase can pass it by one round's
 # candidates, and every iteration still adds its exact candidates.  The
-# mirror stores 4 bytes per covered edge of each column, so its memory
-# follows the columns' sizes, not the edge count times the columns.
+# store keeps 12 bytes per nonzero of each column, so its memory
+# follows the columns' sizes, not the row count times the columns.
 _INNER_ROUNDS = 40
 _BUFFER_CAP = 60_000
 
@@ -708,9 +775,11 @@ def _float_phase(a, maximals, store, threshold, timings):
     """Run the float relaxation of the store's LP to a standstill.
 
     Alternates HiGHS solves with pricing rounds against the store's
-    steering dual until pricing stops producing new columns.  Returns
-    the final vertex (x, row duals, basic variables), its row duals
-    rounded to nearby fractions, the steering dual priced last and its
+    steering dual until pricing stops producing new columns; each
+    round builds its vertex's basis matrix once, with `_basis`.
+    Returns the final vertex (x, row duals, basic variables), its basis
+    (None when it is not one variable per row), its row duals rounded
+    to nearby fractions, the steering dual priced last and its
     `price_all` result (alpha, candidates); or None when a float solve
     fails.  Every `price_all` call is booked under "pricing" in
     `timings`.  All of it only steers: `lp.solve_basis` takes the basis
@@ -722,13 +791,14 @@ def _float_phase(a, maximals, store, threshold, timings):
         vertex = _linprog(A_eq=store.csc(), presolve=store.presolve)
         if vertex is None:
             return None
+        basis = _basis(store, vertex[2])
         rounded = store.rounded_dual(vertex[1])
-        steer = store.steering_dual(vertex, rounded)
+        steer = store.steering_dual(vertex, basis, rounded)
         priced = _price(a, maximals, steer, threshold, timings)
         fresh = store.extend([pb.biclique for pb in priced[1]])
         if not fresh or len(store) >= _BUFFER_CAP:
             break
-    return vertex, rounded, steer, priced
+    return vertex, basis, rounded, steer, priced
 
 
 def _initial_bicliques(a, config, maximals) -> list[Biclique]:

@@ -8,12 +8,13 @@ its base, any other matrix with those of its own symmetries when they
 leave at most a quarter as many edge orbits as edges.  The LP has one
 row per edge orbit of G and one column per profile: a biclique's count
 of cells in each edge orbit.  `orbit_master` only sets up this LP's
-column store, `_OrbitColumns`, and runs `colgen._generate` over it,
-the loop the full space runs too: HiGHS steers and `lp.solve_basis`
-solves HiGHS's last optimal basis exactly.  The store expands the
-answer to a full-space partition and checks it there.  HiGHS, pricing
-and checkpoint writes are called by their names in `colgen`, where
-the benchmark's tracer wraps them.
+`colgen._Columns` store, the one the full space uses with an orbit
+per edge, and runs `colgen._generate` over it, the loop the full space
+runs too: HiGHS steers and `lp.solve_basis` solves HiGHS's last
+optimal basis exactly.  It then expands the answer to a full-space
+partition and checks it there (`_expand_orbits`).  HiGHS, pricing and
+checkpoint writes are called by their names in `colgen`, where the
+benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from math import lcm
 
 import numpy as np
 
-from . import colgen, lp
-from ._rational import ZERO, rat
+from . import colgen
+from ._rational import ZERO
 from .colgen import ColGenReport
-from .core import Biclique, BinaryMatrix, matrix_hash, unpack_masks
-from .errors import ContractViolation, InvariantViolation
+from .core import Biclique, matrix_hash, unpack_masks
+from .errors import InvariantViolation
 from .symmetry import gather_table, orbit_closure, orbit_representatives
 
 
@@ -51,12 +52,13 @@ def orbit_master(a, maximals, config, gens, orbits) -> ColGenReport | None:
     Pricing scans only the representatives (one maximal per orbit):
     once their orbits are checked to cover every maximal, their maximum
     is the global one, since G maps bicliques onto bicliques of the
-    same y-weight.  The loop is `colgen._generate` over `_OrbitColumns`,
-    as for the full space: HiGHS solves the LP with rows scaled by
-    1/|E|, `lp.solve_basis` solves its last optimal basis exactly for z
-    and the dual w (y_e = w_E for e in E), and the support of the last
-    basis is expanded: each basic orbit column's z spread evenly over
-    its G-orbit, then checked edge by edge.
+    same y-weight.  The loop is `colgen._generate` over a
+    `colgen._Columns` store of G's edge orbits, as for the full space:
+    HiGHS solves the LP with rows scaled by 1/|E|, `lp.solve_basis`
+    solves its last optimal basis exactly for z and the dual w (y_e =
+    w_E for e in E), and the support of the last basis is expanded:
+    each basic orbit column's z spread evenly over its G-orbit, then
+    checked edge by edge.
 
     Returns None when HiGHS fails, the basis is singular or not exactly
     feasible, or an iteration at alpha > 1 + epsilon adds no profile:
@@ -69,125 +71,20 @@ def orbit_master(a, maximals, config, gens, orbits) -> ColGenReport | None:
     if not covered.issuperset((b.row_set, b.col_set) for b in maximals):
         raise InvariantViolation(
             "the orbits of the representatives miss a maximal biclique")
-    pool = _OrbitColumns(a, orbits, table)
+    orbit_of = np.empty(a.num_edges, dtype=np.intp)
+    for t, orbit in enumerate(orbits):
+        orbit_of[orbit] = t
+    # Presolve only costs time on the orbit LP.
+    pool = colgen._Columns(a, orbit_of, [len(orbit) for orbit in orbits], False, None)
     firsts = a.edge_array[[orbit[0] for orbit in orbits]].tolist()
     singletons = [Biclique(1 << i, 1 << j) for i, j in firsts]
     pool.extend([*singletons, *colgen.initial_stars(a), *reps])
     mhash = matrix_hash(a)
     resumed = colgen._resume(pool, config.checkpoint_path, mhash)
-    return colgen._generate(a, pool, reps, config, mhash, resumed, None, t_start)
-
-
-class _OrbitColumns:
-    """The orbit space's column store for `colgen._generate`: one
-    representative biclique per profile, in the order first met, with
-    the edge orbits' sizes as the right hand side.  A profile counts
-    the biclique's cells in each edge orbit, read from a table of every
-    cell's orbit (-1 at a zero).  `table` is G's gather table, with
-    which `support` expands the final orbit columns.  HiGHS solves the
-    orbit LP without presolve, which only costs time there."""
-
-    presolve = False
-
-    def __init__(self, a: BinaryMatrix, orbits, table):
-        self._a, self._table = a, table
-        self.rhs = [len(orbit) for orbit in orbits]
-        edges = a.edge_array
-        self._orbit_at = np.full((a.num_rows, a.num_cols), -1, dtype=np.intp)
-        for t, orbit in enumerate(orbits):
-            self._orbit_at[edges[orbit, 0], edges[orbit, 1]] = t
-        self._orbit_of = self._orbit_at[edges[:, 0], edges[:, 1]].tolist()
-        self._seen: set[bytes] = set()
-        self.bicliques: list[Biclique] = []
-        self.profiles: list[np.ndarray] = []
-
-    def __len__(self) -> int:
-        return len(self.bicliques)
-
-    def extend(self, bicliques) -> int:
-        """Add the bicliques whose profiles are new; returns how many.
-        Every profile comes from one bincount over all the bicliques'
-        cells, each cell's row and column read off the bit rows."""
-        bicliques = list(bicliques)
-        num_rows, num_cols = self._orbit_at.shape
-        if any(b.row_set >> num_rows or b.col_set >> num_cols for b in bicliques):
-            raise ContractViolation("biclique lies outside the matrix")
-        if not bicliques:
-            return 0
-        owner, rows = np.nonzero(unpack_masks([b.row_set for b in bicliques], num_rows))
-        col_owner, cols = np.nonzero(unpack_masks([b.col_set for b in bicliques], num_cols))
-        widths = np.bincount(col_owner, minlength=len(bicliques))
-        # Cells run biclique by biclique, row by row: each of a
-        # biclique's rows meets each of its columns.
-        repeats = widths[owner]
-        firsts = np.repeat(np.cumsum(repeats) - repeats, repeats)
-        offsets = np.arange(len(firsts)) - firsts
-        owner = np.repeat(owner, repeats)
-        col_starts = np.cumsum(widths) - widths
-        cells = self._orbit_at[np.repeat(rows, repeats), cols[col_starts[owner] + offsets]]
-        if (cells < 0).any():
-            raise ContractViolation("biclique is not an all-ones submatrix of the matrix")
-        size = len(self.rhs)
-        profiles = np.bincount(owner * size + cells, minlength=len(bicliques) * size)
-        before = len(self)
-        for b, profile in zip(bicliques, profiles.reshape(len(bicliques), size)):
-            key = profile.tobytes()
-            if key not in self._seen:
-                self._seen.add(key)
-                self.bicliques.append(b)
-                self.profiles.append(profile)
-        return len(self) - before
-
-    def csc(self) -> colgen._Csc:
-        """The LP with row E divided by |E|, so every right hand side is
-        one, as `colgen._linprog` solves it."""
-        counts = np.array(self.profiles, dtype=np.int64).reshape(len(self), len(self.rhs))
-        cols, rows = np.nonzero(counts)
-        indptr = np.zeros(len(self) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=len(self)), out=indptr[1:])
-        data = counts[cols, rows] / np.array(self.rhs, dtype=np.float64)[rows]
-        return colgen._Csc(indptr, rows.astype(np.int32), data,
-                           (len(self.rhs), len(self)))
-
-    def rounded_dual(self, duals) -> list:
-        """w_E = row E's scaled dual over |E|, rounded to a nearby
-        fraction."""
-        return [q / size for q, size in zip(colgen._round_all(duals), self.rhs)]
-
-    def steering_dual(self, vertex, rounded) -> tuple:
-        """The edge weights to price in a float round at HiGHS's optimal
-        `vertex` (x, row duals, basic variables): the orbit dual
-        `rounded` when that is its basis's exact dual (w . B_j is
-        exactly 1 on every basic column and 0 on every basic slack), and
-        otherwise HiGHS's dual rounded to multiples of 2^-32, which
-        keeps pricing's common denominator small."""
-        basis = colgen._basis(self, vertex[2])
-        if basis is not None:
-            cols, slack_rows, matrix = basis
-            if lp._solves(matrix.T, rounded, [1] * len(cols) + [0] * len(slack_rows)):
-                return self.edge_dual(rounded)
-        return self.edge_dual([rat(round(v / size * _GRID), _GRID)
-                               for v, size in zip(vertex[1].tolist(), self.rhs)])
-
-    def columns(self, cols) -> np.ndarray:
-        """The profiles of the columns `cols`, as matrix columns."""
-        return np.array([self.profiles[j] for j in cols]).T
-
-    def edge_dual(self, w) -> tuple:
-        """The edge weights y_e = w_E for e in E."""
-        return tuple(w[t] for t in self._orbit_of)
-
-    def fallback(self):
-        return None
-
-    def support(self, columns, value) -> list:
-        """The orbit columns `columns` expanded to the full space."""
-        return _expand_orbits(self._a, self._table, columns, value)
-
-
-# Float rounds that cannot recover the exact dual price HiGHS's dual
-# rounded to multiples of 1 / _GRID.
-_GRID = 1 << 32
+    report = colgen._generate(a, pool, reps, config, mhash, resumed, None, t_start)
+    if report is not None:
+        report.support = tuple(_expand_orbits(a, table, report.support, report.value))
+    return report
 
 
 def _expand_orbits(a, table, columns, value) -> list[tuple[Biclique, object]]:

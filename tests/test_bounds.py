@@ -405,3 +405,15 @@ def test_sandwich_on_crown(crown5):
     assert report.cover_value == rat(10, 3)
     assert report.partition_value == rat(10, 3)
     assert report.interval_lower == rat(10, 3)
+
+
+def test_sandwich_takes_the_base_value_from_column_generation():
+    # crown(9) has over 100000 bicliques, too many to list, but column
+    # generation needs only its 510 maximals.
+    a = crown(9)
+    with pytest.raises(SizeCapExceeded):
+        enumerate_all_bicliques(a)
+    report = sandwich_report(a, {})
+    assert report.fooling == 3
+    assert report.cover_value == report.partition_value == rat(18, 5)
+    assert report.rows[0].upper_value == rat(18, 5)

@@ -12,7 +12,7 @@ from fracbp._rational import rat
 from fracbp.colgen import (
     CHECKPOINT_VERSION,
     ColGenConfig,
-    _FloatBuffer,
+    _Columns,
     _linprog,
     initial_stars,
     load_checkpoint,
@@ -457,11 +457,16 @@ def orbit_report(monkeypatch, base, k, config=None, progress=None):
     space."""
     import fracbp.colgen as colgen
 
-    def refusing(*args, **kwargs):
-        raise AssertionError("the orbit master fell back to the full space")
+    columns = colgen._Columns
+
+    def refusing(a, orbit_of, sizes, presolve, fallback):
+        # A store with an orbit per edge is the full space.
+        if len(sizes) == a.num_edges:
+            raise AssertionError("the orbit master fell back to the full space")
+        return columns(a, orbit_of, sizes, presolve, fallback)
 
     with monkeypatch.context() as patch:
-        patch.setattr(colgen, "_FloatBuffer", refusing)
+        patch.setattr(colgen, "_Columns", refusing)
         return solve_power(base, k, config or ColGenConfig(), progress=progress)
 
 
@@ -594,7 +599,6 @@ def test_orbit_master_checkpoints_and_resumes(d, monkeypatch, tmp_path):
 def test_orbit_master_falls_back_to_the_full_space(d, monkeypatch):
     import fracbp.colgen as colgen
     import fracbp.lp as lp
-    import fracbp.orbits as orbits
 
     runs = []
     run_ = colgen.run
@@ -605,11 +609,14 @@ def test_orbit_master_falls_back_to_the_full_space(d, monkeypatch):
 
     monkeypatch.setattr(colgen, "run", counting_run)
 
-    extend = orbits._OrbitColumns.extend
+    extend = colgen._Columns.extend
 
     def stalling(self, bicliques):
-        # The start columns go in; no priced column ever does.
-        return 0 if len(self) else extend(self, bicliques)
+        # In the orbit store, which has no exact fallback, the start
+        # columns go in and no priced column ever does.
+        if self.fallback is None and len(self):
+            return 0
+        return extend(self, bicliques)
 
     def singular(patch):
         # HiGHS's rounded values fail the check and elimination finds
@@ -622,7 +629,7 @@ def test_orbit_master_falls_back_to_the_full_space(d, monkeypatch):
             colgen, "_linprog", lambda *, A_eq, presolve: None)),
         ("singular basis", singular),
         ("pricing stalls", lambda patch: patch.setattr(
-            orbits._OrbitColumns, "extend", stalling)),
+            colgen._Columns, "extend", stalling)),
     ]
     for name, patching in fallbacks:
         runs.clear()
@@ -884,14 +891,14 @@ def test_orbit_exact_pass_reuses_the_float_pricing(d, monkeypatch):
 def test_orbit_columns_count_each_cell_once(d, rng):
     # The batched profiles equal a cell-by-cell count, duplicates of a
     # profile are dropped, and both refusals stand.
-    from fracbp.orbits import _OrbitColumns
-    from fracbp.symmetry import edge_orbits, gather_table, power_generators
+    from fracbp.symmetry import edge_orbits, power_generators
 
     a = kronecker_power(d, 2)
-    gens = power_generators(d, 2)
-    orbits = edge_orbits(a, gens)
+    orbits = edge_orbits(a, power_generators(d, 2))
     orbit_of = {}
+    orbit_of_edge = np.empty(a.num_edges, dtype=np.intp)
     for t, orbit in enumerate(orbits):
+        orbit_of_edge[orbit] = t
         for e in orbit:
             orbit_of[a.edges[int(e)]] = t
     bicliques = []
@@ -901,7 +908,8 @@ def test_orbit_columns_count_each_cell_once(d, rng):
             cols = [j for j in bit_indices(b.col_set) if rng.random() < 0.7]
             if rows and cols:
                 bicliques.append(Biclique(sum(1 << i for i in rows), sum(1 << j for j in cols)))
-    pool = _OrbitColumns(a, orbits, gather_table(gens, a.num_rows, a.num_cols))
+    sizes = [len(orbit) for orbit in orbits]
+    pool = _Columns(a, orbit_of_edge, sizes, False, None)
     added = pool.extend(bicliques + bicliques[:5])
     expected = {}
     for b in bicliques:
@@ -912,7 +920,9 @@ def test_orbit_columns_count_each_cell_once(d, rng):
         expected.setdefault(tuple(profile), b)
     assert added == len(pool) == len(expected)
     assert pool.bicliques == list(expected.values())
-    assert [tuple(p.tolist()) for p in pool.profiles] == list(expected)
+    # The CSC holds each profile divided by the orbits' sizes.
+    assert np.array_equal(stored_columns(pool),
+                          np.array(list(expected)).T / np.array(sizes, dtype=float)[:, None])
     assert pool.extend([]) == 0 and pool.extend(bicliques) == 0
     with pytest.raises(ContractViolation):
         pool.extend([Biclique(1, 1 << a.num_cols)])
@@ -1061,16 +1071,24 @@ def test_exact_fallback_converges_to_the_same_value(d, crown5, m5, monkeypatch,
 # Float mirror
 # ---------------------------------------------------------------------------
 
-def buffered_columns(buffer):
-    """The buffer's CSC columns as a dense edges x columns array; each
-    column's edge indices must be ascending, as scipy's CSC lists them."""
-    start, index = buffer._start, buffer._index
-    assert len(start) == len(buffer) + 1 and start[-1] == len(index)
-    dense = np.zeros((buffer._a.num_edges, len(buffer)))
-    for k in range(len(buffer)):
-        edges = index[start[k]:start[k + 1]]
-        assert (np.diff(edges) > 0).all()
-        dense[edges, k] = 1
+def full_space(a):
+    """The full-space column store as `run` builds it, every edge its
+    own orbit, without its exact fallback."""
+    return _Columns(a, np.arange(a.num_edges), [1] * a.num_edges, True, None)
+
+
+def stored_columns(store):
+    """The store's CSC columns as a dense rows x columns array; each
+    column's row indices must be ascending, as scipy's CSC lists them."""
+    view = store.csc()
+    start, index = view.indptr, view.indices
+    assert len(start) == len(store) + 1 and start[-1] == len(index) == len(view.data)
+    assert view.shape == (len(store.rhs), len(store))
+    dense = np.zeros(view.shape)
+    for k in range(len(store)):
+        rows = index[start[k]:start[k + 1]]
+        assert (np.diff(rows) > 0).all()
+        dense[rows, k] = view.data[start[k]:start[k + 1]]
     return dense
 
 
@@ -1085,7 +1103,7 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng):
     cases.append((d4, enumerate_maximal(d4)))
     assert len(cases[-1][1]) == 256
     for a, bicliques in cases:
-        buffer = _FloatBuffer(a)
+        buffer = full_space(a)
         # Uneven chunks make the arrays grow inside and across calls.
         cut = len(bicliques) // 3
         assert buffer.extend(bicliques[:cut]) == cut
@@ -1094,7 +1112,7 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng):
         expected = np.zeros((a.num_edges, len(bicliques)))
         for k, b in enumerate(bicliques):
             expected[list(bit_indices(incidence_column(a, b))), k] = 1
-        assert np.array_equal(buffered_columns(buffer), expected)
+        assert np.array_equal(stored_columns(buffer), expected)
     # The sparse store passes HiGHS less than a dense float64 A_eq would.
     view = buffer.csc()
     assert view.shape == (d4.num_edges, 256)
@@ -1103,13 +1121,13 @@ def test_float_buffer_columns_are_the_incidence_columns(d, rng):
 
 def test_float_buffer_skips_buffered_bicliques(d):
     bicliques = enumerate_all_bicliques(d)
-    buffer = _FloatBuffer(d)
+    buffer = full_space(d)
     assert buffer.extend(bicliques + bicliques[:3]) == len(bicliques)
-    before = buffered_columns(buffer).copy()
+    before = stored_columns(buffer).copy()
     assert buffer.extend(bicliques) == 0
     assert buffer.extend([]) == 0
     assert buffer.bicliques == bicliques
-    assert np.array_equal(buffered_columns(buffer), before)
+    assert np.array_equal(stored_columns(buffer), before)
 
 
 def test_float_solve_is_linprogs_vertex(d, crown5, rng):
@@ -1121,7 +1139,7 @@ def test_float_solve_is_linprogs_vertex(d, crown5, rng):
             cases.append(BinaryMatrix(m, n, rows))
     for a in cases:
         bicliques = enumerate_all_bicliques(a)
-        buffer = _FloatBuffer(a)
+        buffer = full_space(a)
         buffer.extend(bicliques)
         for presolve in (True, False):
             got = _linprog(A_eq=buffer.csc(), presolve=presolve)
@@ -1209,7 +1227,7 @@ def test_float_failure_only_loses_steering(d, m5, monkeypatch):
 
 
 def test_float_buffer_refuses_what_is_no_biclique(d):
-    buffer = _FloatBuffer(d)
+    buffer = full_space(d)
     star = Biclique(0b001, d.rows[0])
     for bad in (Biclique(0b1000, 0b001), Biclique(0b001, 0b1000),
                 Biclique(0b111, 0b111)):
@@ -1218,6 +1236,67 @@ def test_float_buffer_refuses_what_is_no_biclique(d):
         # A refused call buffers none of its bicliques.
         assert len(buffer) == 0
     assert buffer.extend([star]) == 1
+
+
+
+def test_a_full_space_round_steers_by_the_grid_when_its_dual_is_not_exact(
+        crown5, monkeypatch):
+    # A float round whose rounded row duals do not solve HiGHS's basis
+    # prices HiGHS's dual rounded to multiples of 2^-32, in the full
+    # space as in the orbit space; the exact answer stays.
+    import fracbp.colgen as colgen
+
+    config = ColGenConfig(init_strategy="stars")
+    want = run(crown5, config)
+    events = []
+    linprog, price = colgen._linprog, colgen._price
+
+    def solving(**kwargs):
+        vertex = linprog(**kwargs)
+        events.append(("highs", vertex[1]))
+        return vertex
+
+    def pricing(a, maximals, dual, threshold, timings):
+        events.append(("price", dual))
+        return price(a, maximals, dual, threshold, timings)
+
+    monkeypatch.setattr(colgen, "_linprog", solving)
+    monkeypatch.setattr(colgen, "_price", pricing)
+    monkeypatch.setattr(colgen, "_solves", lambda matrix, x, rhs: False)
+    report = run(crown5, config)
+    assert report.converged and report.value == want.value
+    assert_is_fractional_partition(crown5, report.support)
+    # Each float round's pricing follows its HiGHS solve.
+    rounds = [(duals, dual) for (kind, duals), (then, dual) in zip(events, events[1:])
+              if kind == "highs" and then == "price"]
+    assert rounds
+    grid = 1 << 32
+    for duals, dual in rounds:
+        assert dual == tuple(rat(round(v * grid), grid) for v in duals.tolist())
+    # The grid is not the nearest-fraction rounding here.
+    assert any(dual != tuple(colgen._round_all(duals)) for duals, dual in rounds)
+
+
+def test_a_float_round_builds_its_basis_once(d, m5, monkeypatch, one_inner_round):
+    # Each HiGHS solve's basis matrix is built once, in its float round,
+    # and `_certify` solves the last one without building another.
+    import fracbp.colgen as colgen
+
+    events = []
+    for name in ("_linprog", "_basis", "_certify"):
+        def logging(*args, _name=name, _original=getattr(colgen, name), **kwargs):
+            events.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(colgen, name, logging)
+    for solve in (lambda: run(m5, ColGenConfig(init_strategy="stars")),
+                  lambda: solve_power(d, 3, ColGenConfig())):
+        events.clear()
+        report = solve()
+        assert report.converged and len(report.records) >= 2
+        solves = events.count("_linprog")
+        assert events.count("_certify") == len(report.records)
+        assert [e for e in events if e != "_certify"] == ["_linprog", "_basis"] * solves
 
 
 # ---------------------------------------------------------------------------
