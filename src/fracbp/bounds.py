@@ -20,7 +20,12 @@ from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 from ._rational import ZERO
 from .colgen import ColGenConfig, initial_stars, run
 from .core import BinaryMatrix, Biclique, bit_indices, enumerate_all_bicliques
-from .errors import ContractViolation, InvariantViolation, SizeCapExceeded
+from .errors import (
+    ContractViolation,
+    EmptyGraphError,
+    InvariantViolation,
+    SizeCapExceeded,
+)
 from .lp import COVER, NODE_CAP, PARTITION, build_master, solve, solve_integer
 from .maximal import enumerate_maximal
 
@@ -110,33 +115,39 @@ def integer_partition_number(
 ) -> tuple[int, list[Biclique], int]:
     """Exact bp: minimum number of bicliques partitioning the ones.
 
-    Enumerates every biclique (partitions may need non-maximal parts)
-    and runs branch and bound, which may prune with a's symmetries.
-    The search starts from the stars (`_stars`) as its incumbent, which
-    `solve_integer` checks edge by edge, so a root whose LP bound's
-    ceiling is their count closes at once.  Returns (value, parts,
-    nodes explored).
+    Enumerates every biclique (partitions may need non-maximal parts).
+    The search starts from the stars (`_stars`).  Returns (value, parts,
+    nodes explored); see `_integer_number`.
     """
-    bicliques = enumerate_all_bicliques(a)
-    result = solve_integer(build_master(a, bicliques, PARTITION), node_cap,
-                           lambda: edge_symmetries(a),
-                           _ids(bicliques, _stars(a)))
-    chosen = [b for b, take in zip(bicliques, result.selection) if take]
-    return result.objective, chosen, result.nodes
+    return _integer_number(a, PARTITION, node_cap)
 
 
 def integer_cover_number(
     a: BinaryMatrix, node_cap: int = NODE_CAP
 ) -> tuple[int, list[Biclique], int]:
-    """Exact bc over maximal bicliques (maximality is free for covers);
-    branch and bound may prune with a's symmetries.  The search starts
-    from the maximal closures of the stars (`_closed_stars`) as its
-    incumbent, checked edge by edge by `solve_integer`."""
-    maximals = enumerate_maximal(a)
-    result = solve_integer(build_master(a, maximals, COVER), node_cap,
-                           lambda: edge_symmetries(a),
-                           _ids(maximals, _closed_stars(a)))
-    chosen = [b for b, take in zip(maximals, result.selection) if take]
+    """Exact bc over maximal bicliques (maximality is free for covers).
+    The search starts from the maximal closures of the stars
+    (`_closed_stars`).  Returns (value, parts, nodes explored); see
+    `_integer_number`."""
+    return _integer_number(a, COVER, node_cap)
+
+
+def _integer_number(a: BinaryMatrix, sense: str,
+                    node_cap: int) -> tuple[int, list[Biclique], int]:
+    """Branch and bound over the bicliques of a (every one for a
+    partition, the maximal ones for a cover), which may prune with a's
+    symmetries.  The starting incumbent is checked edge by edge by
+    `solve_integer`, so a root whose LP bound's ceiling is its size
+    closes at once.  Raises EmptyGraphError when a has no ones."""
+    if a.num_edges == 0:
+        raise EmptyGraphError("matrix has no ones")
+    if sense == PARTITION:
+        pool, start = enumerate_all_bicliques(a), _stars(a)
+    else:
+        pool, start = enumerate_maximal(a), _closed_stars(a)
+    result = solve_integer(build_master(a, pool, sense), node_cap,
+                           lambda: edge_symmetries(a), _ids(pool, start))
+    chosen = [b for b, take in zip(pool, result.selection) if take]
     return result.objective, chosen, result.nodes
 
 
@@ -296,30 +307,43 @@ def sandwich_report(
         the running minimum upper root.  The final interval is
         [cover_value, min upper root rounded up at six decimals].
 
-    Any violation of fooling <= cover <= upper roots raises
-    InvariantViolation: the chain is a theorem, so a violation means a
-    value is wrong.
+    The chain fooling <= cover <= upper roots is a theorem.  A supplied
+    upper value that breaks it, or one keyed below 1 or not positive,
+    raises ContractViolation naming its k; a break among the values
+    computed here raises InvariantViolation, since one of them is wrong.
     """
     uppers = dict(upper_values)
+    for k, value in uppers.items():
+        if k < 1:
+            raise ContractViolation(f"upper value keyed k={k}: k must be at least 1")
+        if value <= 0:
+            raise ContractViolation(f"the k={k} upper value {value} is not positive")
     if kmax is None:
         kmax = max(uppers) if uppers else 1
     if kmax < 1:
         raise ContractViolation("kmax must be at least 1")
     fooling = fooling_set_number(a)
     cover_value = fractional_cover_number(a)
-    if 1 in uppers:
-        partition_value = uppers[1]
-    else:
+    if fooling > cover_value:
+        raise InvariantViolation("fooling set exceeds the fractional cover value")
+    if 1 not in uppers:
         report = run(a, ColGenConfig(epsilon=ZERO))
         if not report.converged:
             raise InvariantViolation("column generation did not reach bp_f of the base")
-        partition_value = report.value
-        uppers[1] = partition_value
-
-    if fooling > cover_value:
-        raise InvariantViolation("fooling set exceeds the fractional cover value")
-    if cover_value > partition_value:
-        raise InvariantViolation("cover value exceeds the partition value")
+        if cover_value > report.value:
+            raise InvariantViolation("cover value exceeds the partition value")
+        uppers[1] = report.value
+    partition_value = uppers[1]
+    # Exact comparisons, k = 1 first: cover^k and the unrooted lemma
+    # product (`power_root_lower_bound`, whose root is not needed here)
+    # must sit below each supplied power value.
+    for k, value in sorted(upper_values.items()):
+        if cover_value ** k > value:
+            raise ContractViolation(
+                f"the k={k} upper value {value} is below the cover value to the {k}")
+        if partition_value * cover_value ** (k - 1) > value:
+            raise ContractViolation(
+                f"the k={k} upper value {value} is below the power lower bound")
 
     rows = []
     best_root = None
@@ -328,14 +352,6 @@ def sandwich_report(
         upper_value = uppers.get(k)
         upper_root = None
         if upper_value is not None:
-            # Exact comparisons first: cover^k and the unrooted lemma
-            # product must sit below the computed power value.
-            if cover_value ** k > upper_value:
-                raise InvariantViolation(
-                    f"cover value to the {k} exceeds the k={k} upper value")
-            if bound.unrooted > upper_value:
-                raise InvariantViolation(
-                    f"power lower bound exceeds the k={k} upper value")
             upper_root = decimal_root(upper_value, k)
             if best_root is None or upper_root < best_root:
                 best_root = upper_root

@@ -9,7 +9,8 @@ solves) explored.
 
 Exit codes: 0 success, 2 finished without converging, 3 a size or node
 cap refused the computation, 64 usage error, 65 unreadable input
-matrix, 74 a checkpoint or the --out file could not be read or written.
+matrix (or one with no ones), 74 a checkpoint or the --out file could
+not be read or written.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import Biclique, format_matrix, kronecker_power, load_matrix, matrix_
 from .errors import (
     CheckpointError,
     ContractViolation,
+    EmptyGraphError,
     FracbpError,
     MatrixFormatError,
     NodeCapExceeded,
@@ -291,6 +293,19 @@ def cmd_bc(args) -> int:
     return _cmd_integer(args, "bc")
 
 
+def _parse_uppers(pairs, error, where: str) -> dict:
+    """(k, value) string pairs as a dict of k to exact rationals; a bad
+    pair raises `error` naming `where`."""
+    uppers = {}
+    for k_str, value in pairs:
+        try:
+            k = int(k_str)
+            uppers[k] = rat_from_str(str(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise error(f"{where}: bad entry {k_str}={value}: {exc}") from exc
+    return uppers
+
+
 def cmd_bounds(args) -> int:
     a = load_matrix(args.matrix)
     uppers = {}
@@ -306,20 +321,9 @@ def cmd_bounds(args) -> int:
         if not isinstance(raw, dict):
             raise MatrixFormatError(
                 f"{args.upper_values} must hold an object mapping k to a rational")
-        for k_str, value in raw.items():
-            try:
-                uppers[int(k_str)] = rat_from_str(str(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MatrixFormatError(
-                    f"{args.upper_values}: bad entry {k_str!r}: {exc}") from exc
-    for item in args.upper:
-        if "=" not in item:
-            raise ContractViolation(f"--upper takes K=VALUE, got {item!r}")
-        k_str, value = item.split("=", 1)
-        try:
-            uppers[int(k_str)] = rat_from_str(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ContractViolation(f"--upper takes K=VALUE, got {item!r}") from exc
+        uppers = _parse_uppers(raw.items(), MatrixFormatError, args.upper_values)
+    uppers |= _parse_uppers((item.partition("=")[::2] for item in args.upper),
+                            ContractViolation, "--upper takes K=VALUE")
     report = bounds_mod.sandwich_report(a, uppers, kmax=args.kmax)
     payload = {
         "matrix_hash": matrix_hash(a),
@@ -391,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, EmptyGraphError) as exc:
         print(f"fracbp: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SizeCapExceeded, NodeCapExceeded) as exc:

@@ -704,7 +704,7 @@ def _linprog(*, A_eq: _Csc, presolve: bool):
 
     The name is kept from when this was scipy's linprog: the
     benchmark's tracer wraps `colgen._linprog` by name and reads
-    `A_eq.shape` and `A_eq.nbytes` from the keywords (ROADMAP item 5
+    `A_eq.shape` and `A_eq.nbytes` from the keywords (ROADMAP item 9
     moves that tracing into the library).
     """
     model = highs_model(A_eq.shape[0], A_eq.indptr, A_eq.indices, A_eq.data, PARTITION,

@@ -97,20 +97,18 @@ Design notes that matter for correctness:
   searches.  The x=1 child keeps the maps that fix j, and the x=0
   child keeps them all, since they map j's orbit onto itself.
   The group G is built at most once, lazily: at the first x=0 child
-  that must branch while no incumbent meets the root bound's ceiling.
-  That child's bound, taken with j alone at zero, still holds, and
-  the rest of j's orbit is fixed at zero below it.  A child pruned or
-  closed at once gains nothing from G, and once an incumbent meets
-  the ceiling it is optimal, nodes are pruned on their bounds, and all
-  symmetry work stops, as it does in a subtree once only the identity
-  is left.  G is checked exactly, map by map and
-  column by column, and closed under composition up to
-  `symmetry._CLOSURE_CAP` maps.  Any set of checked maps is sound
-  (when the cap cuts the closure, each orbit is closed under the maps
-  kept), so the cap only weakens the pruning.  G is held as row maps,
-  |G| x rows, and a column's images are looked up by their row
-  bitsets.  Values stay exact and the same; the selection and the
-  node count move.
+  searched while no incumbent meets the root bound's ceiling, before
+  that child is bounded.  So a search whose first dive meets the
+  ceiling never builds it; once an incumbent meets the ceiling it is
+  optimal, nodes are pruned on their bounds, and all symmetry work
+  stops, as it does in a subtree once only the identity is left.  G
+  is checked exactly, map by map and column by column, and closed
+  under composition up to `symmetry._CLOSURE_CAP` maps.  Any set of
+  checked maps is sound (when the cap cuts the closure, each orbit is
+  closed under the maps kept), so the cap only weakens the pruning.
+  G is held as row maps, |G| x rows, and a column's images are looked
+  up by their row bitsets.  Values stay exact and the same; the
+  selection and the node count move.
 """
 
 from __future__ import annotations
@@ -848,7 +846,8 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
     selection is one optimum among possibly several, and it and the
     node count move with those vertices.  `node_cap`, at least 1,
     limits LP solves; exceeding it raises NodeCapExceeded carrying the
-    incumbent and root bound.
+    incumbent and root bound.  An LP with no 0/1 solution, fractional
+    solutions or none, raises ContractViolation.
 
     `incumbent`, when given, is a list of column ids that the caller
     says is a 0/1 solution.  It is checked exactly, as an integral leaf
@@ -865,15 +864,15 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
     column j fixes at zero j's whole orbit under the node's symmetries,
     since a symmetry h maps any solution with x_h(j) = 1 onto one with
     x_j = 1, which the x=1 child searches.  The function is called at
-    most once, at the first x=0 child that must branch while no
-    incumbent meets the root bound's ceiling, so a search whose given
-    incumbent meets it, or that meets it on its first dive, never
-    calls it.  The maps are checked exactly: one that is no
-    permutation of the rows, or that sends some column onto no column,
-    raises InvariantViolation, and the columns must be distinct.  The group they generate is closed up to
-    `symmetry._CLOSURE_CAP` elements, which only weakens the pruning.
-    The objective is the same with or without them; the selection and
-    the node count move.
+    most once, at the first x=0 child searched while no incumbent meets
+    the root bound's ceiling, so a search whose given incumbent meets
+    it, or that meets it on its first dive, never calls it.  The maps
+    are checked exactly: one that is no permutation of the rows, or
+    that sends some column onto no column, raises InvariantViolation,
+    and the columns must be distinct.  The group they generate is
+    closed up to `symmetry._CLOSURE_CAP` elements, which only weakens
+    the pruning.  The objective is the same with or without them; the
+    selection and the node count move.
     """
     if node_cap < 1:
         raise ContractViolation(f"node cap must be at least 1, got {node_cap}")
@@ -889,7 +888,9 @@ def solve_integer(lp: LinearProgram, node_cap: int = NODE_CAP,
         search.model = _node_model(lp)
         search.branch((1 << lp.num_rows) - 1, cols, [], frac)
     if search.best is None:
-        raise InvariantViolation("no integer solution found in a feasible model")
+        # The search is complete, so no incumbent means no 0/1 solution,
+        # though the LP has a fractional one.
+        raise ContractViolation("integer model is infeasible")
     selection = tuple(1 if k in search.chosen else 0 for k in range(lp.num_cols))
     return IntegerSolution(search.best, selection, search.nodes)
 
@@ -923,7 +924,8 @@ class _BranchAndBound:
     themselves, so that it maps the node's integer solutions onto
     themselves.  `_NO_GROUP` when the node uses none, and None on the
     first dive, where every decision fixed a column at one, so that
-    they are the maps of G that map `ones` onto itself (`_dive_group`).
+    they are the maps of G that map `ones` onto itself (`_dive_group`,
+    the one place G is built, at the first x=0 child that needs it).
     Only an x=1 child inherits None, so no node below an x=0 decision
     derives its symmetries that way.
     """
@@ -964,47 +966,23 @@ class _BranchAndBound:
         self._search(sub_rows, sub_cols, ones + [j], fixing)
 
         # x = 0, with j's orbit fixed at zero and every map kept.
-        orbit, sub_group, parent = (j,), _NO_GROUP, None
+        orbit, sub_group = (j,), _NO_GROUP
         if self._symmetric():
-            if group is None and self._group is None:
-                parent = (ones, j)
-            else:
-                if group is None:
-                    group = self._dive_group(ones)
-                if len(group):
-                    if images is None:
-                        images = self._images(group, bits)
-                    orbit, sub_group = self._orbit(group, images), group
+            if group is None:
+                group = self._dive_group(ones)
+            if len(group):
+                if images is None:
+                    images = self._images(group, bits)
+                orbit, sub_group = self._orbit(group, images), group
         if len(orbit) == 1:
             sub_cols = cols[:frac] + cols[frac + 1:]
         else:
             sub_cols = _without(cols, orbit)
-        self._search(row_mask, sub_cols, ones, sub_group, parent)
+        self._search(row_mask, sub_cols, ones, sub_group)
 
-    def _search(self, row_mask: int, cols, ones: list[int], group,
-                parent=None) -> None:
-        """Bound a child, and search its subtree if it must branch.
-
-        `parent` is (ones, j) for the x=0 child of a node on the first
-        dive while G is not built: G is built only once such a child
-        must branch, since one pruned or closed at once gains nothing
-        from it.  The rest of j's orbit under its parent's symmetries is
-        then fixed at zero below the child, whose bound, taken without
-        them, still holds; it is bounded again only if its branching
-        column is in that orbit."""
+    def _search(self, row_mask: int, cols, ones: list[int], group) -> None:
+        """Bound a child, and search its subtree if it must branch."""
         frac = self._bound(row_mask, cols, ones)
-        if frac is not None and parent is not None and self._symmetric():
-            group = self._dive_group(parent[0])
-            if len(group):
-                j = parent[1]
-                orbit = self._orbit(group, self._images(group, self.lp.columns[j]))
-                if len(orbit) > 1:
-                    k = cols[frac][0]
-                    cols = _without(cols, orbit - {j})
-                    if k in orbit:
-                        frac = self._bound(row_mask, cols, ones)
-                    else:
-                        frac = next(t for t, col in enumerate(cols) if col[0] == k)
         if frac is not None:
             self.branch(row_mask, cols, ones, frac, group)
 

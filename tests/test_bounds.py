@@ -29,7 +29,12 @@ from fracbp.core import (
     kronecker,
     parse_matrix,
 )
-from fracbp.errors import InvariantViolation, SizeCapExceeded
+from fracbp.errors import (
+    ContractViolation,
+    EmptyGraphError,
+    InvariantViolation,
+    SizeCapExceeded,
+)
 from fracbp.maximal import enumerate_maximal
 from oracles import brute_fooling_sets, brute_integer_number, random_binary_matrix
 
@@ -379,16 +384,29 @@ def test_sandwich_extends_to_requested_power(d):
 
 
 def test_sandwich_rejects_upper_below_cover_power(d):
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ContractViolation):
         sandwich_report(d, {1: rat(5, 2), 2: rat(3)})
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ContractViolation):
         sandwich_report(d, {1: rat(3, 2)})
 
 
 def test_sandwich_rejects_upper_below_product_bound(d):
     # The k=3 bound from bp*bc^2 is 10; anything smaller is impossible.
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ContractViolation):
         sandwich_report(d, {1: rat(5, 2), 3: rat(9)})
+
+
+def test_sandwich_rejects_keys_below_one_and_nonpositive_values(d):
+    for uppers in ({0: rat(7)}, {-1: rat(7)}, {2: rat(0)}, {2: rat(-6)}):
+        with pytest.raises(ContractViolation, match=f"k={next(iter(uppers))}"):
+            sandwich_report(d, uppers)
+
+
+def test_integer_numbers_refuse_a_matrix_with_no_ones():
+    zero = BinaryMatrix(2, 3, (0, 0))
+    for number in (integer_partition_number, integer_cover_number):
+        with pytest.raises(EmptyGraphError):
+            number(zero)
 
 
 def test_sandwich_respects_fooling_cap():

@@ -280,6 +280,19 @@ def test_bounds_rejects_bad_upper_syntax():
     assert code == 64
 
 
+@pytest.mark.parametrize("upper, named", [
+    ("2=1", "k=2"),     # below cover^2 = 4
+    ("2=-6", "k=2"),    # not positive
+    ("3=9", "k=3"),     # below the power lower bound 10
+    ("1=3/2", "k=1"),   # below the cover value 2
+    ("0=7", "k=0"),     # no power
+])
+def test_bounds_rejects_impossible_upper_values(upper, named):
+    code, out, err = run_cli("bounds", "domino", "--upper", upper)
+    assert code == 64 and out == ""
+    assert err.startswith("fracbp: ") and named in err and "internal" not in err
+
+
 def test_bounds_rejects_bad_upper_file(tmp_path):
     code, _, _ = run_cli("bounds", "domino",
                          "--upper-values", str(tmp_path / "absent.json"))
@@ -332,6 +345,16 @@ def test_malformed_matrix_file_exits_sixty_five(tmp_path):
     path.write_bytes(b"1\xe9\n11\n")
     code, _, err = run_cli("bcf", str(path))
     assert code == 65 and err.count("\n") == 1
+
+
+def test_a_matrix_with_no_ones_exits_sixty_five(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("00\n00\n", encoding="ascii")
+    for command in ("bpf", "bcf", "bp", "bc", "bounds"):
+        code, out, err = run_cli(command, str(path))
+        assert (code, out, err) == (65, "", "fracbp: matrix has no ones\n"), command
+    code, out, _ = run_cli("kron", str(path), "-k", "2")
+    assert (code, out) == (0, "0000\n0000\n0000\n0000\n")
 
 
 def test_corrupt_checkpoint_exits_seventy_four(tmp_path):

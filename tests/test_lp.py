@@ -765,3 +765,46 @@ def test_the_stars_keep_the_integer_objective(rng):
             assert seeded.objective == plain.objective <= len(incumbent)
             assert_exact_selection(prog, plain)
             assert_exact_selection(prog, seeded)
+
+
+def brute_lp_integer(prog):
+    """The fewest columns of `prog` that partition (or cover) its rows,
+    by trying every column subset; None when no subset does."""
+    full = (1 << prog.num_rows) - 1
+    best = None
+    for subset in range(1 << prog.num_cols):
+        picked = [bits for k, bits in enumerate(prog.columns) if subset >> k & 1]
+        covered = 0
+        for bits in picked:
+            covered |= bits
+        exact = sum(bits.bit_count() for bits in picked) == full.bit_count()
+        if covered == full and (prog.sense == COVER or exact):
+            if best is None or len(picked) < best:
+                best = len(picked)
+    return best
+
+
+def test_an_lp_with_no_01_solution_is_infeasible_not_a_bug(rng):
+    # The LP optimum is 3/2 (each column at 1/2), but no two of the three
+    # columns partition the rows, and no one of them alone does.
+    prog = LinearProgram(3, (0b011, 0b110, 0b101), PARTITION)
+    assert solve(prog).objective == rat(3, 2)
+    with pytest.raises(ContractViolation, match="integer model is infeasible"):
+        solve_integer(prog)
+    refused = 0
+    for _ in range(120):
+        m, n = rng.randint(3, 6), rng.randint(3, 8)
+        columns = tuple(rng.randrange(1, 1 << m) for _ in range(n))
+        for sense in (PARTITION, COVER):
+            prog = LinearProgram(m, columns, sense)
+            best = brute_lp_integer(prog)
+            if best is None:
+                refused += 1
+                with pytest.raises(ContractViolation,
+                                   match="integer model is infeasible"):
+                    solve_integer(prog)
+            else:
+                res = solve_integer(prog)
+                assert res.objective == best
+                assert_exact_selection(prog, res)
+    assert refused
